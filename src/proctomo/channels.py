@@ -18,7 +18,8 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .tolerances import DEFAULT as TOL
+HERMITICITY_TOL = 1e-12   # max ||A - A^dag||_inf of a validated Hermitian input
+RANK_CUT = 1e-9           # eigenvalues above this count towards the numerical rank
 
 Metric = Literal["frobenius", "trace", "operator"]
 
@@ -36,6 +37,7 @@ __all__ = [
     "fidelity",
     "make_channel",
     "qft_unitary",
+    "haar_unitary",
     "pauli_string",
     "kraus_rank",
     "choi_rank",
@@ -46,7 +48,7 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _check_hermitian(a: np.ndarray, tol: float = TOL.hermiticity) -> None:
+def _check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
     dev = np.abs(a - a.conj().T).max()
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
@@ -269,6 +271,14 @@ def qft_unitary(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
 
 
+def haar_unitary(d: int, seed: int) -> np.ndarray:
+    """Haar-random d x d unitary: QR of a complex Ginibre matrix, phase-fixed."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -336,7 +346,7 @@ def make_channel(spec: ChannelSpec) -> KrausSet:
     raise ValueError(f"unknown channel kind {spec.kind!r}")
 
 
-def kraus_rank(kraus: KrausSet, cut: float = TOL.rank_cut) -> int:
+def kraus_rank(kraus: KrausSet, cut: float = RANK_CUT) -> int:
     """Dimension of the span of the vectorized Kraus operators."""
     vecs = np.stack([k.reshape(-1) for k in kraus.operators])
     gram = vecs @ vecs.conj().T
@@ -344,7 +354,7 @@ def kraus_rank(kraus: KrausSet, cut: float = TOL.rank_cut) -> int:
     return int((lam > cut).sum())
 
 
-def choi_rank(choi: ChoiMatrix, cut: float = TOL.rank_cut) -> int:
+def choi_rank(choi: ChoiMatrix, cut: float = RANK_CUT) -> int:
     """Numerical rank of the Choi matrix (eigenvalues above ``cut``)."""
     lam = np.linalg.eigvalsh(_hermitize(choi.matrix))
     return int((lam > cut).sum())

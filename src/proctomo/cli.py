@@ -2,7 +2,7 @@
 
     proctomo run <config.yaml> [--seed N] [--threads N] [--out-dir DIR]
                                [--method M] [--epsilon E] [--timings]
-    proctomo verify <suite>    [--out-dir DIR]
+    proctomo verify <suite>    [--out-dir DIR]   (suite 'list' prints the names)
     proctomo inspect <file.csv>
 
 Exit codes: 0 success, 2 acceptance failure, 1 error.  The default output
@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "byte-identity)")
 
     p_ver = sub.add_parser("verify", help="run an acceptance suite")
-    p_ver.add_argument("suite", help="suite name or 'all'; see --list")
+    p_ver.add_argument("suite", help="suite name or 'all'; 'list' prints the "
+                                     "suite names")
     p_ver.add_argument("--out-dir", default=None)
 
     p_ins = sub.add_parser("inspect", help="summarize an output CSV")
@@ -71,7 +72,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "--list" or args.suite == "list":
+    if args.suite == "list":
         print("\n".join(sorted(verification.SUITES)))
         return 0
     results = verification.run_suite(args.suite)

@@ -9,7 +9,8 @@ partial-trace plane Tr_s(Phi) = 1/d.  Closed forms exist for the two pieces:
   the PSD cone;
 * ``proj_cp1_thresholded`` : eigenvalue thresholding at tau followed by a
   trace-one correction (water filling, or top-down refilling when the
-  thresholded mass falls short of one).
+  thresholded mass falls short of one); ``cp1_threshold`` gives the
+  first-stage tau = max(0, -lambda_min) of a raw estimate.
 
 ``project_to_cptp`` combines them iteratively: plain alternating projections
 (AP), Dykstra's algorithm, the hyperplane-intersection family (oneHIP,
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.optimize
 from scipy.linalg import solve_triangular
 
-from .channels import ChoiMatrix, partial_trace
+from .channels import RANK_CUT, ChoiMatrix, partial_trace
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +51,7 @@ __all__ = [
     "proj_tp_linear",
     "proj_cp",
     "proj_cp1_thresholded",
+    "cp1_threshold",
     "hip_inner",
     "project_to_cptp",
     "depolarizing_finalize",
@@ -171,6 +173,11 @@ def _waterfill(values: np.ndarray, total: float = 1.0) -> np.ndarray:
     rho = np.nonzero(u - css / idx > 0)[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.clip(values - theta, 0.0, None)
+
+
+def cp1_threshold(x: np.ndarray) -> float:
+    """First-stage threshold tau = max(0, -lambda_min(x)) of a raw estimate."""
+    return max(0.0, -float(np.linalg.eigvalsh(_hermitize(x)).min()))
 
 
 def proj_cp1_thresholded(x: np.ndarray, tau: float) -> np.ndarray:
@@ -534,22 +541,20 @@ def pls_pipeline(estimate, cfg: Optional[ProjectionConfig] = None,
                  method: str = "HIPswitch", direct: bool = False):
     """Two-step physical projection of a least-squares estimate.
 
-    Step one thresholds onto the trace-one PSD set at tau = -lambda_min of
-    the input; step two runs ``project_to_cptp``.  ``direct=True`` skips the
-    first step and projects the raw estimate (the one-step alternative kept
-    for comparisons).  Returns (ChoiMatrix, ProjectionReport); the report
+    Step one thresholds onto the trace-one PSD set at tau =
+    ``cp1_threshold(input)``; step two runs ``project_to_cptp``.
+    ``direct=True`` skips the first step and projects the raw estimate (the
+    one-step alternative kept for comparisons).  Returns (ChoiMatrix, ProjectionReport); the report
     records the threshold and the spectrum after step one.
     """
     mat = np.asarray(getattr(estimate, "matrix", estimate), dtype=complex)
     if direct:
-        choi, report = project_to_cptp(mat, method, cfg)
-        return choi, report
-    lam = np.linalg.eigvalsh(_hermitize(mat))
-    tau = max(0.0, -float(lam.min()))
+        return project_to_cptp(mat, method, cfg)
+    tau = cp1_threshold(mat)
     phi_cp1 = proj_cp1_thresholded(mat, tau)
     spectrum = np.linalg.eigvalsh(_hermitize(phi_cp1))[::-1]
     choi, report = project_to_cptp(phi_cp1, method, cfg)
     report.threshold = tau
     report.cp1_spectrum = spectrum
-    report.cp1_rank = int((spectrum > 1e-9).sum())
+    report.cp1_rank = int((spectrum > RANK_CUT).sum())
     return choi, report

@@ -23,13 +23,14 @@ import numpy as np
 import scipy.linalg
 
 from .bounds import ErrorBudget, confidence_region, pls_failure_prob
-from .channels import (ChannelSpec, choi_from_kraus, distance, kraus_rank,
-                       make_channel, qft_unitary)
+from .channels import (ChannelSpec, choi_from_kraus, distance, haar_unitary,
+                       kraus_rank, make_channel, qft_unitary)
 from .designs import mub_family, near_isotropy_defect
 from .estimators import ls_estimate
 from .harness import ExperimentConfig, run
-from .projections import (ProjectionConfig, proj_cp, proj_cp1_thresholded,
-                          proj_tp, project_to_cptp)
+from .projections import (ProjectionConfig, cp1_threshold, pls_pipeline,
+                          proj_cp, proj_cp1_thresholded, proj_tp,
+                          project_to_cptp)
 from .simulate import SamplingPlan, exact_table, sample
 
 __all__ = ["CheckResult", "CHECKS", "SUITES", "run_suite", "write_report"]
@@ -78,19 +79,13 @@ def check_identifiability() -> CheckResult:
 
 
 def _test_channels(d: int) -> list[ChannelSpec]:
-    specs = [ChannelSpec("mixed_unitary", d, unitary=_haar(d, 17 + d), rank=2)]
+    specs = [ChannelSpec("mixed_unitary", d, unitary=haar_unitary(d, 17 + d),
+                         rank=2)]
     if d & (d - 1) == 0:
         specs.append(ChannelSpec("noisy_qft", d, measure_prob=0.25))
     else:
         specs.append(ChannelSpec("unitary", d, unitary=qft_unitary(d)))
     return specs
-
-
-def _haar(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 # --------------------------------------------------------------------------
@@ -197,8 +192,7 @@ def check_projection_properties() -> CheckResult:
                 runs += 1
                 table = sample(truth, scenario, SamplingPlan("random", 10**4, seed))
                 est = ls_estimate(table)
-                lam_min = float(np.linalg.eigvalsh(est.matrix).min())
-                cp1 = proj_cp1_thresholded(est.matrix, max(0.0, -lam_min))
+                cp1 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
                 op_ls = distance(est.matrix, truth.matrix, "operator")
                 op_cp1 = distance(cp1, truth.matrix, "operator")
                 if op_cp1 > 2 * op_ls + 1e-12:
@@ -334,15 +328,14 @@ def check_cross_method() -> CheckResult:
     worst_pair = 0.0
     worst_grad = 0.0
     for seed in range(10):
-        spec = ChannelSpec("mixed_unitary", 4, unitary=_haar(4, 100 + seed), rank=2)
+        spec = ChannelSpec("mixed_unitary", 4,
+                           unitary=haar_unitary(4, 100 + seed), rank=2)
         truth = choi_from_kraus(make_channel(spec))
         table = sample(truth, 1, SamplingPlan("random", 10**7, seed))
         est = ls_estimate(table)
-        lam_min = float(np.linalg.eigvalsh(est.matrix).min())
-        cp1 = proj_cp1_thresholded(est.matrix, max(0.0, -lam_min))
         outs = {}
         for method in ("HIPswitch", "Dykstra", "dual"):
-            choi, report = project_to_cptp(cp1, method, tight)
+            choi, report = pls_pipeline(est, tight, method)
             outs[method] = choi.matrix
             if method == "dual":
                 worst_grad = max(worst_grad, report.dual_grad_norm)
@@ -380,14 +373,10 @@ def check_bound_validity() -> CheckResult:
         covered = 0
         for seed in range(n_runs):
             table = sample(truth, scenario, SamplingPlan("random", n_shots, seed))
-            est = ls_estimate(table)
-            lam_min = float(np.linalg.eigvalsh(est.matrix).min())
-            cp1 = proj_cp1_thresholded(est.matrix, max(0.0, -lam_min))
-            choi, _ = project_to_cptp(cp1, "HIPswitch", ProjectionConfig())
+            choi, report = pls_pipeline(ls_estimate(table))
             err = distance(choi.matrix, truth.matrix, "frobenius")
             errs.append(err)
-            spectrum = np.linalg.eigvalsh(cp1)[::-1]
-            region = confidence_region(spectrum, ErrorBudget(
+            region = confidence_region(report.cp1_spectrum, ErrorBudget(
                 scenario=scenario, k=1, n_shots=n_shots, eta=eta))
             covered += err <= region.frobenius_radius
         errs = np.asarray(errs)

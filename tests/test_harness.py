@@ -2,13 +2,14 @@ import csv
 import json
 import os
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from proctomo import cli
+from proctomo import cli, harness, verification
 from proctomo.harness import (ERROR_COLUMNS, TRACE_COLUMNS, ExperimentConfig,
                               OUT_DIR_ENV, load_config, run)
 
@@ -152,6 +153,56 @@ class TestRun:
                 == (tmp_path / "b" / "errors.csv").read_bytes())
 
 
+class TestStageTimes:
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_stage_times_exclude_metrics(self, tmp_path, monkeypatch, direct):
+        distance, fidelity = harness.distance, harness.fidelity
+
+        def slow_distance(*args, **kwargs):
+            time.sleep(0.05)
+            return distance(*args, **kwargs)
+
+        def slow_fidelity(*args, **kwargs):
+            time.sleep(0.1)
+            return fidelity(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "distance", slow_distance)
+        monkeypatch.setattr(harness, "fidelity", slow_fidelity)
+        records, _ = run(_mini_config(repetitions=1, direct=direct),
+                         out_dir=tmp_path)
+        times = records[0].wall_times_ms
+        assert set(times) == ({"LS", "PLS"} if direct else {"LS", "CP1", "PLS"})
+        for stage, ms in times.items():
+            assert ms < 50.0, (stage, ms)
+
+
+class TestHarnessSeams:
+    """The benchmark tracer wraps these harness names, so every repetition
+    must reach the first and second stage through them."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        for name in ("proj_cp1_thresholded", "project_to_cptp"):
+            def spy(*args, _name=name, _original=getattr(harness, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(harness, name, spy)
+        return calls
+
+    def test_single_run(self, tmp_path, monkeypatch):
+        calls = self._spy(monkeypatch)
+        run(_mini_config(repetitions=3), out_dir=tmp_path)
+        assert calls == ["proj_cp1_thresholded", "project_to_cptp"] * 3
+
+    def test_algo_comparison(self, tmp_path, monkeypatch):
+        calls = self._spy(monkeypatch)
+        cfg = _mini_config(experiment="algo_comparison",
+                           methods=["HIPswitch", "AP", "dual"],
+                           projection={"max_outer_iterations": 300})
+        run(cfg, out_dir=tmp_path)
+        assert calls == ["proj_cp1_thresholded"] + ["project_to_cptp"] * 3
+
+
 class TestCli:
     def _write_cfg(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -190,6 +241,10 @@ class TestCli:
         assert "PASS two-design" in out
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] is True
+
+    def test_verify_list(self, capsys):
+        assert cli.main(["verify", "list"]) == 0
+        assert capsys.readouterr().out.split() == sorted(verification.SUITES)
 
     def test_missing_config_errors(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.yaml")]) == 1

@@ -8,9 +8,10 @@ from proctomo.channels import (ChannelSpec, ChoiMatrix, choi_from_kraus,
                                partial_trace)
 from proctomo.estimators import ls_estimate
 from proctomo.projections import (HalfSpace, ProjectionConfig, _waterfill,
-                                  depolarizing_finalize, hip_inner,
-                                  pls_pipeline, proj_cp, proj_cp1_thresholded,
-                                  proj_tp, proj_tp_linear, project_to_cptp)
+                                  cp1_threshold, depolarizing_finalize,
+                                  hip_inner, pls_pipeline, proj_cp,
+                                  proj_cp1_thresholded, proj_tp,
+                                  proj_tp_linear, project_to_cptp)
 from proctomo.simulate import SamplingPlan, sample
 
 from conftest import random_density, random_hermitian
@@ -148,6 +149,20 @@ class TestProjCp1Thresholded:
             proj_cp1_thresholded(np.eye(3, dtype=complex) / 3, -0.1)
 
 
+class TestCp1Threshold:
+    def test_zero_for_a_density_matrix(self, rng):
+        tau = cp1_threshold(random_density(4, rng))
+        assert tau == 0.0 and isinstance(tau, float)
+
+    def test_flipped_least_eigenvalue_of_an_estimate(self):
+        truth = choi_from_kraus(make_channel(
+            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
+        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=1)))
+        lam_min = np.linalg.eigvalsh(est.matrix).min()
+        assert lam_min < 0
+        assert cp1_threshold(est.matrix) == -lam_min
+
+
 class TestHipInner:
     def _halfspace(self, normal):
         return HalfSpace(normal=normal / np.linalg.norm(normal, "fro"), offset=0.0)
@@ -227,8 +242,7 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=2)))
-        lam = np.linalg.eigvalsh(est.matrix)
-        cp1 = proj_cp1_thresholded(est.matrix, -lam.min())
+        cp1 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
         dists = []
         project_to_cptp(cp1, "HIPswitch", ProjectionConfig(),
                         iterate_hook=lambda p: dists.append(
@@ -240,8 +254,7 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 3000, seed=6)))
-        lam = np.linalg.eigvalsh(est.matrix)
-        phi0 = proj_cp1_thresholded(est.matrix, -lam.min())
+        phi0 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
         choi, report = project_to_cptp(phi0, "dual")
         assert report.dual_grad_norm <= ProjectionConfig().dual_grad_tol
         base = np.linalg.norm(choi.matrix - phi0, "fro")
@@ -253,8 +266,7 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 3000, seed=9)))
-        lam = np.linalg.eigvalsh(est.matrix)
-        phi0 = proj_cp1_thresholded(est.matrix, -lam.min())
+        phi0 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
         tight = ProjectionConfig(epsilon=1e-11, max_outer_iterations=100000)
         dyk, _ = project_to_cptp(phi0, "Dykstra", tight)
         dua, _ = project_to_cptp(phi0, "dual", tight)
@@ -264,8 +276,7 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=3)))
-        lam = np.linalg.eigvalsh(est.matrix)
-        cp1 = proj_cp1_thresholded(est.matrix, -lam.min())
+        cp1 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
         short = ProjectionConfig(max_outer_iterations=2)
         _, report = project_to_cptp(cp1, "AP", short)
         assert not report.converged
@@ -330,7 +341,7 @@ class TestPipeline:
             ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 2000, seed=12)))
         _, report = pls_pipeline(est)
-        assert report.threshold is not None and report.threshold >= 0
+        assert report.threshold == cp1_threshold(est.matrix)
         assert report.cp1_rank >= 1
         assert report.cp1_spectrum.shape == (4,)
 
