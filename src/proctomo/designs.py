@@ -10,10 +10,14 @@ omega^(j l^2 + t l)) and for D = 2^m (Galois-ring GR(4, m) trace construction
 over the Teichmueller set).  The hard-coded primitive polynomials over GF(2)
 are (by degree): x+1, x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, x^6+x+1,
 x^7+x+1, x^8+x^4+x^3+x^2+1.  Basis 0 is always the computational basis.
+
+``mub_family`` builds each dimension's family once per process and returns
+the same read-only :class:`MubFamily` on every later call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -148,14 +152,17 @@ class MubFamily:
     """D+1 mutually unbiased orthonormal bases of C^D.
 
     ``bases[b, t]`` is the t-th unit vector of basis b; basis 0 is the
-    computational basis.
+    computational basis.  ``bases`` is a private read-only copy of the array
+    passed in, so one family can be shared between callers and threads.
     """
 
     dim: int
     bases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", np.asarray(self.bases, dtype=complex))
+        bases = np.array(self.bases, dtype=complex)
+        bases.setflags(write=False)
+        object.__setattr__(self, "bases", bases)
         d = self.dim
         if self.bases.shape != (d + 1, d, d):
             raise ValueError("expected (D+1, D, D) array of basis vectors")
@@ -254,7 +261,7 @@ def _mub_power_of_two(m: int) -> np.ndarray:
 
     a, b, x range over the Teichmueller set T = {0} u {xi^j}; the trace is
     Z_4-linear, so tr((a+2b)x) = tr(ax) + 2 tr_gf(b x mod 2) and both parts
-    are precomputed as tables.
+    are gathered from per-element traces through a product-index table.
     """
     if m not in _GF2_POLYS:
         raise NotImplementedError(f"no stored primitive polynomial of degree {m}")
@@ -296,16 +303,18 @@ def _mub_power_of_two(m: int) -> np.ndarray:
             raise AssertionError("trace is not scalar")
         return int((acc[0] + 2 * _gf2_trace(b_bits, poly, m)) % 4)
 
-    # tr(a x) for Teichmueller a, x; tr_gf(b x) for the mod-2 reductions
-    tr_ax = np.empty((d, d), dtype=np.int64)
-    tr2_bx = np.empty((d, d), dtype=np.int64)
+    # T \ {0} = <xi> is cyclic of order D-1, so teich[i] teich[j] is
+    # teich[1 + (i+j-2) mod (D-1)] for i, j >= 1 and 0 otherwise; reduction
+    # mod 2 is a ring map, so the bit patterns multiply by the same table.
+    # One trace per Teichmueller element then fills both D x D tables.
+    k = np.arange(d)
+    idx = 1 + (k[:, None] + k[None, :] - 2) % (d - 1)
+    idx[0, :] = idx[:, 0] = 0
     bits = [int(sum(1 << j for j in range(m) if t[j] % 2)) for t in teich]
-    for i in range(d):
-        for j in range(i, d):
-            t = gr_trace(_gr_mul(teich[i], teich[j], h, m))
-            tr_ax[i, j] = tr_ax[j, i] = t
-            t2 = _gf2_trace(_gf2_mul(bits[i], bits[j], poly, m), poly, m)
-            tr2_bx[i, j] = tr2_bx[j, i] = t2
+    tr_t = np.array([gr_trace(t) for t in teich], dtype=np.int64)
+    tr2_t = np.array([_gf2_trace(b, poly, m) for b in bits], dtype=np.int64)
+    tr_ax = tr_t[idx]
+    tr2_bx = tr2_t[idx]
 
     phase = np.mod(tr_ax[:, None, :] + 2 * tr2_bx[None, :, :], 4)
     bases = np.empty((d + 1, d, d), dtype=complex)
@@ -314,11 +323,13 @@ def _mub_power_of_two(m: int) -> np.ndarray:
     return bases
 
 
+@functools.lru_cache(maxsize=None)
 def mub_family(dim: int) -> MubFamily:
     """Maximal family of dim+1 mutually unbiased bases in C^dim.
 
     Supported dimensions: odd primes and powers of two.  Other dimensions
-    raise NotImplementedError.
+    raise NotImplementedError.  Each family is built and validated once per
+    process; later calls return the same read-only instance.
     """
     if dim >= 2 and dim & (dim - 1) == 0:
         return MubFamily(dim, _mub_power_of_two(dim.bit_length() - 1))
@@ -430,5 +441,6 @@ def save_mub_family(family: MubFamily, path) -> None:
 
 
 def load_mub_family(path) -> MubFamily:
-    data = np.load(path)
-    return MubFamily(int(data["dim"]), data["bases"])
+    with np.load(path) as data:
+        dim, bases = int(data["dim"]), data["bases"]
+    return MubFamily(dim, bases)

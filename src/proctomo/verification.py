@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -41,11 +42,12 @@ class CheckResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    seconds: float = 0.0     # wall time, set by run_suite; not part of details
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         parts = ", ".join(f"{k}={_fmt(v)}" for k, v in self.details.items())
-        return f"{status} {self.name}: {parts}"
+        return f"{status} {self.name} ({self.seconds:.2f} s): {parts}"
 
 
 def _fmt(v):
@@ -461,13 +463,20 @@ SUITES = {**{name: [name] for name in CHECKS}, "all": list(CHECKS)}
 def run_suite(suite: str) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    return [CHECKS[name]() for name in SUITES[suite]]
+    results = []
+    for name in SUITES[suite]:
+        start = time.perf_counter()
+        result = CHECKS[name]()
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results
 
 
 def write_report(results: list[CheckResult], path) -> None:
     payload = {"passed": all(r.passed for r in results),
                "checks": [{"name": r.name, "passed": r.passed,
-                           "details": r.details} for r in results]}
+                           "seconds": r.seconds, "details": r.details}
+                          for r in results]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -7,11 +7,11 @@ and prints a single PASS/FAIL line with the measured values (visible with
 
 import pytest
 
-from proctomo.verification import CHECKS
+from proctomo.verification import run_suite
 
 
 def _assert_check(name):
-    result = CHECKS[name]()
+    (result,) = run_suite(name)
     print(result.line())
     assert result.passed, result.line()
     return result

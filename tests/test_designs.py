@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proctomo.designs import (_GF2_POLYS, _gf2_mul, all_settings, mub_family,
-                              near_isotropy_defect, pauli_basis_matrix,
-                              pauli_projector, scenario_inputs, scenario_povm,
+from proctomo.designs import (_GF2_POLYS, _gf2_mul, _gr_mul, _hensel_lift,
+                              _mub_power_of_two, MubFamily, all_settings,
+                              mub_family, near_isotropy_defect,
+                              pauli_basis_matrix, pauli_projector,
+                              scenario_inputs, scenario_povm,
                               setting_from_index, setting_index,
                               load_mub_family, save_mub_family)
 
@@ -104,6 +106,77 @@ class TestMubFamilies:
                 if j < m and m > 1:
                     assert cur != x, f"degree-{m} polynomial splits at step {j}"
             assert cur == x, f"degree-{m} polynomial is not irreducible"
+
+
+def _pairwise_mub_power_of_two(m):
+    """Oracle for ``_mub_power_of_two``: one ring product and one trace per
+    pair of Teichmueller elements, v_{a,b}[x] = i^(tr(ax) + 2 tr(bx mod 2)).
+
+    Traces are traces of the multiplication map in the basis 1, x, ...,
+    x^(m-1) (over Z_4 for GR(4, m), over GF(2) for GF(2^m)), not the
+    Frobenius-orbit sums the library uses.
+    """
+    poly = _GF2_POLYS[m]
+    d = 2**m
+    h = _hensel_lift(poly, m)
+    basis = np.eye(m, dtype=np.int64)
+    xi = basis[1] if m > 1 else basis[0]
+    teich = [np.zeros(m, dtype=np.int64)]
+    cur = basis[0]
+    for _ in range(d - 1):
+        teich.append(cur)
+        cur = _gr_mul(cur, xi, h, m)
+
+    def gr_trace(y):
+        return int(sum(_gr_mul(y, e, h, m)[j] for j, e in enumerate(basis)) % 4)
+
+    def gf2_trace(a):
+        return sum(_gf2_mul(a, 1 << j, poly, m) >> j & 1 for j in range(m)) % 2
+
+    bits = [sum(int(t[j]) % 2 << j for j in range(m)) for t in teich]
+    tr_ax = np.empty((d, d), dtype=np.int64)
+    tr2_bx = np.empty((d, d), dtype=np.int64)
+    for i in range(d):
+        for j in range(i, d):
+            tr_ax[i, j] = tr_ax[j, i] = gr_trace(_gr_mul(teich[i], teich[j], h, m))
+            tr2_bx[i, j] = tr2_bx[j, i] = gf2_trace(
+                _gf2_mul(bits[i], bits[j], poly, m))
+    phase = np.mod(tr_ax[:, None, :] + 2 * tr2_bx[None, :, :], 4)
+    bases = np.empty((d + 1, d, d), dtype=complex)
+    bases[0] = np.eye(d)
+    bases[1:] = (1j ** phase) / np.sqrt(d)
+    return bases
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_power_of_two_matches_pairwise_oracle(m):
+    assert np.array_equal(_mub_power_of_two(m), _pairwise_mub_power_of_two(m))
+
+
+class TestMubCache:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_same_instance(self, dim):
+        assert mub_family(dim) is mub_family(dim)
+
+    def test_arrays_read_only(self):
+        fam = mub_family(4)
+        for arr in (fam.bases, fam.vectors()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    def test_caller_array_untouched(self):
+        arr = np.array(mub_family(2).bases)
+        fam = MubFamily(2, arr)
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, fam.bases)
+        arr[0, 0, 0] = 5.0
+        assert fam.bases[0, 0, 0] == 1.0
+
+    def test_unsupported_dimension_raises_every_call(self):
+        for _ in range(3):
+            with pytest.raises(NotImplementedError):
+                mub_family(6)
 
 
 class TestNearIsotropy:

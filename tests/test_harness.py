@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import sys
 import textwrap
 import time
 from pathlib import Path
@@ -104,6 +105,21 @@ class TestRun:
     def test_threads_do_not_change_output(self, tmp_path):
         run(_mini_config(repetitions=4), out_dir=tmp_path / "a")
         run(_mini_config(repetitions=4, threads=3), out_dir=tmp_path / "b")
+        assert ((tmp_path / "a" / "errors.csv").read_bytes()
+                == (tmp_path / "b" / "errors.csv").read_bytes())
+
+    def test_threads_share_mub_family(self, tmp_path):
+        # every repetition's sample and ls_estimate reads the one cached
+        # family of C^4, concurrently when threads > 1
+        cfg = dict(scenario=3, k=None, d=2, n_shots=2000, repetitions=6,
+                   channel={"kind": "mixed_unitary", "base": "qft", "rank": 2})
+        run(_mini_config(**cfg), out_dir=tmp_path / "a")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run(_mini_config(**cfg, threads=3), out_dir=tmp_path / "b")
+        finally:
+            sys.setswitchinterval(interval)
         assert ((tmp_path / "a" / "errors.csv").read_bytes()
                 == (tmp_path / "b" / "errors.csv").read_bytes())
 
@@ -241,6 +257,9 @@ class TestCli:
         assert "PASS two-design" in out
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] is True
+        assert report["checks"]
+        for check in report["checks"]:
+            assert check["seconds"] >= 0
 
     def test_verify_list(self, capsys):
         assert cli.main(["verify", "list"]) == 0
