@@ -212,26 +212,19 @@ def apply_via_choi(choi: ChoiMatrix, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(_hermitize(out))
 
 
-def partial_trace(mat: np.ndarray, which: Literal["system", "ancilla"],
-                  dims: Optional[tuple[int, int]] = None) -> np.ndarray:
-    """Partial trace of a matrix on C^(d1) (x) C^(d2) over one factor.
+def partial_trace(mat: np.ndarray, which: Literal["system", "ancilla"]) -> np.ndarray:
+    """Partial trace of a matrix on C^d (x) C^d over one factor, d inferred.
 
     ``which='system'`` contracts the first factor, ``'ancilla'`` the second.
-    Without ``dims`` the matrix must act on C^d (x) C^d with d inferred.
     """
     mat = np.asarray(mat)
     n = mat.shape[0]
     if mat.ndim != 2 or mat.shape[1] != n:
         raise ValueError("partial_trace expects a square matrix")
-    if dims is None:
-        d = round(n ** 0.5)
-        if d * d != n:
-            raise ValueError(f"dimension {n} is not a perfect square")
-        dims = (d, d)
-    d1, d2 = dims
-    if d1 * d2 != n:
-        raise ValueError("declared dims do not match the matrix size")
-    t = mat.reshape(d1, d2, d1, d2)
+    d = round(n ** 0.5)
+    if d * d != n:
+        raise ValueError(f"dimension {n} is not a perfect square")
+    t = mat.reshape(d, d, d, d)
     if which == "system":
         return np.einsum("iaib->ab", t)
     if which == "ancilla":
@@ -346,15 +339,16 @@ def make_channel(spec: ChannelSpec) -> KrausSet:
     raise ValueError(f"unknown channel kind {spec.kind!r}")
 
 
-def kraus_rank(kraus: KrausSet, cut: float = RANK_CUT) -> int:
-    """Dimension of the span of the vectorized Kraus operators."""
+def kraus_rank(kraus: KrausSet) -> int:
+    """Dimension of the span of the vectorized Kraus operators (Gram
+    eigenvalues above ``RANK_CUT``)."""
     vecs = np.stack([k.reshape(-1) for k in kraus.operators])
     gram = vecs @ vecs.conj().T
     lam = np.linalg.eigvalsh(_hermitize(gram))
-    return int((lam > cut).sum())
+    return int((lam > RANK_CUT).sum())
 
 
-def choi_rank(choi: ChoiMatrix, cut: float = RANK_CUT) -> int:
-    """Numerical rank of the Choi matrix (eigenvalues above ``cut``)."""
+def choi_rank(choi: ChoiMatrix) -> int:
+    """Numerical rank of the Choi matrix (eigenvalues above ``RANK_CUT``)."""
     lam = np.linalg.eigvalsh(_hermitize(choi.matrix))
-    return int((lam > cut).sum())
+    return int((lam > RANK_CUT).sum())

@@ -82,18 +82,18 @@ def _wrap(matrix: np.ndarray, table: FrequencyTable) -> LsEstimate:
                       n_shots=table.total_shots, nu=table.nu, seed=table.seed)
 
 
-def ls_scenario1(table: FrequencyTable, k: Optional[int] = None) -> LsEstimate:
+def ls_scenario1(table: FrequencyTable) -> LsEstimate:
     """Ancilla-assisted Pauli estimator:
     (1/3^2k) sum f^s_o (x)_i (3 |o_i,s_i><o_i,s_i| - 1)."""
     _check(table, 1)
-    k = table.k if k is None else k
+    k = table.k
     if table.values.shape != (3 ** (2 * k), 4**k):
         raise ValueError("table shape does not match k")
     mat = pauli_assemble(table.values, 2 * k) / 3 ** (2 * k)
     return _wrap(mat, table)
 
 
-def ls_scenario2(table: FrequencyTable, k: Optional[int] = None) -> LsEstimate:
+def ls_scenario2(table: FrequencyTable) -> LsEstimate:
     """Direct Pauli estimator:
     (1/(3^2k d)) sum f^ab_qp M^b_p (x) M^a_q with M = 3|.><.| - 1.
 
@@ -102,7 +102,7 @@ def ls_scenario2(table: FrequencyTable, k: Optional[int] = None) -> LsEstimate:
     fixed by the probability map p^ab_qp = d Tr(Phi P^b_p (x) P^a_q).
     """
     _check(table, 2)
-    k = table.k if k is None else k
+    k = table.k
     d = 2**k
     if table.values.shape != (3**k, 3**k, 2**k, 2**k):
         raise ValueError("table shape does not match k")
@@ -111,10 +111,10 @@ def ls_scenario2(table: FrequencyTable, k: Optional[int] = None) -> LsEstimate:
     return _wrap(mat, table)
 
 
-def ls_scenario3(table: FrequencyTable, d: Optional[int] = None) -> LsEstimate:
+def ls_scenario3(table: FrequencyTable) -> LsEstimate:
     """Ancilla-assisted MUB estimator: (d^2+1) sum_i f_i |v_i><v_i| - 1."""
     _check(table, 3)
-    d = table.dim if d is None else d
+    d = table.dim
     vecs = mub_family(d * d).vectors()
     if table.values.shape != (vecs.shape[0],):
         raise ValueError("table shape does not match d")
@@ -122,7 +122,7 @@ def ls_scenario3(table: FrequencyTable, d: Optional[int] = None) -> LsEstimate:
     return _wrap(mat, table)
 
 
-def ls_scenario4(table: FrequencyTable, d: Optional[int] = None) -> LsEstimate:
+def ls_scenario4(table: FrequencyTable) -> LsEstimate:
     """Direct MUB estimator (transposed MUB inputs w_k, MUB measurements v_l):
 
     (d+1)/d sum f^k_l P_l (x) Q_k
@@ -132,7 +132,7 @@ def ls_scenario4(table: FrequencyTable, d: Optional[int] = None) -> LsEstimate:
     ancilla factor.
     """
     _check(table, 4)
-    d = table.dim if d is None else d
+    d = table.dim
     vecs = mub_family(d).vectors()
     m = vecs.shape[0]
     if table.values.shape != (m, m):

@@ -107,6 +107,9 @@ class ExperimentConfig:
         for m in self.methods or ():
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        self.projection_config()  # reject bad projection settings up front
 
     def projection_config(self) -> ProjectionConfig:
         return ProjectionConfig(**self.projection)
@@ -224,7 +227,9 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
                        "channel": cfg.channel})
 
     # fail on unsupported combinations before any compute
-    from .designs import mub_family  # local import to avoid cycle at module load
+    # imported at call time so a patched designs.mub_family (perfbench's
+    # tracer) also sees this fail-fast call
+    from .designs import mub_family
 
     for pt in points:
         dim = _dim_of(cfg, pt["k"], pt["d"])

@@ -20,8 +20,8 @@ of the physical set, so the distance to any physical point never increases.
 A final depolarizing mixing step cancels the residual negative eigenvalue
 while preserving the partial-trace constraint.
 
-Eigendecomposition dominates the run time; it is isolated in ``eigh_iterate``
-so partial-spectrum implementations can be swapped in.
+Eigendecomposition dominates the run time; the iterates are decomposed by
+``eigh_iterate``.
 """
 
 from __future__ import annotations
@@ -60,21 +60,22 @@ __all__ = [
 ]
 
 
+AP_STEPS = 6             # AP steps per HIPswitch cycle
+HIP_STEPS = 30           # HIP steps per HIPswitch cycle
+MAX_HALFSPACES = 30      # HIP memory window, oldest evicted
+DUAL_GRAD_TOL = 1e-8     # dual method stops once |grad| <= this
+DUAL_MAX_ITER = 20000    # per BFGS restart, and for the polish loop
+
+
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Knobs for the iterative projection methods."""
+    """Stopping rule of the iterative projection methods."""
 
     epsilon: float = 1e-7            # stop once lambda_min >= -epsilon
-    ap_steps: int = 6                # AP steps per HIPswitch cycle
-    hip_steps: int = 30              # HIP steps per HIPswitch cycle
-    max_halfspaces: int = 30         # memory window, oldest evicted
     max_outer_iterations: int = 2000
-    dual_grad_tol: float = 1e-8
-    dual_max_iter: int = 20000
 
     def __post_init__(self):
-        for name in ("epsilon", "ap_steps", "hip_steps", "max_halfspaces",
-                     "max_outer_iterations", "dual_grad_tol", "dual_max_iter"):
+        for name in ("epsilon", "max_outer_iterations"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -226,35 +227,6 @@ def proj_cp1_thresholded(x: np.ndarray, tau: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, drop_tol: float = 1e-12):
-    """Solve gram @ c = rhs by order-preserving Cholesky with skips.
-
-    Indices whose Schur-complement pivot falls below ``drop_tol`` are dropped
-    (coefficient zero) and reported; processing order preserves recency.
-    """
-    n = gram.shape[0]
-    kept: list[int] = []
-    low = np.zeros((n, n))
-    for i in range(n):
-        m = len(kept)
-        if m:
-            y = solve_triangular(low[:m, :m], gram[kept, i], lower=True)
-        else:
-            y = np.zeros(0)
-        pivot = gram[i, i] - y @ y
-        if pivot <= drop_tol:
-            continue
-        low[m, :m] = y
-        low[m, m] = math.sqrt(pivot)
-        kept.append(i)
-    m = len(kept)
-    coeff = np.zeros(n)
-    if m:
-        y = solve_triangular(low[:m, :m], rhs[kept], lower=True)
-        coeff[kept] = solve_triangular(low[:m, :m].T, y, lower=False)
-    return coeff, kept
-
-
 def _make_halfspace(phi: np.ndarray, phi_cp: np.ndarray) -> Optional[HalfSpace]:
     """Half-space containing the PSD cone, orthogonal at phi_cp to phi_cp - phi."""
     diff = phi_cp - phi
@@ -271,26 +243,37 @@ def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
 
     Candidates are scanned in recency order; one is kept when the Gram system
     of the tentative set has all coefficients nonnegative (the KKT condition
-    equating hyperplane- and half-space-intersection projections).  Returns
+    equating hyperplane- and half-space-intersection projections).  The lower
+    Cholesky factor of the accepted set's Gram matrix (inner products of the
+    ``tp_normal``s) grows by one row per candidate; a candidate whose pivot is
+    at most 1e-12 depends on the accepted normals and is skipped.  Returns
     the accepted list and the projection of phi onto the intersection of the
     partial-trace plane with those half-spaces.
     """
     accepted: list[HalfSpace] = []
+    low = np.zeros((0, 0))
+    rhs = np.zeros(0)
     coeffs = np.zeros(0)
     for cand in halfspaces:
-        trial = accepted + [cand]
-        gram = np.array([[np.vdot(a.tp_normal, b.tp_normal).real for b in trial]
-                         for a in trial])
-        rhs = np.array([h.offset - np.vdot(h.normal, phi).real for h in trial])
-        c, kept = _solve_gram(gram, rhs)
-        if len(trial) - 1 not in kept:
+        m = len(accepted)
+        cross = np.array([np.vdot(a.tp_normal, cand.tp_normal).real for a in accepted])
+        y = solve_triangular(low, cross, lower=True)
+        pivot = np.vdot(cand.tp_normal, cand.tp_normal).real - y @ y
+        if pivot <= 1e-12:
             logger.debug("dropping degenerate half-space candidate")
             continue
-        if len(kept) < len(trial):
-            logger.debug("dropping %d rank-deficient half-spaces", len(trial) - len(kept))
-        if np.all(c[kept] >= -1e-12):
-            accepted = [trial[i] for i in kept]
-            coeffs = c[kept]
+        # kept C-ordered: solve_triangular picks its LAPACK path by memory
+        # order, and rounding (hence the accepted set) depends on the path
+        trial_low = np.zeros((m + 1, m + 1))
+        trial_low[:m, :m] = low
+        trial_low[m, :m] = y
+        trial_low[m, m] = math.sqrt(pivot)
+        trial_rhs = np.append(rhs, cand.offset - np.vdot(cand.normal, phi).real)
+        z = solve_triangular(trial_low, trial_rhs, lower=True)
+        c = solve_triangular(trial_low.T, z, lower=False)
+        if np.all(c >= -1e-12):
+            accepted.append(cand)
+            low, rhs, coeffs = trial_low, trial_rhs, c
     phi_new = phi.copy()
     for c, h in zip(coeffs, accepted):
         phi_new += c * h.tp_normal
@@ -326,9 +309,16 @@ def depolarizing_finalize(phi: np.ndarray) -> tuple[ChoiMatrix, float]:
     return ChoiMatrix(_hermitize(mixed)), float(p)
 
 
-def _finish(phi: np.ndarray, report: ProjectionReport):
-    choi, p = depolarizing_finalize(phi)
-    report.mixing_p = p
+def _finish(phi: np.ndarray, lam_min: float, report: ProjectionReport,
+            converged: bool = True):
+    """Common exit: record the final state, warn once if the method stopped
+    short, and mix phi into the physical set."""
+    report.final_lambda_min = lam_min
+    report.converged = converged
+    if not converged:
+        logger.warning("%s did not converge in %d iterations (lambda_min %.3e)",
+                       report.method, report.iterations, lam_min)
+    choi, report.mixing_p = depolarizing_finalize(phi)
     return choi, report
 
 
@@ -354,7 +344,7 @@ def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
     d = _system_dim(phi0)
 
     if method == "dual":
-        return _dual_project(phi0, cfg)
+        return _dual_project(phi0)
 
     report = ProjectionReport(method=method)
     lam0 = float(np.linalg.eigvalsh(_hermitize(phi0)).min())
@@ -363,8 +353,7 @@ def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
         report.lambda_min_trace.append(lam0)
         report.cp_calls_trace.append(0)
         report.modes.append("start")
-        report.final_lambda_min = lam0
-        return _finish(phi0, report)
+        return _finish(phi0, lam0, report)
 
     if method == "Dykstra":
         return _dykstra(phi0, cfg, report)
@@ -391,14 +380,9 @@ def _hip_family(phi0: np.ndarray, method: str, cfg: ProjectionConfig,
         if lam_min > best[0]:
             best = (lam_min, phi)
         if lam_min >= -cfg.epsilon:
-            report.final_lambda_min = lam_min
-            return _finish(phi, report)
+            return _finish(phi, lam_min, report)
         if report.iterations >= cfg.max_outer_iterations:
-            report.converged = False
-            report.final_lambda_min = best[0]
-            logger.warning("%s did not converge in %d iterations (lambda_min %.3e)",
-                           method, report.iterations, best[0])
-            return _finish(best[1], report)
+            return _finish(best[1], best[0], report, converged=False)
 
         report.iterations += 1
         report.proj_cp_calls += 1
@@ -406,7 +390,7 @@ def _hip_family(phi0: np.ndarray, method: str, cfg: ProjectionConfig,
         if mode == "AP":
             phi = proj_tp(phi_cp)
             steps_in_mode += 1
-            if method == "HIPswitch" and steps_in_mode >= cfg.ap_steps:
+            if method == "HIPswitch" and steps_in_mode >= AP_STEPS:
                 mode, steps_in_mode = "HIP", 0
                 w_active = []
         else:
@@ -415,10 +399,10 @@ def _hip_family(phi0: np.ndarray, method: str, cfg: ProjectionConfig,
             w = _make_halfspace(phi, phi_cp)
             if w is not None:
                 w_active = [w] + w_active
-                w_active = w_active[: cfg.max_halfspaces]
+                w_active = w_active[:MAX_HALFSPACES]
             w_active, phi = hip_inner(w_active, phi)
             steps_in_mode += 1
-            if method == "HIPswitch" and steps_in_mode >= cfg.hip_steps:
+            if method == "HIPswitch" and steps_in_mode >= HIP_STEPS:
                 mode, steps_in_mode = "AP", 0
 
 
@@ -431,10 +415,7 @@ def _dykstra(phi0: np.ndarray, cfg: ProjectionConfig, report: ProjectionReport):
     best = (-np.inf, proj_tp(phi0))
     while True:
         if report.iterations >= cfg.max_outer_iterations:
-            report.converged = False
-            report.final_lambda_min = best[0]
-            logger.warning("Dykstra did not converge in %d iterations", report.iterations)
-            return _finish(best[1], report)
+            return _finish(best[1], best[0], report, converged=False)
         lam, v = eigh_iterate(x + corr)
         y = _psd_from_eigh(lam, v)
         report.proj_cp_calls += 1
@@ -448,8 +429,7 @@ def _dykstra(phi0: np.ndarray, cfg: ProjectionConfig, report: ProjectionReport):
         if lam_min > best[0]:
             best = (lam_min, x)
         if lam_min >= -cfg.epsilon:
-            report.final_lambda_min = lam_min
-            return _finish(x, report)
+            return _finish(x, lam_min, report)
 
 
 def hermitian_basis(d: int) -> np.ndarray:
@@ -471,7 +451,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     return np.stack(mats)
 
 
-def _dual_project(phi0: np.ndarray, cfg: ProjectionConfig):
+def _dual_project(phi0: np.ndarray):
     """Euclidean projection onto the physical set via its dual problem.
 
     The plane constraint is relaxed with a Hermitian multiplier nu; the inner
@@ -511,21 +491,19 @@ def _dual_project(phi0: np.ndarray, cfg: ProjectionConfig):
     for _ in range(3):
         res = scipy.optimize.minimize(
             neg, theta, jac=True, method="BFGS",
-            options={"gtol": cfg.dual_grad_tol, "norm": 2,
-                     "maxiter": cfg.dual_max_iter})
+            options={"gtol": DUAL_GRAD_TOL, "norm": 2, "maxiter": DUAL_MAX_ITER})
         theta = res.x
-        if np.linalg.norm(res.jac) <= cfg.dual_grad_tol:
+        if np.linalg.norm(res.jac) <= DUAL_GRAD_TOL:
             break
     # monotone polish: the dual gradient is (d/2)-Lipschitz, step 2/d is safe
     _, grad, _ = q_and_grad(theta)
     polish = 0
-    while np.linalg.norm(grad) > cfg.dual_grad_tol and polish < cfg.dual_max_iter:
+    while np.linalg.norm(grad) > DUAL_GRAD_TOL and polish < DUAL_MAX_ITER:
         theta = theta + (2.0 / d) * grad
         _, grad, _ = q_and_grad(theta)
         polish += 1
     report.iterations = report.proj_cp_calls
     report.dual_grad_norm = float(np.linalg.norm(grad))
-    report.converged = report.dual_grad_norm <= cfg.dual_grad_tol
 
     _, _, phi_rel = q_and_grad(theta)
     phi_tp = proj_tp(phi_rel)
@@ -533,8 +511,8 @@ def _dual_project(phi0: np.ndarray, cfg: ProjectionConfig):
     report.lambda_min_trace.append(lam_min)
     report.cp_calls_trace.append(report.proj_cp_calls)
     report.modes.append("dual")
-    report.final_lambda_min = lam_min
-    return _finish(phi_tp, report)
+    return _finish(phi_tp, lam_min, report,
+                   converged=report.dual_grad_norm <= DUAL_GRAD_TOL)
 
 
 def pls_pipeline(estimate, cfg: Optional[ProjectionConfig] = None,

@@ -71,6 +71,33 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != _mini_config(seed=12).config_hash()
 
+    @pytest.mark.parametrize("projection,error,match", [
+        ({"epsilonn": 1e-6}, TypeError, "epsilonn"),
+        ({"ap_steps": 6}, TypeError, "ap_steps"),
+        ({"epsilon": 0.0}, ValueError, "epsilon must be positive"),
+        ({"epsilon": -1.0}, ValueError, "epsilon must be positive"),
+    ])
+    def test_bad_projection_rejected_at_construction(self, projection, error, match):
+        with pytest.raises(error, match=match):
+            _mini_config(projection=projection)
+
+    def test_zero_threads_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="threads"):
+            _mini_config(threads=0)
+
+    def test_removed_projection_knob_rejected_on_load(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(textwrap.dedent("""\
+            experiment: single_run
+            scenario: 1
+            k: 1
+            channel: {kind: identity}
+            n_shots: 900
+            projection: {epsilon: 1.0e-7, hip_steps: 30}
+        """))
+        with pytest.raises(TypeError, match="hip_steps"):
+            load_config(cfg_path)
+
 
 class TestRun:
     def test_single_run_outputs(self, tmp_path):
@@ -264,6 +291,14 @@ class TestCli:
     def test_verify_list(self, capsys):
         assert cli.main(["verify", "list"]) == 0
         assert capsys.readouterr().out.split() == sorted(verification.SUITES)
+
+    def test_bad_epsilon_fails_before_output(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path)
+        out_dir = tmp_path / "never"
+        assert cli.main(["run", str(cfg_path), "--out-dir", str(out_dir),
+                         "--epsilon", "-1"]) == 1
+        assert "epsilon must be positive" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_config_errors(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.yaml")]) == 1

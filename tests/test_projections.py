@@ -1,16 +1,20 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from proctomo.channels import (ChannelSpec, ChoiMatrix, choi_from_kraus,
                                make_channel, maximally_entangled_state,
                                partial_trace)
 from proctomo.estimators import ls_estimate
-from proctomo.projections import (HalfSpace, ProjectionConfig, _waterfill,
-                                  cp1_threshold, depolarizing_finalize,
-                                  hip_inner, pls_pipeline, proj_cp,
-                                  proj_cp1_thresholded, proj_tp,
+from proctomo.projections import (DUAL_GRAD_TOL, HalfSpace, ProjectionConfig,
+                                  _make_halfspace, _waterfill, cp1_threshold,
+                                  depolarizing_finalize, hip_inner, pls_pipeline,
+                                  proj_cp, proj_cp1_thresholded, proj_tp,
                                   proj_tp_linear, project_to_cptp)
 from proctomo.simulate import SamplingPlan, sample
 
@@ -163,9 +167,136 @@ class TestCp1Threshold:
         assert cp1_threshold(est.matrix) == -lam_min
 
 
+def _solve_gram_oracle(gram, rhs, drop_tol=1e-12):
+    """Solve gram @ c = rhs by order-preserving Cholesky with skips.
+
+    Indices whose Schur-complement pivot falls below ``drop_tol`` are dropped
+    (coefficient zero) and reported.
+    """
+    n = gram.shape[0]
+    kept = []
+    low = np.zeros((n, n))
+    for i in range(n):
+        m = len(kept)
+        if m:
+            y = solve_triangular(low[:m, :m], gram[kept, i], lower=True)
+        else:
+            y = np.zeros(0)
+        pivot = gram[i, i] - y @ y
+        if pivot <= drop_tol:
+            continue
+        low[m, :m] = y
+        low[m, m] = math.sqrt(pivot)
+        kept.append(i)
+    m = len(kept)
+    coeff = np.zeros(n)
+    if m:
+        y = solve_triangular(low[:m, :m], rhs[kept], lower=True)
+        coeff[kept] = solve_triangular(low[:m, :m].T, y, lower=False)
+    return coeff, kept
+
+
+def _hip_inner_oracle(halfspaces, phi):
+    """Reference hip_inner: rebuild and re-solve the whole trial Gram system
+    for every candidate, dropping any dependent row, not only the newest."""
+    accepted = []
+    coeffs = np.zeros(0)
+    for cand in halfspaces:
+        trial = accepted + [cand]
+        gram = np.array([[np.vdot(a.tp_normal, b.tp_normal).real for b in trial]
+                         for a in trial])
+        rhs = np.array([h.offset - np.vdot(h.normal, phi).real for h in trial])
+        c, kept = _solve_gram_oracle(gram, rhs)
+        if len(trial) - 1 not in kept:
+            continue
+        if np.all(c[kept] >= -1e-12):
+            accepted = [trial[i] for i in kept]
+            coeffs = c[kept]
+    phi_new = phi.copy()
+    for c, h in zip(coeffs, accepted):
+        phi_new += c * h.tp_normal
+    return accepted, phi_new
+
+
+def _unit(a):
+    return a / np.linalg.norm(a, "fro")
+
+
+def _halfspace_window(n, kinds, rng):
+    """A plane iterate and one half-space per entry of ``kinds``.
+
+    'violated' and 'satisfied' draw a fresh random normal cutting off resp.
+    keeping phi, 'touching' one whose boundary passes within 1e-13 of phi
+    (coefficients in the -1e-12 tolerance band).  'duplicate', 'parallel'
+    and 'near' reuse an earlier normal exactly, negated, or perturbed by a
+    relative 1e-9..1e-2, with a fresh offset; 'weak' is the nearly parallel,
+    barely violated partner that forces a negative joint coefficient.
+    """
+    phi = _random_tp(n, rng)
+    normals = []
+    out = []
+    for kind in kinds:
+        if not normals or kind in ("violated", "satisfied", "touching"):
+            a = _unit(random_hermitian(n, rng))
+        elif kind == "duplicate":
+            a = normals[rng.integers(len(normals))]
+        elif kind == "parallel":
+            a = -normals[rng.integers(len(normals))]
+        else:  # near, weak
+            scale = 10.0 ** rng.uniform(-9, -2) if kind == "near" else 0.05
+            base = normals[rng.integers(len(normals))]
+            a = _unit(base + scale * random_hermitian(n, rng))
+        value = float(np.vdot(a, phi).real)
+        gap = {"satisfied": -rng.uniform(0.01, 1.0),
+               "touching": -rng.uniform(0.0, 1e-13),
+               "weak": rng.uniform(0.0, 0.05)}.get(kind, rng.uniform(0.0, 1.0))
+        normals.append(a)
+        out.append(HalfSpace(normal=a, offset=value + gap))
+    return phi, out
+
+
 class TestHipInner:
-    def _halfspace(self, normal):
-        return HalfSpace(normal=normal / np.linalg.norm(normal, "fro"), offset=0.0)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([4, 16]),
+           kinds=st.lists(st.sampled_from(["violated", "satisfied", "touching",
+                                           "duplicate", "parallel", "near",
+                                           "weak"]),
+                          min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_rebuild_oracle(self, seed, n, kinds):
+        phi, window = _halfspace_window(n, kinds, np.random.default_rng(seed))
+        got_active, got = hip_inner(window, phi)
+        want_active, want = _hip_inner_oracle(window, phi)
+        assert len(got_active) == len(want_active)
+        assert all(a is b for a, b in zip(got_active, want_active))
+        assert np.array_equal(got, want)
+
+    def test_duplicate_normal_is_skipped(self, rng):
+        phi = _random_tp(4, rng)
+        a = _unit(random_hermitian(4, rng))
+        value = float(np.vdot(a, phi).real)
+        w1 = HalfSpace(normal=a, offset=value + 0.5)
+        w2 = HalfSpace(normal=a.copy(), offset=value + 0.7)
+        active, new = hip_inner([w1, w2], phi)
+        assert active == [w1]
+        assert np.array_equal(new, _hip_inner_oracle([w1, w2], phi)[1])
+
+    def test_oracle_agrees_on_halfspaces_from_a_projection_run(self, rng):
+        # the windows HIPswitch actually builds: PSD-cone cuts at k=2
+        truth = choi_from_kraus(make_channel(
+            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
+        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=3)))
+        phi = proj_tp(proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix)))
+        window = []
+        for _ in range(40):
+            w = _make_halfspace(phi, proj_cp(phi))
+            if w is None:
+                break
+            window = [w] + window[:29]
+            want_active, want = _hip_inner_oracle(window, phi)
+            window, phi = hip_inner(window, phi)
+            assert len(window) == len(want_active)
+            assert all(a is b for a, b in zip(window, want_active))
+            assert np.array_equal(phi, want)
 
     def test_single_violated_halfspace(self, rng):
         phi = _random_tp(4, rng)
@@ -256,7 +387,7 @@ class TestProjectToCptp:
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 3000, seed=6)))
         phi0 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
         choi, report = project_to_cptp(phi0, "dual")
-        assert report.dual_grad_norm <= ProjectionConfig().dual_grad_tol
+        assert report.dual_grad_norm <= DUAL_GRAD_TOL
         base = np.linalg.norm(choi.matrix - phi0, "fro")
         for seed in range(20):
             y = _random_cptp(2, np.random.default_rng(seed))
@@ -280,6 +411,21 @@ class TestProjectToCptp:
         short = ProjectionConfig(max_outer_iterations=2)
         _, report = project_to_cptp(cp1, "AP", short)
         assert not report.converged
+
+    @pytest.mark.parametrize("method", ["AP", "Dykstra", "HIPswitch"])
+    def test_nonconverged_exit(self, method, caplog):
+        truth = choi_from_kraus(make_channel(
+            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
+        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=3)))
+        cp1 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
+        short = ProjectionConfig(max_outer_iterations=2)
+        with caplog.at_level(logging.WARNING, logger="proctomo.projections"):
+            _, report = project_to_cptp(cp1, method, short)
+        assert not report.converged
+        assert report.final_lambda_min == max(report.lambda_min_trace)
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1
+        assert method in warnings[0].getMessage()
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
