@@ -14,7 +14,8 @@ partial-trace plane Tr_s(Phi) = 1/d.  Closed forms exist for the two pieces:
 
 ``project_to_cptp`` combines them iteratively: plain alternating projections
 (AP), Dykstra's algorithm, the hyperplane-intersection family (oneHIP,
-pureHIP, HIPswitch), or ascent on the dual of the projection problem.  Every
+pureHIP, HIPswitch), or semismooth Newton on the dual of the projection
+problem, which returns the exact projection in a handful of steps.  Every
 iterate of the AP/HIP family is a Frobenius projection onto a convex superset
 of the physical set, so the distance to any physical point never increases.
 A final depolarizing mixing step cancels the residual negative eigenvalue
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 from scipy.linalg import solve_triangular
 
 from .channels import RANK_CUT, ChoiMatrix, partial_trace
@@ -56,7 +56,6 @@ __all__ = [
     "project_to_cptp",
     "depolarizing_finalize",
     "pls_pipeline",
-    "hermitian_basis",
 ]
 
 
@@ -64,12 +63,16 @@ AP_STEPS = 6             # AP steps per HIPswitch cycle
 HIP_STEPS = 30           # HIP steps per HIPswitch cycle
 MAX_HALFSPACES = 30      # HIP memory window, oldest evicted
 DUAL_GRAD_TOL = 1e-8     # dual method stops once |grad| <= this
-DUAL_MAX_ITER = 20000    # per BFGS restart, and for the polish loop
+DUAL_MAX_ITER = 200      # dual method: cap on Newton steps
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Stopping rule of the iterative projection methods."""
+    """Stopping rule of the iterative projection methods.
+
+    ``dual`` ignores both fields: it stops once its gradient norm is at most
+    ``DUAL_GRAD_TOL``, or after ``DUAL_MAX_ITER`` Newton steps.
+    """
 
     epsilon: float = 1e-7            # stop once lambda_min >= -epsilon
     max_outer_iterations: int = 2000
@@ -88,7 +91,8 @@ class ProjectionReport:
     depolarizing mixing; ``mixing_p`` solves (1-p) lambda_min + p/d^2 = 0 for
     that value.  ``proj_cp_calls`` counts eigendecompositions that produced a
     PSD projection (the check-only decomposition of the accepted iterate is
-    free bookkeeping).
+    free bookkeeping).  For ``dual``, ``iterations`` counts Newton steps and
+    ``proj_cp_calls`` every decomposition, line-search trials included.
     """
 
     method: str
@@ -328,9 +332,10 @@ def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
 
     AP, Dykstra and the HIP family alternate between the PSD cone and the
     partial-trace plane and stop once the least eigenvalue of the plane
-    iterate exceeds -cfg.epsilon; the dual method maximizes the dual function
-    of the Euclidean projection problem over the plane multiplier.  All
-    methods end with depolarizing finalization, so the result is physical.
+    iterate exceeds -cfg.epsilon; the dual method runs semismooth Newton on
+    the dual of the Euclidean projection problem over the plane multiplier
+    until the dual gradient is at most ``DUAL_GRAD_TOL``.  All methods end
+    with depolarizing finalization, so the result is physical.
 
     ``iterate_hook``, if given, is called with every plane iterate of the
     AP/HIP family (each one is a projection onto a convex superset of the
@@ -432,81 +437,81 @@ def _dykstra(phi0: np.ndarray, cfg: ProjectionConfig, report: ProjectionReport):
             return _finish(x, lam_min, report)
 
 
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of d x d Hermitian matrices, stacked."""
-    mats = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        mats.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / math.sqrt(2)
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j / math.sqrt(2)
-            m[j, i] = 1j / math.sqrt(2)
-            mats.append(m)
-    return np.stack(mats)
-
-
 def _dual_project(phi0: np.ndarray):
-    """Euclidean projection onto the physical set via its dual problem.
+    """Exact Euclidean projection onto the physical set: semismooth Newton on
+    the dual (Malick, SIMAX 2004; Qi & Sun, SIMAX 2006).
 
-    The plane constraint is relaxed with a Hermitian multiplier nu; the inner
-    minimizer over the cone is proj_cp(phi0 - (1/2) 1 (x) nu), and the dual
-    function (squared-Frobenius Lagrangian) is maximized over the d^2 real
-    parameters of nu by BFGS with an analytic gradient Tr_s(Phi(nu)) - 1/d,
-    followed by fixed-step gradient ascent polishing if needed.
+    The multiplier y of the plane constraint minimizes theta(y) =
+    |X(y)|^2 / 2 - Tr(y) / d with X(y) = proj_cp(phi0 + 1 (x) y); the gradient
+    is Tr_s X(y) - 1/d.  Each step solves (V + mu) dy = -grad by conjugate
+    gradients, V the generalized Jacobian at the current eigendecomposition,
+    then backtracks until theta or, below its round-off, |grad| decreases.
     """
     d = _system_dim(phi0)
-    d2 = d * d
-    basis = hermitian_basis(d)
-    eye_d2 = np.eye(d2)
+    n = d * d
+    diag = np.arange(d)
     report = ProjectionReport(method="dual")
 
-    def unpack(theta: np.ndarray) -> np.ndarray:
-        return np.einsum("b,bij->ij", theta, basis)
+    def tr_s(a, b):  # Tr_s(a b^dagger) for n x m factors a, b
+        return np.tensordot(a.reshape(d, d, -1), b.conj().reshape(d, d, -1),
+                            axes=([0, 2], [0, 2]))
 
-    def pack(mat: np.ndarray) -> np.ndarray:
-        return np.einsum("bij,ij->b", basis.conj(), mat).real
-
-    def q_and_grad(theta: np.ndarray):
-        nu = unpack(theta)
-        shift = np.kron(np.eye(d), nu)
-        lam, v = eigh_iterate(phi0 - 0.5 * shift)
+    def state(y):
+        shifted = phi0.copy()
+        shifted.reshape(d, d, d, d)[diag, :, diag, :] += y  # phi0 + 1 (x) y
+        lam, q = eigh_iterate(shifted)
         report.proj_cp_calls += 1
-        phi_rel = _psd_from_eigh(lam, v)
-        val = (np.linalg.norm(phi_rel - phi0, "fro") ** 2
-               + np.vdot(shift, phi_rel - eye_d2 / d2).real)
-        grad = partial_trace(phi_rel, "system") - np.eye(d) / d
-        return val, pack(grad), phi_rel
+        lp = np.clip(lam, 0.0, None)
+        return (lam, q, 0.5 * lp @ lp - np.trace(y).real / d,
+                tr_s(q * lp, q) - np.eye(d) / d)
 
-    def neg(theta: np.ndarray):
-        val, grad, _ = q_and_grad(theta)
-        return -val, -grad
+    y = np.zeros((d, d), dtype=complex)
+    lam, q, val, grad = state(y)
+    while ((gnorm := np.linalg.norm(grad)) > DUAL_GRAD_TOL
+           and report.iterations < DUAL_MAX_ITER):
+        report.iterations += 1
+        # V h = Tr_s(Q (Omega o Q^dag (1 (x) h) Q) Q^dag), Omega the divided
+        # differences of lambda+, from the smaller side of the spectrum: its
+        # rows of Omega (of 1 - Omega), own block halved, plus the adjoint
+        k0 = int(np.searchsorted(lam, 0.0, side="right"))
+        tau = lam[k0:] / (lam[k0:] - lam[:k0, None])
+        if 2 * k0 >= n:
+            q_s, sign, base = q[:, k0:], 1.0, 0.0
+            wts = np.hstack([tau.T, np.full((n - k0, n - k0), 0.5)])
+        else:
+            q_s, sign, base = q[:, :k0], -1.0, float(d)
+            wts = np.hstack([np.full((k0, k0), 0.5), 1.0 - tau])
 
-    theta = np.zeros(d2)
-    for _ in range(3):
-        res = scipy.optimize.minimize(
-            neg, theta, jac=True, method="BFGS",
-            options={"gtol": DUAL_GRAD_TOL, "norm": 2, "maxiter": DUAL_MAX_ITER})
-        theta = res.x
-        if np.linalg.norm(res.jac) <= DUAL_GRAD_TOL:
-            break
-    # monotone polish: the dual gradient is (d/2)-Lipschitz, step 2/d is safe
-    _, grad, _ = q_and_grad(theta)
-    polish = 0
-    while np.linalg.norm(grad) > DUAL_GRAD_TOL and polish < DUAL_MAX_ITER:
-        theta = theta + (2.0 / d) * grad
-        _, grad, _ = q_and_grad(theta)
-        polish += 1
-    report.iterations = report.proj_cp_calls
-    report.dual_grad_norm = float(np.linalg.norm(grad))
+        def jac_vec(h):
+            m = (h @ q_s.reshape(d, d, -1)).reshape(n, -1).conj().T @ q
+            t = tr_s(q_s @ (wts * m), q)
+            return (base + min(1e-2, gnorm)) * h + sign * (t + t.conj().T)
 
-    _, _, phi_rel = q_and_grad(theta)
-    phi_tp = proj_tp(phi_rel)
+        step, res, direc = np.zeros_like(y), -grad, -grad
+        rr = np.vdot(res, res).real
+        for _ in range(n):
+            if math.sqrt(rr) <= min(0.1, math.sqrt(gnorm)) * gnorm:
+                break
+            v = jac_vec(direc)
+            a = rr / np.vdot(direc, v).real
+            step, res = step + a * direc, res - a * v
+            rr, rr_old = np.vdot(res, res).real, rr
+            direc = res + (rr / rr_old) * direc
+
+        alpha, slope = 1.0, np.vdot(grad, step).real
+        for _ in range(40):
+            trial = state(y + alpha * step)
+            if (trial[2] <= val + 1e-4 * alpha * slope
+                    or np.linalg.norm(trial[3]) <= (1 - 1e-4 * alpha) * gnorm):
+                break
+            alpha /= 2
+        else:
+            break  # no acceptable step: leave unconverged
+        y = y + alpha * step
+        lam, q, val, grad = trial
+    report.dual_grad_norm = float(gnorm)
+
+    phi_tp = proj_tp(_psd_from_eigh(lam, q))
     lam_min = float(np.linalg.eigvalsh(_hermitize(phi_tp)).min())
     report.lambda_min_trace.append(lam_min)
     report.cp_calls_trace.append(report.proj_cp_calls)

@@ -1,15 +1,21 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
 from proctomo.channels import (ChannelSpec, ChoiMatrix, choi_from_kraus,
                                make_channel, maximally_entangled_state,
                                partial_trace)
+import proctomo
+from proctomo import projections
 from proctomo.estimators import ls_estimate
 from proctomo.projections import (DUAL_GRAD_TOL, HalfSpace, ProjectionConfig,
                                   _make_halfspace, _waterfill, cp1_threshold,
@@ -18,7 +24,7 @@ from proctomo.projections import (DUAL_GRAD_TOL, HalfSpace, ProjectionConfig,
                                   proj_tp_linear, project_to_cptp)
 from proctomo.simulate import SamplingPlan, sample
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_unitary
 
 
 def _random_tp(n, rng):
@@ -354,8 +360,7 @@ class TestProjectToCptp:
         phi = _random_cptp(2, rng)
         for method in ("HIPswitch", "AP", "Dykstra", "dual"):
             choi, report = project_to_cptp(phi, method)
-            if method != "dual":
-                assert report.iterations == 0
+            assert report.iterations == 0
             assert report.mixing_p == 0.0
             assert np.abs(choi.matrix - phi).max() < 1e-7
 
@@ -430,6 +435,82 @@ class TestProjectToCptp:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             project_to_cptp(np.eye(4) / 4, "simplex")
+
+
+def _dual_input(kind, n, seed):
+    """Hermitian trace-one matrix on C^n (n = 4 or 16) of the given kind."""
+    rng = np.random.default_rng(seed)
+    d = round(n ** 0.5)
+    if kind == "rank-1":
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        return np.outer(v, v.conj())
+    if kind == "two-level":  # levels a and 2/n - a, each n/2 times
+        a = rng.uniform(0.0, 4.0) / n
+        u = random_unitary(n, rng)
+        return (u * np.repeat([a, 2.0 / n - a], n // 2)) @ u.conj().T
+    if kind == "far":
+        h = random_hermitian(n, rng, scale=5.0)
+        return h + (1.0 - np.trace(h).real) / n * np.eye(n)
+    if kind == "physical":
+        return _random_cptp(d, rng)
+    truth = choi_from_kraus(make_channel(
+        ChannelSpec("noisy_qft", d, measure_prob=0.25)))
+    plan = SamplingPlan("random", int(rng.integers(50, 1000)), seed=seed)
+    return ls_estimate(sample(truth, 1, plan)).matrix  # raw low-N LS
+
+
+DUAL_KINDS = ["rank-1", "two-level", "far", "physical", "raw-ls"]
+
+
+class TestDualNewton:
+    @given(kind=st.sampled_from(DUAL_KINDS), n=st.sampled_from([4, 16]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="rank-1", n=16, seed=613)  # stalls if only Armijo may accept
+    @settings(max_examples=120, deadline=None)
+    def test_exact_physical_and_cheap(self, kind, n, seed):
+        phi0 = _dual_input(kind, n, seed)
+        assert np.trace(phi0).real == pytest.approx(1.0, abs=1e-12)
+        choi, report = project_to_cptp(phi0, "dual")
+        ChoiMatrix(choi.matrix)
+        assert report.converged
+        assert report.dual_grad_norm <= DUAL_GRAD_TOL
+        assert report.proj_cp_calls <= 30
+
+    @pytest.mark.parametrize("kind,n,seed", [("rank-1", 16, 613), ("far", 4, 1),
+                                             ("two-level", 16, 2),
+                                             ("raw-ls", 16, 3)])
+    def test_matches_tight_dykstra(self, kind, n, seed):
+        phi0 = _dual_input(kind, n, seed)
+        tight = ProjectionConfig(epsilon=1e-11, max_outer_iterations=100000)
+        dyk, _ = project_to_cptp(phi0, "Dykstra", tight)
+        dua, _ = project_to_cptp(phi0, "dual")
+        assert np.linalg.norm(dyk.matrix - dua.matrix, "fro") < 1e-6
+
+    @pytest.mark.parametrize("kind,n,seed", [("raw-ls", 4, 6), ("rank-1", 16, 613),
+                                             ("far", 16, 0)])
+    def test_each_decomposition_counted_and_new(self, kind, n, seed, monkeypatch):
+        inputs = []
+        eigh = projections.eigh_iterate
+
+        def spy(x):
+            inputs.append(x.copy())
+            return eigh(x)
+
+        monkeypatch.setattr(projections, "eigh_iterate", spy)
+        _, report = project_to_cptp(_dual_input(kind, n, seed), "dual")
+        assert report.iterations >= 1
+        assert len(inputs) == report.proj_cp_calls
+        assert not any(np.array_equal(a, b) for a, b in zip(inputs, inputs[1:]))
+
+    def test_import_leaves_out_scipy_optimize(self):
+        code = ("import sys, proctomo; print(sorted(m for m in sys.modules if "
+                "m.startswith(('scipy.optimize', 'scipy.sparse'))))")
+        src = str(Path(proctomo.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
 
 class TestDepolarizingFinalize:
