@@ -471,21 +471,17 @@ def _dual_project(phi0: np.ndarray):
            and report.iterations < DUAL_MAX_ITER):
         report.iterations += 1
         # V h = Tr_s(Q (Omega o Q^dag (1 (x) h) Q) Q^dag), Omega the divided
-        # differences of lambda+, from the smaller side of the spectrum: its
-        # rows of Omega (of 1 - Omega), own block halved, plus the adjoint
+        # differences of lambda+: only its rows over the positive eigenvalues
+        # are nonzero, so take those, positive block halved, plus the adjoint
         k0 = int(np.searchsorted(lam, 0.0, side="right"))
-        tau = lam[k0:] / (lam[k0:] - lam[:k0, None])
-        if 2 * k0 >= n:
-            q_s, sign, base = q[:, k0:], 1.0, 0.0
-            wts = np.hstack([tau.T, np.full((n - k0, n - k0), 0.5)])
-        else:
-            q_s, sign, base = q[:, :k0], -1.0, float(d)
-            wts = np.hstack([np.full((k0, k0), 0.5), 1.0 - tau])
+        q_p = q[:, k0:]
+        wts = np.hstack([(lam[k0:] / (lam[k0:] - lam[:k0, None])).T,
+                         np.full((n - k0, n - k0), 0.5)])
 
         def jac_vec(h):
-            m = (h @ q_s.reshape(d, d, -1)).reshape(n, -1).conj().T @ q
-            t = tr_s(q_s @ (wts * m), q)
-            return (base + min(1e-2, gnorm)) * h + sign * (t + t.conj().T)
+            m = (h @ q_p.reshape(d, d, -1)).reshape(n, -1).conj().T @ q
+            t = tr_s(q_p @ (wts * m), q)
+            return min(1e-2, gnorm) * h + t + t.conj().T
 
         step, res, direc = np.zeros_like(y), -grad, -grad
         rr = np.vdot(res, res).real
