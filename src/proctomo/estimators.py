@@ -4,7 +4,10 @@ Each estimator is linear in the frequencies and unbiased: feeding exact Born
 probabilities reproduces the true Choi matrix.  The Pauli scenarios are
 assembled by folding frequency tensors against the single-qubit operators
 3|o,s><o,s| - 1 one qubit at a time, so no d^4 x (outcome count) design
-matrix is ever materialized.
+matrix is ever materialized.  The fold runs in six chunks read straight from
+the real table (scenario 2 through a transposed view), so its transients are
+about one table's worth of float64 and no complex copy of the whole table
+is made.
 """
 
 from __future__ import annotations
@@ -55,16 +58,38 @@ class LsEstimate:
 def pauli_assemble(freqs: np.ndarray, n: int) -> np.ndarray:
     """sum_{s,o} f[s,o] (x)_i (3 |o_i,s_i><o_i,s_i| - 1) over n qubits.
 
-    ``freqs`` has shape (3^n, 2^n); the contraction folds one qubit per step
-    for an O(n 6^n) total cost.
+    ``freqs`` is real and reshapes to [s_0..s_{n-1}, o_0..o_{n-1}]: a
+    (3^n, 2^n) table, or a strided view such as the transposed scenario-2
+    table; it is never copied whole.  The contraction folds one qubit per
+    step for an O(n 6^n) total cost.
+
+    The work runs in six chunks, one per value of the last-folded index
+    u_{n-1} = (s_{n-1}, o_{n-1}).  Each chunk is sliced from the real table,
+    interleaved to per-qubit axes u_i = (s_i, o_i), cast to complex and
+    folded over u_0..u_{n-2}; the six 4^(n-1) partial results are stacked
+    and folded over u_{n-1} in one ``tensordot``.  The transients are about
+    one table's worth of float64, and the per-element arithmetic is that of
+    the fold on the whole tensor, so the result is bitwise equal to it.
     """
     ops = pauli_operator_stack()
-    t = np.asarray(freqs, dtype=complex).reshape((3,) * n + (2,) * n)
-    # interleave to per-qubit axes u_i = (s_i, o_i), then merge to size 6
+    f = np.reshape(freqs, (3,) * n + (2,) * n)
     perm = [ax for i in range(n) for ax in (i, n + i)]
-    t = t.transpose(perm).reshape((6,) * n)
-    for _ in range(n):
-        t = np.tensordot(t, ops, axes=([0], [0]))
+    # at n <= 2 a one-value chunk would reach BLAS as a vector product, whose
+    # rounding differs, so u_{n-1} stays whole there
+    if n <= 2:
+        chunks = [(slice(None), slice(None))]
+    else:
+        chunks = [(slice(s, s + 1), slice(o, o + 1)) for s in range(3) for o in range(2)]
+    lead = (slice(None),) * (n - 1)
+    parts = []
+    for s, o in chunks:
+        t = f[lead + (s,) + lead + (o,)].transpose(perm).astype(complex, order="C")
+        t = t.reshape((6,) * (n - 1) + (-1,))
+        for _ in range(n - 1):
+            t = np.tensordot(t, ops, axes=([0], [0]))
+        parts.append(t)
+    # axes are now u_{n-1}, r_0, c_0, ..., r_{n-2}, c_{n-2}
+    t = np.tensordot(np.concatenate(parts), ops, axes=([0], [0]))
     # axes are now r_0, c_0, r_1, c_1, ...
     rows = list(range(0, 2 * n, 2))
     cols = list(range(1, 2 * n, 2))
@@ -106,7 +131,7 @@ def ls_scenario2(table: FrequencyTable) -> LsEstimate:
     d = 2**k
     if table.values.shape != (3**k, 3**k, 2**k, 2**k):
         raise ValueError("table shape does not match k")
-    joint = table.values.transpose(1, 0, 3, 2).reshape(3 ** (2 * k), 4**k)
+    joint = table.values.transpose(1, 0, 3, 2)  # [b, a, p, q], a strided view
     mat = pauli_assemble(joint, 2 * k) / (3 ** (2 * k) * d)
     return _wrap(mat, table)
 

@@ -145,17 +145,25 @@ def _system_dim(x: np.ndarray) -> int:
     return d
 
 
+def _plus_eye_kron(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """x + 1 (x) c as a new array, added through a reshape view of x."""
+    d = c.shape[0]
+    out = x.astype(np.result_type(x, c), order="C")
+    diag = np.arange(d)
+    out.reshape(d, d, d, d)[diag, :, diag, :] += c
+    return out
+
+
 def proj_tp(x: np.ndarray) -> np.ndarray:
     """Frobenius projection onto {X : Tr_s(X) = 1/d}."""
     d = _system_dim(x)
-    corr = np.eye(d) / d - partial_trace(x, "system")
-    return x + np.kron(np.eye(d), corr) / d
+    return _plus_eye_kron(x, (np.eye(d) / d - partial_trace(x, "system")) / d)
 
 
 def proj_tp_linear(x: np.ndarray) -> np.ndarray:
     """Linear part of proj_tp: projection onto {X : Tr_s(X) = 0}."""
     d = _system_dim(x)
-    return x - np.kron(np.eye(d), partial_trace(x, "system")) / d
+    return _plus_eye_kron(x, -partial_trace(x, "system") / d)
 
 
 def proj_cp(x: np.ndarray) -> np.ndarray:
@@ -449,7 +457,6 @@ def _dual_project(phi0: np.ndarray):
     """
     d = _system_dim(phi0)
     n = d * d
-    diag = np.arange(d)
     report = ProjectionReport(method="dual")
 
     def tr_s(a, b):  # Tr_s(a b^dagger) for n x m factors a, b
@@ -457,9 +464,7 @@ def _dual_project(phi0: np.ndarray):
                             axes=([0, 2], [0, 2]))
 
     def state(y):
-        shifted = phi0.copy()
-        shifted.reshape(d, d, d, d)[diag, :, diag, :] += y  # phi0 + 1 (x) y
-        lam, q = eigh_iterate(shifted)
+        lam, q = eigh_iterate(_plus_eye_kron(phi0, y))
         report.proj_cp_calls += 1
         lp = np.clip(lam, 0.0, None)
         return (lam, q, 0.5 * lp @ lp - np.trace(y).real / d,

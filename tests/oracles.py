@@ -1,0 +1,107 @@
+"""Whole-array reference versions of the chunked kernels, kept as oracles.
+
+``proctomo.simulate`` and ``proctomo.estimators`` run the Pauli contractions
+in chunks and the sampling path in place; ``proctomo.projections`` adds the
+trace-preserving correction through a reshape view.  The functions here are
+the straightforward forms those replaced.  They do the same per-element
+arithmetic, so the tests compare against them with ``np.array_equal``.
+"""
+
+import numpy as np
+
+from proctomo.channels import partial_trace
+from proctomo.designs import pauli_operator_stack
+from proctomo.simulate import (FrequencyTable, _pauli_vector_table, _stream,
+                               setting_count)
+
+
+def pauli_joint_probabilities(phi, n):
+    """Tr(Phi P^s_o) as a (3^n, 2^n) array, contracted on the whole tensor."""
+    e = _pauli_vector_table()
+    w = np.einsum("ru,cu->urc", e.conj(), e)
+    t = np.asarray(phi, dtype=complex).reshape((2,) * (2 * n))
+    for i in range(n):
+        t = np.tensordot(t, w, axes=([i, n], [1, 2]))
+        t = np.moveaxis(t, -1, i)
+    t = t.real.reshape((3, 2) * n)
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return np.ascontiguousarray(t.transpose(perm)).reshape(3**n, 2**n)
+
+
+def pauli_assemble(freqs, n):
+    """sum_{s,o} f[s,o] (x)_i (3 |o_i,s_i><o_i,s_i| - 1), on the whole tensor."""
+    ops = pauli_operator_stack()
+    t = np.asarray(freqs, dtype=complex).reshape((3,) * n + (2,) * n)
+    perm = [ax for i in range(n) for ax in (i, n + i)]
+    t = t.transpose(perm).reshape((6,) * n)
+    for _ in range(n):
+        t = np.tensordot(t, ops, axes=([0], [0]))
+    rows = list(range(0, 2 * n, 2))
+    cols = list(range(1, 2 * n, 2))
+    return np.ascontiguousarray(t.transpose(rows + cols)).reshape(2**n, 2**n)
+
+
+def _clamp_rows(p):
+    q = np.clip(p, 0.0, None)
+    return q / q.sum(axis=-1, keepdims=True)
+
+
+def probability_array(choi, scenario):
+    """Born table of a Pauli scenario (1 or 2) from the whole-array kernel."""
+    d = choi.dim
+    k = d.bit_length() - 1
+    joint = pauli_joint_probabilities(choi.matrix, 2 * k)
+    if scenario == 1:
+        return _clamp_rows(joint)
+    t = joint.reshape(3**k, 3**k, 2**k, 2**k)
+    return _clamp_rows(np.ascontiguousarray(d * t.transpose(1, 0, 3, 2)))
+
+
+def sample(choi, scenario, plan):
+    """``simulate.sample`` for scenarios 1 and 2 with a fresh array per step."""
+    d = choi.dim
+    probs = probability_array(choi, scenario)
+    n_settings = setting_count(scenario, k=d.bit_length() - 1, d=d)
+    rows = probs.reshape(n_settings, -1)
+    nu = plan.n_shots / n_settings
+    if plan.scheme == "fixed":
+        reps = plan.n_shots // n_settings
+        counts = np.empty_like(rows)
+        for idx in range(n_settings):
+            rng = _stream(plan.seed, scenario, idx)
+            counts[idx] = rng.multinomial(reps, rows[idx] / rows[idx].sum())
+        values = counts / reps
+    else:
+        joint = rows.reshape(-1) / n_settings
+        rng = _stream(plan.seed, scenario, n_settings)
+        counts = rng.multinomial(plan.n_shots, joint / joint.sum())
+        values = counts.reshape(rows.shape) / nu
+    return FrequencyTable(scenario=scenario, dim=d,
+                          values=values.reshape(probs.shape), nu=float(nu),
+                          total_shots=plan.n_shots, scheme=plan.scheme,
+                          seed=plan.seed)
+
+
+def ls_matrix(table):
+    """LS Choi matrix of a Pauli table (scenarios 1 and 2), the estimator's
+    whole-array form including the final Hermitian symmetrization."""
+    k = table.k
+    if table.scenario == 1:
+        m = pauli_assemble(table.values, 2 * k) / 3 ** (2 * k)
+    else:
+        joint = table.values.transpose(1, 0, 3, 2).reshape(3 ** (2 * k), 4**k)
+        m = pauli_assemble(joint, 2 * k) / (3 ** (2 * k) * 2**k)
+    return 0.5 * (m + m.conj().T)
+
+
+def proj_tp(x):
+    """Frobenius projection onto {X : Tr_s(X) = 1/d}, through np.kron."""
+    d = round(x.shape[0] ** 0.5)
+    corr = np.eye(d) / d - partial_trace(x, "system")
+    return x + np.kron(np.eye(d), corr) / d
+
+
+def proj_tp_linear(x):
+    """Projection onto {X : Tr_s(X) = 0}, through np.kron."""
+    d = round(x.shape[0] ** 0.5)
+    return x - np.kron(np.eye(d), partial_trace(x, "system")) / d

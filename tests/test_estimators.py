@@ -12,7 +12,8 @@ from proctomo.estimators import (ls_estimate, ls_scenario1, ls_scenario2,
                                  ls_scenario3, ls_scenario4, pauli_assemble)
 from proctomo.simulate import FrequencyTable, SamplingPlan, exact_table, sample
 
-from conftest import random_unitary
+import oracles
+from conftest import pauli_channels, pauli_plans, random_unitary, transient_peak
 
 
 def _channels(d, rng):
@@ -152,6 +153,34 @@ class TestStatisticalUnbiasedness:
         stderr = np.sqrt(np.clip(var, 0, None) / n_seeds)
         dev = np.abs(mean - truth.matrix)
         assert np.all(dev <= 3 * stderr + 1e-12)
+
+
+class TestChunkedAssembly:
+    """The chunked Pauli assembly gives the same bits as the whole-array fold
+    kept in ``oracles``; n <= 2 takes the unchunked arrangement."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_assemble_bitwise(self, n, rng):
+        freqs = rng.random((3**n, 2**n))
+        assert np.array_equal(pauli_assemble(freqs, n),
+                              oracles.pauli_assemble(freqs, n))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_sampled_estimates_bitwise(self, k, scenario, rng):
+        for choi in pauli_channels(k, rng):
+            for plan in pauli_plans(scenario, k)[:1 if k == 4 else 2]:
+                table = sample(choi, scenario, plan)
+                assert np.array_equal(ls_estimate(table).matrix,
+                                      oracles.ls_matrix(table)), plan.scheme
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_peak_memory_k4(self, scenario):
+        choi = pauli_channels(4, np.random.default_rng(0))[0]
+        table = sample(choi, scenario, SamplingPlan("random", 10**6, seed=3))
+        est, peak = transient_peak(ls_estimate, table)
+        assert peak <= 2.5 * table.values.nbytes
+        assert np.array_equal(est.matrix, oracles.ls_matrix(table))
 
 
 def test_dispatch_rejects_mismatched_scenario():

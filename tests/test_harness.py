@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import subprocess
 import sys
 import textwrap
 import time
@@ -306,6 +307,25 @@ class TestCli:
 
     def test_unknown_suite_errors(self, capsys):
         assert cli.main(["verify", "everything-else"]) == 1
+
+    def test_compare_outputs_script(self, tmp_path):
+        cfg_path = self._write_cfg(tmp_path)
+        for root in ("old", "new"):
+            out_dir = tmp_path / root / "cfg"
+            assert cli.main(["run", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+        script = Path(__file__).parent.parent / "scripts" / "compare_outputs.py"
+        compare = lambda: subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "old"), str(tmp_path / "new")],
+            capture_output=True, text=True)
+        same = compare()
+        assert same.returncode == 0, same.stdout + same.stderr
+        errors = tmp_path / "new" / "cfg" / "errors.csv"
+        lines = errors.read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b",", b";", 1)
+        errors.write_bytes(b"".join(lines))
+        differ = compare()
+        assert differ.returncode == 1
+        assert f"{errors}: line 4 differs" in differ.stdout
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg_path = self._write_cfg(tmp_path)

@@ -24,6 +24,7 @@ from proctomo.projections import (DUAL_GRAD_TOL, HalfSpace, ProjectionConfig,
                                   proj_tp_linear, project_to_cptp)
 from proctomo.simulate import SamplingPlan, sample
 
+import oracles
 from conftest import random_density, random_hermitian, random_unitary
 
 
@@ -68,6 +69,12 @@ class TestProjTp:
     def test_linear_part_annihilates_partial_trace(self, rng):
         x = random_hermitian(9, rng)
         assert np.abs(partial_trace(proj_tp_linear(x), "system")).max() < 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_matches_kron_form_bitwise(self, d, rng):
+        for x in (random_hermitian(d * d, rng), random_hermitian(d * d, rng).real.T):
+            assert np.array_equal(proj_tp(x), oracles.proj_tp(x))
+            assert np.array_equal(proj_tp_linear(x), oracles.proj_tp_linear(x))
 
 
 class TestProjCp:

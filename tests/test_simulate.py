@@ -12,7 +12,9 @@ from proctomo.simulate import (FrequencyTable, SamplingPlan, born_probabilities,
                                pauli_joint_probabilities, probability_array,
                                sample, save_table, setting_count)
 
-from conftest import random_kraus_ops
+import oracles
+from conftest import (pauli_channels, pauli_plans, random_density,
+                      random_kraus_ops, transient_peak)
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +132,35 @@ class TestExactTable:
         assert loaded.nu == table.nu
         assert loaded.total_shots == table.total_shots
         assert np.array_equal(loaded.values, table.values)
+
+
+class TestChunkedPauliKernels:
+    """The chunked Born kernel and the in-place sampling path give the same
+    bits as the whole-array forms kept in ``oracles``."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_joint_kernel_bitwise(self, n, rng):
+        phi = random_density(2**n, rng)
+        assert np.array_equal(pauli_joint_probabilities(phi, n),
+                              oracles.pauli_joint_probabilities(phi, n))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_tables_bitwise(self, k, scenario, rng):
+        for choi in pauli_channels(k, rng):
+            assert np.array_equal(probability_array(choi, scenario),
+                                  oracles.probability_array(choi, scenario))
+            if k == 4 and scenario == 2:
+                continue  # 10^5 fixed-scheme streams; covered at k <= 3
+            for plan in pauli_plans(scenario, k):
+                new = sample(choi, scenario, plan)
+                old = oracles.sample(choi, scenario, plan)
+                assert new.values.shape == old.values.shape
+                assert np.array_equal(new.values, old.values), plan.scheme
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_sample_peak_memory_k4(self, scenario):
+        choi = pauli_channels(4, np.random.default_rng(0))[0]
+        table, peak = transient_peak(sample, choi, scenario,
+                                     SamplingPlan("random", 10**6, seed=3))
+        assert peak <= 2.5 * table.values.nbytes
