@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .channels import RANK_CUT, ChoiMatrix, partial_trace
 
@@ -64,6 +63,8 @@ HIP_STEPS = 30           # HIP steps per HIPswitch cycle
 MAX_HALFSPACES = 30      # HIP memory window, oldest evicted
 DUAL_GRAD_TOL = 1e-8     # dual method stops once |grad| <= this
 DUAL_MAX_ITER = 200      # dual method: cap on Newton steps
+HIP_PIVOT_CUT = 1e-12    # hip_inner: a candidate with a smaller pivot is dependent
+HIP_COEFF_CUT = 1e-12    # hip_inner: coefficients down to -this count as nonnegative
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,14 @@ def _make_halfspace(phi: np.ndarray, phi_cp: np.ndarray) -> Optional[HalfSpace]:
     return HalfSpace(normal=normal, offset=float(np.vdot(normal, phi_cp).real))
 
 
+def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve low @ y = b by row-oriented substitution (low lower triangular)."""
+    y = np.empty(len(b))
+    for i in range(len(b)):
+        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
+    return y
+
+
 def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
     """Greedy selection of half-spaces whose joint hyperplane projection is
     also the half-space projection, then the projection itself.
@@ -256,36 +265,42 @@ def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
     Candidates are scanned in recency order; one is kept when the Gram system
     of the tentative set has all coefficients nonnegative (the KKT condition
     equating hyperplane- and half-space-intersection projections).  The lower
-    Cholesky factor of the accepted set's Gram matrix (inner products of the
+    Cholesky factor L of the accepted set's Gram matrix (inner products of the
     ``tp_normal``s) grows by one row per candidate; a candidate whose pivot is
-    at most 1e-12 depends on the accepted normals and is skipped.  Returns
-    the accepted list and the projection of phi onto the intersection of the
-    partial-trace plane with those half-spaces.
+    at most ``HIP_PIVOT_CUT`` depends on the accepted normals and is skipped.
+    Returns the accepted list and the projection of phi onto the intersection
+    of the partial-trace plane with those half-spaces.
+
+    The accepted set hinges on signs near -``HIP_COEFF_CUT``, so both solves
+    round exactly as LAPACK's triangular solves (the tests' reference).  L^-1
+    is a row-oriented substitution, one BLAS dot product per row, the path
+    LAPACK takes for a C-ordered factor; the trial's L^-1 rhs extends the
+    accepted one by its last row.  L^-T is ``np.linalg.solve``: LU of an
+    upper-triangular matrix with a positive diagonal swaps no rows and has
+    zero multipliers, so it reduces to the BLAS triangular back solve.
     """
     accepted: list[HalfSpace] = []
     low = np.zeros((0, 0))
-    rhs = np.zeros(0)
+    z = np.zeros(0)
     coeffs = np.zeros(0)
     for cand in halfspaces:
         m = len(accepted)
         cross = np.array([np.vdot(a.tp_normal, cand.tp_normal).real for a in accepted])
-        y = solve_triangular(low, cross, lower=True)
+        y = _forward_solve(low, cross)
         pivot = np.vdot(cand.tp_normal, cand.tp_normal).real - y @ y
-        if pivot <= 1e-12:
+        if pivot <= HIP_PIVOT_CUT:
             logger.debug("dropping degenerate half-space candidate")
             continue
-        # kept C-ordered: solve_triangular picks its LAPACK path by memory
-        # order, and rounding (hence the accepted set) depends on the path
         trial_low = np.zeros((m + 1, m + 1))
         trial_low[:m, :m] = low
         trial_low[m, :m] = y
         trial_low[m, m] = math.sqrt(pivot)
-        trial_rhs = np.append(rhs, cand.offset - np.vdot(cand.normal, phi).real)
-        z = solve_triangular(trial_low, trial_rhs, lower=True)
-        c = solve_triangular(trial_low.T, z, lower=False)
-        if np.all(c >= -1e-12):
+        rhs = cand.offset - np.vdot(cand.normal, phi).real
+        trial_z = np.append(z, (rhs - y @ z) / trial_low[m, m])
+        c = np.linalg.solve(trial_low.T, trial_z)
+        if np.all(c >= -HIP_COEFF_CUT):
             accepted.append(cand)
-            low, rhs, coeffs = trial_low, trial_rhs, c
+            low, z, coeffs = trial_low, trial_z, c
     phi_new = phi.copy()
     for c, h in zip(coeffs, accepted):
         phi_new += c * h.tp_normal

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .bounds import ErrorBudget, confidence_region, pls_failure_prob
 from .channels import (ChannelSpec, choi_from_kraus, distance, haar_unitary,
@@ -130,6 +129,8 @@ def _oracle_proj_tp(x: np.ndarray) -> np.ndarray:
 
 def _oracle_proj_psd(x: np.ndarray) -> np.ndarray:
     """PSD projection via (X + |X|)/2 with a Schur-based square root."""
+    import scipy.linalg  # only here: the run path loads no scipy
+
     absx = scipy.linalg.sqrtm(x @ x)
     out = 0.5 * (x + absx)
     return 0.5 * (out + out.conj().T)

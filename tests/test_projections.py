@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from proctomo.channels import (ChannelSpec, ChoiMatrix, choi_from_kraus,
 import proctomo
 from proctomo import projections
 from proctomo.estimators import ls_estimate
-from proctomo.projections import (DUAL_GRAD_TOL, HalfSpace, ProjectionConfig,
+from proctomo.projections import (DUAL_GRAD_TOL, MAX_HALFSPACES, HalfSpace,
+                                  ProjectionConfig, _forward_solve,
                                   _make_halfspace, _waterfill, cp1_threshold,
                                   depolarizing_finalize, hip_inner, pls_pipeline,
                                   proj_cp, proj_cp1_thresholded, proj_tp,
@@ -211,7 +213,12 @@ def _solve_gram_oracle(gram, rhs, drop_tol=1e-12):
 
 def _hip_inner_oracle(halfspaces, phi):
     """Reference hip_inner: rebuild and re-solve the whole trial Gram system
-    for every candidate, dropping any dependent row, not only the newest."""
+    for every candidate, dropping any dependent row, not only the newest.
+
+    The solves are scipy's ``solve_triangular``.  Bitwise equality with
+    ``hip_inner``'s numpy solves rests on numpy and scipy bundling OpenBLAS
+    builds that share the ``ddot`` and ``trsm`` kernels.
+    """
     accepted = []
     coeffs = np.zeros(0)
     for cand in halfspaces:
@@ -266,6 +273,37 @@ def _halfspace_window(n, kinds, rng):
         normals.append(a)
         out.append(HalfSpace(normal=a, offset=value + gap))
     return phi, out
+
+
+@st.composite
+def _cholesky_and_rhs(draw):
+    """Lower Cholesky factor of a random Gram matrix with rows scaled over
+    1e-8..1e2, and a right-hand side of entries over the same range."""
+    m = draw(st.integers(1, MAX_HALFSPACES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = rng.standard_normal((m, m + int(rng.integers(0, 40))))
+    vecs *= 10.0 ** rng.uniform(-4, 1, size=(m, 1))   # Gram rows 1e-8..1e2
+    low = np.ascontiguousarray(np.linalg.cholesky(vecs @ vecs.T))
+    rhs = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-8, 2, size=m)
+    return low, rhs
+
+
+class TestTriangularSolves:
+    """hip_inner's numpy solves reproduce scipy's solve_triangular bit for bit."""
+
+    @given(_cholesky_and_rhs())
+    @settings(max_examples=300, deadline=None)
+    def test_forward_solve_matches_scipy(self, case):
+        low, rhs = case
+        assert np.array_equal(_forward_solve(low, rhs),
+                              solve_triangular(low, rhs, lower=True))
+
+    @given(_cholesky_and_rhs())
+    @settings(max_examples=300, deadline=None)
+    def test_back_solve_matches_scipy(self, case):
+        low, rhs = case
+        assert np.array_equal(np.linalg.solve(low.T, rhs),
+                              solve_triangular(low.T, rhs, lower=False))
 
 
 class TestHipInner:
@@ -519,6 +557,35 @@ class TestDualNewton:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
 
+    def test_run_path_loads_no_scipy(self, tmp_path):
+        code = textwrap.dedent(f"""
+            import sys
+            import proctomo, proctomo.cli
+            from proctomo import projections
+            from proctomo.channels import ChannelSpec, choi_from_kraus, make_channel
+            from proctomo.estimators import ls_estimate
+            from proctomo.harness import ExperimentConfig, run
+            from proctomo.simulate import SamplingPlan, sample
+
+            calls = []
+            inner = projections.hip_inner
+            projections.hip_inner = lambda w, phi: (calls.append(1), inner(w, phi))[1]
+            cfg = ExperimentConfig(experiment="single_run", scenario=1, k=2,
+                                   channel={{"kind": "noisy_qft"}}, n_shots=1000,
+                                   method="HIPswitch", seed=3)
+            run(cfg, {str(tmp_path)!r})
+            truth = choi_from_kraus(make_channel(ChannelSpec("noisy_qft", 4)))
+            est = ls_estimate(sample(truth, 1, SamplingPlan("random", 1000, seed=1)))
+            projections.pls_pipeline(est, method="dual")
+            assert calls, "HIPswitch never reached hip_inner"
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+        src = str(Path(proctomo.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
 
 class TestDepolarizingFinalize:
     def test_psd_input_untouched(self, rng):
@@ -586,3 +653,33 @@ class TestPipeline:
         choi, report = pls_pipeline(est, method="Dykstra", direct=True)
         ChoiMatrix(choi.matrix)
         assert report.threshold is None
+
+
+class TestCountBudget:
+    """Decomposition counts repeat exactly at a fixed seed; pin them so a
+    count regression fails here rather than only in the benchmark."""
+
+    @pytest.fixture(scope="class")
+    def estimate(self):
+        truth = choi_from_kraus(make_channel(
+            ChannelSpec("noisy_qft", 8, measure_prob=0.25)))
+        return ls_estimate(sample(truth, 1, SamplingPlan("random", 10**5, seed=1)))
+
+    def test_hipswitch(self, estimate, monkeypatch):
+        calls = []
+        inner = projections.hip_inner
+
+        def spy(window, phi):
+            calls.append(1)
+            return inner(window, phi)
+
+        monkeypatch.setattr(projections, "hip_inner", spy)
+        _, report = pls_pipeline(estimate, method="HIPswitch")
+        assert report.converged
+        assert report.proj_cp_calls == 31
+        assert len(calls) == 25
+
+    def test_dual(self, estimate):
+        _, report = pls_pipeline(estimate, method="dual")
+        assert report.converged
+        assert report.proj_cp_calls == 7
