@@ -6,14 +6,19 @@
 For every config subdirectory under either root, compares ``errors.csv`` and
 ``lambda_trace.csv``.  A file that exists under one root only counts as a
 difference.  Exits 0 when everything matches; otherwise prints the first
-file and line that differ and exits 1.
+file and line that differ, then one line per differing file with the number
+of differing rows and the largest relative change in its numeric column
+(``value`` or ``lambda_min``), and exits 1.
 """
 
 import argparse
+import csv
+import math
 import sys
 from pathlib import Path
 
 FILES = ("errors.csv", "lambda_trace.csv")
+NUMERIC = ("value", "lambda_min")
 
 
 def first_difference(old: Path, new: Path):
@@ -32,6 +37,31 @@ def first_difference(old: Path, new: Path):
     return f"{new}: line {line} differs from {old}"
 
 
+def row_changes(old: Path, new: Path) -> str:
+    """Differing rows of two CSVs and the largest relative change of the
+    numeric column over the rows that differ but still parse."""
+    rows = []
+    for path in (old, new):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows.append(list(csv.reader(fh)))
+    header = rows[0][0] if rows[0] else []
+    name = next((c for c in NUMERIC if c in header), None)
+    col = header.index(name) if name else None
+    differing = abs(len(rows[0]) - len(rows[1]))
+    worst = 0.0
+    for x, y in zip(*rows):
+        if x == y:
+            continue
+        differing += 1
+        try:
+            a, b = float(x[col]), float(y[col])
+        except (IndexError, TypeError, ValueError):
+            continue
+        worst = max(worst, abs(b - a) / abs(a) if a else (math.inf if b else 0.0))
+    change = f"largest relative change in {name} {worst:.3e}" if name else "no numeric column"
+    return f"{new}: {differing} rows differ, {change}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -47,6 +77,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     compared = 0
+    differing = []
     for config in configs:
         for name in FILES:
             old = args.old_root / config / name
@@ -55,9 +86,15 @@ def main(argv=None) -> int:
                 continue
             reason = first_difference(old, new)
             if reason:
-                print(f"DIFFER {reason}")
-                return 1
+                if not differing:
+                    print(f"DIFFER {reason}")
+                differing.append((old, new))
             compared += 1
+    if differing:
+        for old, new in differing:
+            both = old.exists() and new.exists()
+            print(f"  {row_changes(old, new) if both else first_difference(old, new)}")
+        return 1
     print(f"identical: {compared} files in {len(configs)} configs")
     return 0
 

@@ -17,8 +17,8 @@ from .simulate import (FrequencyTable, SamplingPlan, born_probabilities,
 from .estimators import (LsEstimate, ls_estimate, ls_scenario1, ls_scenario2,
                          ls_scenario3, ls_scenario4)
 from .projections import (HalfSpace, ProjectionConfig, ProjectionReport,
-                          cp1_threshold, depolarizing_finalize, hip_inner,
-                          pls_pipeline, proj_cp, proj_cp1_thresholded, proj_tp,
+                          depolarizing_finalize, hip_inner, pls_pipeline,
+                          proj_cp, proj_cp1_thresholded, proj_tp,
                           project_to_cptp)
 from .bounds import (ConfidenceRegion, ErrorBudget, confidence_region,
                      direct_projection_bound, f_factor, g_factor,

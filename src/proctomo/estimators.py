@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .channels import _hermitize
 from .designs import mub_family, pauli_operator_stack
 from .simulate import FrequencyTable
 
@@ -102,8 +103,7 @@ def _check(table: FrequencyTable, scenario: int) -> None:
 
 
 def _wrap(matrix: np.ndarray, table: FrequencyTable) -> LsEstimate:
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    return LsEstimate(matrix=matrix, scenario=table.scenario,
+    return LsEstimate(matrix=_hermitize(matrix), scenario=table.scenario,
                       n_shots=table.total_shots, nu=table.nu, seed=table.seed)
 
 

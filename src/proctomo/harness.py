@@ -49,8 +49,8 @@ from .channels import (RANK_CUT, ChannelSpec, ChoiMatrix, choi_from_kraus,
                        distance, fidelity, haar_unitary, kraus_rank,
                        make_channel, qft_unitary)
 from .estimators import ls_estimate
-from .projections import (METHODS, ProjectionConfig, cp1_threshold,
-                          proj_cp1_thresholded, project_to_cptp)
+from .projections import (METHODS, ProjectionConfig, proj_cp1_thresholded,
+                          project_to_cptp)
 from .simulate import SamplingPlan, sample
 
 EXPERIMENTS = ("single_run", "sample_size_sweep", "rank_sweep",
@@ -191,7 +191,8 @@ def _build_channel(channel: dict, dim: int, seed: int) -> ChannelSpec:
 
 
 def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
-    """Expand the config into sweep points; validates dimensions up front."""
+    """Expand the config into sweep points, each with its ChannelSpec; a bad
+    dimension, channel, shot count or scheme fails here, before any work."""
     points = []
     if cfg.experiment == "sample_size_sweep":
         if not cfg.n_shots_list:
@@ -202,10 +203,12 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
     elif cfg.experiment == "rank_sweep":
         if not cfg.ranks:
             raise ValueError("rank_sweep needs ranks")
+        if not cfg.n_shots:
+            raise ValueError("rank_sweep needs n_shots")
         for r in cfg.ranks:
             chan = dict(cfg.channel)
             chan.update(kind="mixed_unitary", rank=int(r))
-            points.append({"k": cfg.k, "d": cfg.d, "n_shots": cfg.n_shots,
+            points.append({"k": cfg.k, "d": cfg.d, "n_shots": int(cfg.n_shots),
                            "channel": chan})
     elif cfg.experiment == "dimension_sweep":
         if cfg.k_list:
@@ -241,8 +244,9 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
             mub_family(dim * dim)
         if cfg.scenario == 4:
             mub_family(dim)
-        spec = _build_channel(pt["channel"], dim, cfg.seed)
-        pt["channel_label"] = spec.label()
+        SamplingPlan(cfg.scheme, pt["n_shots"], cfg.seed)
+        pt["spec"] = _build_channel(pt["channel"], dim, cfg.seed)
+        pt["channel_label"] = pt["spec"].label()
     return points
 
 
@@ -267,10 +271,10 @@ def _run_repetition(cfg: ExperimentConfig, point: dict, point_idx: int,
 
     # each stage's clock starts after the previous stage's metrics
     if cfg.direct:
-        stage2_input = est.matrix
+        stage2_input, spectrum = est.matrix, None
     else:
         t_cp1 = time.perf_counter()
-        stage2_input = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
+        stage2_input, spectrum = proj_cp1_thresholded(est.matrix)
         times["CP1"] = (time.perf_counter() - t_cp1) * 1e3
         errors["CP1"] = _metrics(stage2_input, truth.matrix, physical=True)
 
@@ -279,7 +283,6 @@ def _run_repetition(cfg: ExperimentConfig, point: dict, point_idx: int,
     times["PLS"] = (time.perf_counter() - t_pls) * 1e3
     errors["PLS"] = _metrics(pls.matrix, truth.matrix, physical=True)
 
-    spectrum = np.linalg.eigvalsh(stage2_input)[::-1] if not cfg.direct else None
     summary = {
         "method": cfg.method,
         "iterations": report.iterations,
@@ -314,34 +317,28 @@ def _algo_comparison(cfg: ExperimentConfig, point: dict, truth: ChoiMatrix):
     seed = _rep_seed(cfg, 0, 0)
     table = sample(truth, cfg.scenario, SamplingPlan(cfg.scheme, point["n_shots"], seed))
     est = ls_estimate(table)
-    if cfg.direct:
-        stage2_input = est.matrix
-    else:
-        stage2_input = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
+    stage2_input = est.matrix if cfg.direct else proj_cp1_thresholded(est.matrix)[0]
     rows = []
     reports = {}
     for method in methods:
         _, report = project_to_cptp(stage2_input, method, cfg.projection_config())
         reports[method] = report
-        for it, (lam, mode, calls) in enumerate(zip(report.lambda_min_trace,
-                                                    report.modes,
-                                                    report.cp_calls_trace)):
+        for it, (lam, mode, calls) in enumerate(report.trace):
             rows.append([method, it, mode, repr(float(lam)), calls])
     return rows, reports
 
 
 def run(cfg: ExperimentConfig, out_dir: Optional[str] = None):
     """Execute a config; returns (records, reports) and writes the CSVs."""
+    points = _sweep_points(cfg)
     out = Path(out_dir or cfg.out_dir or default_out_dir())
     out.mkdir(parents=True, exist_ok=True)
-    points = _sweep_points(cfg)
 
     records: list[RunRecord] = []
     trace_rows = []
     reports = {}
     for idx, point in enumerate(points):
-        spec = _build_channel(point["channel"], point["dim"], cfg.seed)
-        kraus = make_channel(spec)
+        kraus = make_channel(point["spec"])
         truth = choi_from_kraus(kraus)
         rank = kraus_rank(kraus)
         if cfg.experiment == "algo_comparison":

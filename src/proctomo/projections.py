@@ -9,8 +9,9 @@ partial-trace plane Tr_s(Phi) = 1/d.  Closed forms exist for the two pieces:
   the PSD cone;
 * ``proj_cp1_thresholded`` : eigenvalue thresholding at tau followed by a
   trace-one correction (water filling, or top-down refilling when the
-  thresholded mass falls short of one); ``cp1_threshold`` gives the
-  first-stage tau = max(0, -lambda_min) of a raw estimate.
+  thresholded mass falls short of one); by default tau is the first-stage
+  max(0, -lambda_min) of a raw estimate, taken from the same decomposition,
+  and the corrected spectrum is returned with the matrix.
 
 ``project_to_cptp`` combines them iteratively: plain alternating projections
 (AP), Dykstra's algorithm, the hyperplane-intersection family (oneHIP,
@@ -22,7 +23,8 @@ A final depolarizing mixing step cancels the residual negative eigenvalue
 while preserving the partial-trace constraint.
 
 Eigendecomposition dominates the run time; the iterates are decomposed by
-``eigh_iterate``.
+``eigh_iterate``; tau, the first-stage spectrum and the final lambda_min are
+read off decompositions a stage already made and passed on.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import RANK_CUT, ChoiMatrix, partial_trace
+from .channels import RANK_CUT, ChoiMatrix, _hermitize, partial_trace
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +52,6 @@ __all__ = [
     "proj_tp_linear",
     "proj_cp",
     "proj_cp1_thresholded",
-    "cp1_threshold",
     "hip_inner",
     "project_to_cptp",
     "depolarizing_finalize",
@@ -88,25 +89,25 @@ class ProjectionConfig:
 class ProjectionReport:
     """Trace of one projection run.
 
-    ``final_lambda_min`` is the least eigenvalue of the last iterate before
-    depolarizing mixing; ``mixing_p`` solves (1-p) lambda_min + p/d^2 = 0 for
-    that value.  ``proj_cp_calls`` counts eigendecompositions that produced a
-    PSD projection (the check-only decomposition of the accepted iterate is
-    free bookkeeping).  For ``dual``, ``iterations`` counts Newton steps and
-    ``proj_cp_calls`` every decomposition, line-search trials included.
+    ``trace`` holds one (lambda_min, mode, cumulative proj_cp_calls) row per
+    checked iterate.  ``final_lambda_min`` is the least eigenvalue of the
+    last iterate before depolarizing mixing; ``mixing_p`` solves
+    (1-p) lambda_min + p/d^2 = 0 for that value.  ``proj_cp_calls`` counts
+    eigendecompositions that produced a PSD projection (the check-only
+    decomposition of the accepted iterate is free bookkeeping).  For
+    ``dual``, ``iterations`` counts Newton steps and ``proj_cp_calls`` every
+    decomposition, line-search trials included.  ``pls_pipeline`` fills
+    ``cp1_rank`` and ``cp1_spectrum`` when it runs the first stage.
     """
 
     method: str
     iterations: int = 0
     proj_cp_calls: int = 0
-    lambda_min_trace: list = field(default_factory=list)
-    cp_calls_trace: list = field(default_factory=list)
-    modes: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
     mixing_p: float = 0.0
     final_lambda_min: float = 0.0
     converged: bool = True
     dual_grad_norm: Optional[float] = None
-    threshold: Optional[float] = None
     cp1_rank: Optional[int] = None
     cp1_spectrum: Optional[np.ndarray] = None
 
@@ -128,10 +129,6 @@ class HalfSpace:
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError("half-space normal must have unit Frobenius norm")
         object.__setattr__(self, "tp_normal", proj_tp_linear(self.normal))
-
-
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
 
 
 def eigh_iterate(x: np.ndarray):
@@ -189,12 +186,7 @@ def _waterfill(values: np.ndarray, total: float = 1.0) -> np.ndarray:
     return np.clip(values - theta, 0.0, None)
 
 
-def cp1_threshold(x: np.ndarray) -> float:
-    """First-stage threshold tau = max(0, -lambda_min(x)) of a raw estimate."""
-    return max(0.0, -float(np.linalg.eigvalsh(_hermitize(x)).min()))
-
-
-def proj_cp1_thresholded(x: np.ndarray, tau: float) -> np.ndarray:
+def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
     """Thresholded projection of a trace-one Hermitian matrix onto the states.
 
     Eigenvalues at or below tau are zeroed, the rest are raised by tau; the
@@ -204,15 +196,22 @@ def proj_cp1_thresholded(x: np.ndarray, tau: float) -> np.ndarray:
     reaches one, the last one receiving the residual mass; the trace is then
     exactly one by construction and is asserted.
 
-    With tau = 0 (and trace-one input) this is the exact Frobenius projection
-    onto the trace-one PSD set.
+    With tau = None (the first stage of PLS) tau = max(0, -lambda_min(x)),
+    the least eigenvalue taken from the same decomposition.  With tau = 0
+    (and trace-one input) this is the exact Frobenius projection onto the
+    trace-one PSD set.
+
+    Returns (matrix, spectrum): the spectrum is the corrected eigenvalues in
+    descending order, which is the spectrum of the returned matrix.
     """
-    if tau < 0:
+    if tau is not None and tau < 0:
         raise ValueError("threshold must be nonnegative")
     tr = np.trace(x).real
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"input trace must be 1, got {tr}")
     lam, v = eigh_iterate(x)
+    if tau is None:
+        tau = max(0.0, -float(lam[0]))
     mu = np.where(lam > tau, lam + tau, 0.0)
     if mu.sum() >= 1.0:
         mu = _waterfill(mu, 1.0)
@@ -232,7 +231,7 @@ def proj_cp1_thresholded(x: np.ndarray, tau: float) -> np.ndarray:
                 break
     out = (v * mu) @ v.conj().T
     assert abs(mu.sum() - 1.0) < 1e-9
-    return _hermitize(out)
+    return _hermitize(out), mu[::-1]
 
 
 # --------------------------------------------------------------------------
@@ -312,20 +311,20 @@ def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
 # --------------------------------------------------------------------------
 
 
-def depolarizing_finalize(phi: np.ndarray) -> tuple[ChoiMatrix, float]:
+def depolarizing_finalize(phi: np.ndarray, lam_min: float) -> tuple[ChoiMatrix, float]:
     """Mix with the maximally mixed state to cancel the residual negativity.
 
-    p solves (1-p) lambda_min + p/d^2 = 0, so the output is exactly PSD while
-    Tr_s is untouched.  Inputs with lambda_min < -0.1 are refused: the
-    projection has not converged and mixing would wash out the estimate.
-    Negativity below the round-off floor of the eigensolver counts as zero.
+    ``lam_min`` is phi's least eigenvalue, known to the caller.  p solves
+    (1-p) lambda_min + p/d^2 = 0, so the output is exactly PSD while Tr_s is
+    untouched.  Inputs with lambda_min < -0.1 are refused: the projection has
+    not converged and mixing would wash out the estimate.  Negativity below
+    the round-off floor of the eigensolver counts as zero.
     """
     d2 = phi.shape[0]
     d = _system_dim(phi)
     dev = np.abs(partial_trace(phi, "system") - np.eye(d) / d).max()
     if dev > 1e-9:
         raise ValueError(f"input is not trace preserving (deviation {dev:.3e})")
-    lam_min = float(np.linalg.eigvalsh(_hermitize(phi)).min())
     if lam_min < -0.1:
         raise ValueError(f"lambda_min = {lam_min:.3e}; projection has not converged")
     if lam_min >= -1e-14:
@@ -345,7 +344,7 @@ def _finish(phi: np.ndarray, lam_min: float, report: ProjectionReport,
     if not converged:
         logger.warning("%s did not converge in %d iterations (lambda_min %.3e)",
                        report.method, report.iterations, lam_min)
-    choi, report.mixing_p = depolarizing_finalize(phi)
+    choi, report.mixing_p = depolarizing_finalize(phi, lam_min)
     return choi, report
 
 
@@ -375,13 +374,11 @@ def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
         return _dual_project(phi0)
 
     report = ProjectionReport(method=method)
-    lam0 = float(np.linalg.eigvalsh(_hermitize(phi0)).min())
-    tp_dev = np.abs(partial_trace(phi0, "system") - np.eye(d) / d).max()
-    if lam0 >= -cfg.epsilon and tp_dev <= 1e-9:
-        report.lambda_min_trace.append(lam0)
-        report.cp_calls_trace.append(0)
-        report.modes.append("start")
-        return _finish(phi0, lam0, report)
+    if np.abs(partial_trace(phi0, "system") - np.eye(d) / d).max() <= 1e-9:
+        lam0 = float(np.linalg.eigvalsh(_hermitize(phi0)).min())
+        if lam0 >= -cfg.epsilon:
+            report.trace.append((lam0, "start", 0))
+            return _finish(phi0, lam0, report)
 
     if method == "Dykstra":
         return _dykstra(phi0, cfg, report)
@@ -402,9 +399,7 @@ def _hip_family(phi0: np.ndarray, method: str, cfg: ProjectionConfig,
             iterate_hook(phi)
         lam, v = eigh_iterate(phi)
         lam_min = float(lam[0])
-        report.lambda_min_trace.append(lam_min)
-        report.cp_calls_trace.append(report.proj_cp_calls)
-        report.modes.append(mode)
+        report.trace.append((lam_min, mode, report.proj_cp_calls))
         if lam_min > best[0]:
             best = (lam_min, phi)
         if lam_min >= -cfg.epsilon:
@@ -451,9 +446,7 @@ def _dykstra(phi0: np.ndarray, cfg: ProjectionConfig, report: ProjectionReport):
         corr = x + corr - y
         x = proj_tp(y)
         lam_min = float(np.linalg.eigvalsh(_hermitize(x)).min())
-        report.lambda_min_trace.append(lam_min)
-        report.cp_calls_trace.append(report.proj_cp_calls)
-        report.modes.append("Dykstra")
+        report.trace.append((lam_min, "Dykstra", report.proj_cp_calls))
         if lam_min > best[0]:
             best = (lam_min, x)
         if lam_min >= -cfg.epsilon:
@@ -529,9 +522,7 @@ def _dual_project(phi0: np.ndarray):
 
     phi_tp = proj_tp(_psd_from_eigh(lam, q))
     lam_min = float(np.linalg.eigvalsh(_hermitize(phi_tp)).min())
-    report.lambda_min_trace.append(lam_min)
-    report.cp_calls_trace.append(report.proj_cp_calls)
-    report.modes.append("dual")
+    report.trace.append((lam_min, "dual", report.proj_cp_calls))
     return _finish(phi_tp, lam_min, report,
                    converged=report.dual_grad_norm <= DUAL_GRAD_TOL)
 
@@ -540,20 +531,18 @@ def pls_pipeline(estimate, cfg: Optional[ProjectionConfig] = None,
                  method: str = "HIPswitch", direct: bool = False):
     """Two-step physical projection of a least-squares estimate.
 
-    Step one thresholds onto the trace-one PSD set at tau =
-    ``cp1_threshold(input)``; step two runs ``project_to_cptp``.
-    ``direct=True`` skips the first step and projects the raw estimate (the
-    one-step alternative kept for comparisons).  Returns (ChoiMatrix, ProjectionReport); the report
-    records the threshold and the spectrum after step one.
+    Step one is ``proj_cp1_thresholded`` at its default threshold tau =
+    max(0, -lambda_min); step two runs ``project_to_cptp``.  ``direct=True``
+    skips the first step and projects the raw estimate (the one-step
+    alternative kept for comparisons).  Returns (ChoiMatrix,
+    ProjectionReport); the report records the spectrum and rank after step
+    one, which stay None with ``direct=True``.
     """
     mat = np.asarray(getattr(estimate, "matrix", estimate), dtype=complex)
     if direct:
         return project_to_cptp(mat, method, cfg)
-    tau = cp1_threshold(mat)
-    phi_cp1 = proj_cp1_thresholded(mat, tau)
-    spectrum = np.linalg.eigvalsh(_hermitize(phi_cp1))[::-1]
+    phi_cp1, spectrum = proj_cp1_thresholded(mat)
     choi, report = project_to_cptp(phi_cp1, method, cfg)
-    report.threshold = tau
     report.cp1_spectrum = spectrum
     report.cp1_rank = int((spectrum > RANK_CUT).sum())
     return choi, report

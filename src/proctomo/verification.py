@@ -28,9 +28,8 @@ from .channels import (ChannelSpec, choi_from_kraus, distance, haar_unitary,
 from .designs import mub_family, near_isotropy_defect
 from .estimators import ls_estimate
 from .harness import ExperimentConfig, run
-from .projections import (ProjectionConfig, cp1_threshold, pls_pipeline,
-                          proj_cp, proj_cp1_thresholded, proj_tp,
-                          project_to_cptp)
+from .projections import (ProjectionConfig, pls_pipeline, proj_cp,
+                          proj_cp1_thresholded, proj_tp, project_to_cptp)
 from .simulate import SamplingPlan, exact_table, sample
 
 __all__ = ["CheckResult", "CHECKS", "SUITES", "run_suite", "write_report"]
@@ -167,7 +166,7 @@ def check_projection_oracles() -> CheckResult:
                 proj_cp(h) - _oracle_proj_psd(h), "fro")))
             h1 = h + (1.0 - np.trace(h).real) / n * np.eye(n)
             worst["cp1"] = max(worst["cp1"], float(np.linalg.norm(
-                proj_cp1_thresholded(h1, 0.0) - _oracle_proj_cp1(h1), "fro")))
+                proj_cp1_thresholded(h1, 0.0)[0] - _oracle_proj_cp1(h1), "fro")))
     passed = all(v <= 1e-6 for v in worst.values())
     return CheckResult("projection-oracles", passed,
                        {"worst_tp": worst["tp"], "worst_cp": worst["cp"],
@@ -195,7 +194,7 @@ def check_projection_properties() -> CheckResult:
                 runs += 1
                 table = sample(truth, scenario, SamplingPlan("random", 10**4, seed))
                 est = ls_estimate(table)
-                cp1 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
+                cp1, _ = proj_cp1_thresholded(est.matrix)
                 op_ls = distance(est.matrix, truth.matrix, "operator")
                 op_cp1 = distance(cp1, truth.matrix, "operator")
                 if op_cp1 > 2 * op_ls + 1e-12:

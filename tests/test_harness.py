@@ -61,6 +61,25 @@ class TestConfig:
         with pytest.raises(NotImplementedError):
             run(cfg, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("overrides,match", [
+        ({"scheme": "foo"}, "unknown scheme"),
+        ({"n_shots": -5}, "n_shots must be positive"),
+        ({"channel": {"kind": "nope"}}, "unknown channel kind"),
+        ({"experiment": "rank_sweep", "ranks": [1, 2], "n_shots": None},
+         "rank_sweep needs n_shots"),
+        ({"experiment": "sample_size_sweep", "n_shots_list": [900, -5]},
+         "n_shots must be positive"),
+    ])
+    def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
+                                                    overrides, match):
+        sampled = []
+        monkeypatch.setattr(harness, "sample", lambda *a: sampled.append(a))
+        out_dir = tmp_path / "never"
+        with pytest.raises(ValueError, match=match):
+            run(_mini_config(**overrides), out_dir=out_dir)
+        assert not out_dir.exists()
+        assert not sampled
+
     def test_pauli_scenario_rejects_odd_dimension(self, tmp_path):
         cfg = _mini_config(k=None, d=3)
         with pytest.raises(ValueError, match="power-of-two"):
@@ -326,6 +345,19 @@ class TestCli:
         differ = compare()
         assert differ.returncode == 1
         assert f"{errors}: line 4 differs" in differ.stdout
+        assert f"{errors}: 1 rows differ" in differ.stdout
+        header, rows = _read_csv(errors)
+        col = header.index("value")
+        scaled = lines[6].decode().split(",")
+        scaled[col] = repr(float(scaled[col]) * (1 + 1e-6))
+        lines[6] = ",".join(scaled).encode()
+        errors.write_bytes(b"".join(lines))
+        differ = compare()
+        assert differ.returncode == 1
+        first, *details = differ.stdout.splitlines()
+        assert first.startswith(f"DIFFER {errors}: line 4 differs")
+        assert details == [f"  {errors}: 2 rows differ, "
+                           "largest relative change in value 1.000e-06"]
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg_path = self._write_cfg(tmp_path)

@@ -20,7 +20,7 @@ from proctomo import projections
 from proctomo.estimators import ls_estimate
 from proctomo.projections import (DUAL_GRAD_TOL, MAX_HALFSPACES, HalfSpace,
                                   ProjectionConfig, _forward_solve,
-                                  _make_halfspace, _waterfill, cp1_threshold,
+                                  _make_halfspace, _waterfill,
                                   depolarizing_finalize, hip_inner, pls_pipeline,
                                   proj_cp, proj_cp1_thresholded, proj_tp,
                                   proj_tp_linear, project_to_cptp)
@@ -133,17 +133,17 @@ class TestProjCp1Thresholded:
         # eigenvalues (-0.5, 0.3, 1.2), tau = 0.5: threshold -> (0, 0, 1.7),
         # water fill with x0 = 0.7 -> (0, 0, 1)
         x = np.diag([-0.5, 0.3, 1.2]).astype(complex)
-        out = proj_cp1_thresholded(x, 0.5)
+        out, _ = proj_cp1_thresholded(x, 0.5)
         assert_allclose(out, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
     def test_density_matrix_fixed_at_zero_threshold(self, rng):
         rho = random_density(4, rng)
-        assert_allclose(proj_cp1_thresholded(rho, 0.0), rho, atol=1e-12)
+        assert_allclose(proj_cp1_thresholded(rho, 0.0)[0], rho, atol=1e-12)
 
     def test_refill_branch_trace_exact(self):
         # thresholded mass 0.85 < 1: the next eigenvalue receives the residue
         x = np.diag([-0.1, 0.3, 0.35, 0.45]).astype(complex)
-        out = proj_cp1_thresholded(x, 0.4)
+        out, _ = proj_cp1_thresholded(x, 0.4)
         assert_allclose(np.diag(out).real, [0.0, 0.0, 0.15, 0.85], atol=1e-12)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
@@ -153,7 +153,7 @@ class TestProjCp1Thresholded:
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=1)))
         lam = np.linalg.eigvalsh(est.matrix)
         tau = -lam.min()
-        out = proj_cp1_thresholded(est.matrix, tau)
+        out, _ = proj_cp1_thresholded(est.matrix, tau)
         mu = np.linalg.eigvalsh(out)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
         assert mu.min() > -1e-12
@@ -169,17 +169,37 @@ class TestProjCp1Thresholded:
 
 
 class TestCp1Threshold:
-    def test_zero_for_a_density_matrix(self, rng):
-        tau = cp1_threshold(random_density(4, rng))
-        assert tau == 0.0 and isinstance(tau, float)
+    """With no tau given, proj_cp1_thresholded takes the first-stage
+    tau = max(0, -lambda_min) from its own decomposition."""
 
-    def test_flipped_least_eigenvalue_of_an_estimate(self):
+    @pytest.fixture(scope="class")
+    def estimate(self):
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=1)))
-        lam_min = np.linalg.eigvalsh(est.matrix).min()
+        return ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=1)))
+
+    def test_zero_for_a_density_matrix(self, rng):
+        rho = random_density(4, rng)
+        out, spectrum = proj_cp1_thresholded(rho)
+        ref, ref_spectrum = proj_cp1_thresholded(rho, 0.0)
+        assert np.array_equal(out, ref) and np.array_equal(spectrum, ref_spectrum)
+
+    def test_flipped_least_eigenvalue_of_an_estimate(self, estimate):
+        lam_min = np.linalg.eigh(0.5 * (estimate.matrix + estimate.matrix.conj().T))[0][0]
         assert lam_min < 0
-        assert cp1_threshold(est.matrix) == -lam_min
+        out, spectrum = proj_cp1_thresholded(estimate.matrix)
+        ref, ref_spectrum = proj_cp1_thresholded(estimate.matrix, max(0.0, -lam_min))
+        assert np.array_equal(out, ref) and np.array_equal(spectrum, ref_spectrum)
+
+    def test_spectrum_is_that_of_the_output(self, estimate, rng):
+        # an estimate, a state, then water filling and refilling at default tau
+        for x in (estimate.matrix, random_density(4, rng),
+                  np.diag([-0.1, 0.3, 0.35, 0.45]).astype(complex),
+                  np.diag([-0.3, 0.3, 0.3, 0.3, 0.4]).astype(complex)):
+            out, spectrum = proj_cp1_thresholded(x)
+            assert np.all(np.diff(spectrum) <= 0)
+            assert spectrum.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(spectrum - np.linalg.eigvalsh(out)[::-1]).max() <= 1e-12
 
 
 def _solve_gram_oracle(gram, rhs, drop_tol=1e-12):
@@ -336,7 +356,7 @@ class TestHipInner:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=3)))
-        phi = proj_tp(proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix)))
+        phi = proj_tp(proj_cp1_thresholded(est.matrix)[0])
         window = []
         for _ in range(40):
             w = _make_halfspace(phi, proj_cp(phi))
@@ -423,7 +443,7 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=2)))
-        cp1 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
+        cp1 = proj_cp1_thresholded(est.matrix)[0]
         dists = []
         project_to_cptp(cp1, "HIPswitch", ProjectionConfig(),
                         iterate_hook=lambda p: dists.append(
@@ -435,7 +455,7 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 3000, seed=6)))
-        phi0 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
+        phi0 = proj_cp1_thresholded(est.matrix)[0]
         choi, report = project_to_cptp(phi0, "dual")
         assert report.dual_grad_norm <= DUAL_GRAD_TOL
         base = np.linalg.norm(choi.matrix - phi0, "fro")
@@ -447,7 +467,7 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 3000, seed=9)))
-        phi0 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
+        phi0 = proj_cp1_thresholded(est.matrix)[0]
         tight = ProjectionConfig(epsilon=1e-11, max_outer_iterations=100000)
         dyk, _ = project_to_cptp(phi0, "Dykstra", tight)
         dua, _ = project_to_cptp(phi0, "dual", tight)
@@ -457,7 +477,7 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=3)))
-        cp1 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
+        cp1 = proj_cp1_thresholded(est.matrix)[0]
         short = ProjectionConfig(max_outer_iterations=2)
         _, report = project_to_cptp(cp1, "AP", short)
         assert not report.converged
@@ -467,12 +487,12 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=3)))
-        cp1 = proj_cp1_thresholded(est.matrix, cp1_threshold(est.matrix))
+        cp1 = proj_cp1_thresholded(est.matrix)[0]
         short = ProjectionConfig(max_outer_iterations=2)
         with caplog.at_level(logging.WARNING, logger="proctomo.projections"):
             _, report = project_to_cptp(cp1, method, short)
         assert not report.converged
-        assert report.final_lambda_min == max(report.lambda_min_trace)
+        assert report.final_lambda_min == max(row[0] for row in report.trace)
         warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert len(warnings) == 1
         assert method in warnings[0].getMessage()
@@ -590,7 +610,7 @@ class TestDualNewton:
 class TestDepolarizingFinalize:
     def test_psd_input_untouched(self, rng):
         phi = _random_cptp(2, rng)
-        out, p = depolarizing_finalize(phi)
+        out, p = depolarizing_finalize(phi, np.linalg.eigvalsh(phi).min())
         assert p == 0.0
         assert_allclose(out.matrix, phi, atol=1e-14)
 
@@ -603,8 +623,9 @@ class TestDepolarizingFinalize:
         lam_dir = np.linalg.eigvalsh(direction).min()
         scale = (1 / 16 + 1e-7) / (-lam_dir)
         phi = np.eye(16) / 16 + scale * direction
-        assert np.linalg.eigvalsh(phi).min() == pytest.approx(-1e-7, rel=1e-9)
-        out, p = depolarizing_finalize(phi)
+        lam_min = np.linalg.eigvalsh(phi).min()
+        assert lam_min == pytest.approx(-1e-7, rel=1e-9)
+        out, p = depolarizing_finalize(phi, lam_min)
         expected = 16e-7 / (1 + 16e-7)
         assert p == pytest.approx(expected, rel=1e-6)
         assert np.linalg.eigvalsh(out.matrix).min() >= -1e-12
@@ -619,13 +640,15 @@ class TestDepolarizingFinalize:
         direction = proj_tp_linear(bump)
         scale = (0.25 + 0.2) / (-np.linalg.eigvalsh(direction).min())
         phi = np.eye(4) / 4 + scale * direction
-        assert np.linalg.eigvalsh(phi).min() == pytest.approx(-0.2, rel=1e-9)
+        lam_min = np.linalg.eigvalsh(phi).min()
+        assert lam_min == pytest.approx(-0.2, rel=1e-9)
         with pytest.raises(ValueError, match="not converged"):
-            depolarizing_finalize(phi)
+            depolarizing_finalize(phi, lam_min)
 
     def test_rejects_non_tp(self, rng):
         with pytest.raises(ValueError, match="trace preserving"):
-            depolarizing_finalize(random_density(4, rng))
+            rho = random_density(4, rng)
+            depolarizing_finalize(rho, np.linalg.eigvalsh(rho).min())
 
 
 class TestPipeline:
@@ -642,7 +665,7 @@ class TestPipeline:
             ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 2000, seed=12)))
         _, report = pls_pipeline(est)
-        assert report.threshold == cp1_threshold(est.matrix)
+        assert np.array_equal(report.cp1_spectrum, proj_cp1_thresholded(est.matrix)[1])
         assert report.cp1_rank >= 1
         assert report.cp1_spectrum.shape == (4,)
 
@@ -652,12 +675,14 @@ class TestPipeline:
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 2000, seed=12)))
         choi, report = pls_pipeline(est, method="Dykstra", direct=True)
         ChoiMatrix(choi.matrix)
-        assert report.threshold is None
+        assert report.cp1_spectrum is None
 
 
 class TestCountBudget:
     """Decomposition counts repeat exactly at a fixed seed; pin them so a
-    count regression fails here rather than only in the benchmark."""
+    count regression fails here rather than only in the benchmark.  Every
+    numpy eigendecomposition of one pls_pipeline run is counted, so a
+    second decomposition of a stage-boundary matrix fails here too."""
 
     @pytest.fixture(scope="class")
     def estimate(self):
@@ -665,7 +690,17 @@ class TestCountBudget:
             ChannelSpec("noisy_qft", 8, measure_prob=0.25)))
         return ls_estimate(sample(truth, 1, SamplingPlan("random", 10**5, seed=1)))
 
-    def test_hipswitch(self, estimate, monkeypatch):
+    @pytest.fixture
+    def linalg_calls(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def spy(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_hipswitch(self, estimate, monkeypatch, linalg_calls):
         calls = []
         inner = projections.hip_inner
 
@@ -678,8 +713,12 @@ class TestCountBudget:
         assert report.converged
         assert report.proj_cp_calls == 31
         assert len(calls) == 25
+        # CP1 + 31 projections + the accepted iterate; ChoiMatrix validation
+        assert linalg_calls == {"eigh": 33, "eigvalsh": 1}
 
-    def test_dual(self, estimate):
+    def test_dual(self, estimate, linalg_calls):
         _, report = pls_pipeline(estimate, method="dual")
         assert report.converged
         assert report.proj_cp_calls == 7
+        # CP1 + 7 Newton decompositions; final plane iterate, ChoiMatrix
+        assert linalg_calls == {"eigh": 8, "eigvalsh": 2}
