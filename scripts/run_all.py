@@ -3,14 +3,24 @@
 
 Each config lands in its own subdirectory of --out-root (default
 ./proctomo_out/<config-name>).  Pass --only to run a subset.
+
+BLAS runs one thread unless the caller sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS: a multithreaded BLAS reorders its
+sums, so two runs' outputs are byte-identical only with the thread count
+pinned.
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
-from proctomo import cli
+# before proctomo imports numpy, which reads these once at load
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from proctomo import cli  # noqa: E402
 
 HERE = Path(__file__).parent
 

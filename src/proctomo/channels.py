@@ -7,8 +7,14 @@ Conventions used throughout the package:
   The tensor order is fixed as system (channel output) (x) ancilla, i.e.
   the first factor of every d^2-dimensional operator is the system.
 * Flattened indices follow ``np.kron``: index (s, a) -> s * d + a.
-* A Choi matrix is physical iff it is PSD and its system partial trace
-  equals 1/d times the identity.
+* A Choi matrix is a density matrix on C^d (x) C^d whose system partial
+  trace is 1/d times the identity (the channel is trace preserving).
+  ``ChoiMatrix`` is a ``DensityMatrix`` plus that test.
+
+Each physical-set rule is one function here (``system_dim``,
+``qubit_count``, ``tp_deviation``, ``_check_hermitian``, ``_check_trace_one``)
+with its tolerance named in the table below: validated states use the strict
+tolerances, raw least-squares estimates the looser ``RAW_*`` pair.
 """
 
 from __future__ import annotations
@@ -18,8 +24,13 @@ from typing import Literal, Optional
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12   # max ||A - A^dag||_inf of a validated Hermitian input
-RANK_CUT = 1e-9           # eigenvalues above this count towards the numerical rank
+HERMITICITY_TOL = 1e-12      # max ||A - A^dag||_inf of a validated Hermitian input
+TRACE_TOL = 1e-12            # max |Tr A - 1| of a validated state
+PSD_TOL = 1e-10              # least eigenvalue of a validated state is >= -this
+TP_TOL = 1e-9                # max ||Tr_s Phi - 1/d||_inf of a trace-preserving Choi matrix
+RAW_HERMITICITY_TOL = 1e-10  # max ||A - A^dag||_inf of a raw estimate or proj_cp input
+RAW_TRACE_TOL = 1e-8         # max |Tr A - 1| of a raw estimate or first-stage input
+RANK_CUT = 1e-9              # eigenvalues above this count towards the numerical rank
 
 Metric = Literal["frobenius", "trace", "operator"]
 
@@ -33,6 +44,9 @@ __all__ = [
     "apply_via_choi",
     "apply_kraus",
     "partial_trace",
+    "system_dim",
+    "qubit_count",
+    "tp_deviation",
     "distance",
     "fidelity",
     "make_channel",
@@ -54,6 +68,34 @@ def _check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
 
 
+def _check_trace_one(a: np.ndarray, tol: float = TRACE_TOL) -> None:
+    tr = np.trace(a).real
+    if abs(tr - 1.0) > tol:
+        raise ValueError(f"trace must be 1, got {tr!r} (tolerance {tol:.1e})")
+
+
+def system_dim(n: int) -> int:
+    """d for an operator on C^d (x) C^d of size n = d^2."""
+    d = round(n ** 0.5)
+    if d * d != n:
+        raise ValueError(f"dimension {n} is not a perfect square")
+    return d
+
+
+def qubit_count(d: int) -> int:
+    """k for a dimension d = 2^k."""
+    k = d.bit_length() - 1
+    if 2**k != d:
+        raise ValueError(f"expected a power-of-two dimension, got {d}")
+    return k
+
+
+def tp_deviation(m: np.ndarray) -> float:
+    """max |Tr_s(m) - 1/d|: how far m is from the trace-preserving plane."""
+    d = system_dim(m.shape[0])
+    return float(np.abs(partial_trace(m, "system") - np.eye(d) / d).max())
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A positive, trace-one operator on C^dim."""
@@ -64,12 +106,11 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
+            raise ValueError("matrix must be square")
         _check_hermitian(m)
-        if abs(np.trace(m).real - 1.0) > 1e-12:
-            raise ValueError(f"trace must be 1, got {np.trace(m)!r}")
+        _check_trace_one(m)
         lam_min = np.linalg.eigvalsh(_hermitize(m)).min()
-        if lam_min < -1e-10:
+        if lam_min < -PSD_TOL:
             raise ValueError(f"negative eigenvalue {lam_min:.3e}")
 
     @property
@@ -101,35 +142,20 @@ class KrausSet:
         return self.operators[0].shape[0]
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """d^2 x d^2 Hermitian trace-one matrix, tensor order system (x) ancilla."""
-
-    matrix: np.ndarray
-    physical: bool = True
+class ChoiMatrix(DensityMatrix):
+    """Density matrix on C^d (x) C^d, tensor order system (x) ancilla, with
+    Tr_s = 1/d: the Choi matrix of a channel."""
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        d2 = m.shape[0]
-        d = round(d2 ** 0.5)
-        if m.ndim != 2 or m.shape != (d2, d2) or d * d != d2:
-            raise ValueError("Choi matrix must be square with perfect-square size")
-        _check_hermitian(m)
-        if abs(np.trace(m).real - 1.0) > 1e-12:
-            raise ValueError(f"Choi trace must be 1, got {np.trace(m)!r}")
-        if self.physical:
-            lam_min = np.linalg.eigvalsh(_hermitize(m)).min()
-            if lam_min < -1e-10:
-                raise ValueError(f"Choi not PSD: lambda_min = {lam_min:.3e}")
-            dev = np.abs(partial_trace(m, "system") - np.eye(d) / d).max()
-            if dev > 1e-9:
-                raise ValueError(f"Tr_s(Choi) != 1/d (deviation {dev:.3e})")
+        super().__post_init__()
+        dev = tp_deviation(self.matrix)
+        if dev > TP_TOL:
+            raise ValueError(f"Tr_s(Choi) != 1/d (deviation {dev:.3e})")
 
     @property
     def dim(self) -> int:
         """System dimension d (the matrix acts on C^(d^2))."""
-        return round(self.matrix.shape[0] ** 0.5)
+        return system_dim(self.matrix.shape[0])
 
 
 @dataclass(frozen=True)
@@ -157,8 +183,7 @@ class ChannelSpec:
         if self.kind == "noisy_qft":
             if not (0.0 <= self.measure_prob <= 1.0):
                 raise ValueError("measure_prob must lie in [0, 1]")
-            if self.dim & (self.dim - 1):
-                raise ValueError("noisy_qft requires a power-of-two dimension")
+            qubit_count(self.dim)
         if self.kind == "mixed_unitary" and not (1 <= self.rank <= self.dim**2):
             raise ValueError(f"rank must lie in [1, d^2], got {self.rank}")
         if self.kind == "unitary" and self.unitary is None:
@@ -221,9 +246,7 @@ def partial_trace(mat: np.ndarray, which: Literal["system", "ancilla"]) -> np.nd
     n = mat.shape[0]
     if mat.ndim != 2 or mat.shape[1] != n:
         raise ValueError("partial_trace expects a square matrix")
-    d = round(n ** 0.5)
-    if d * d != n:
-        raise ValueError(f"dimension {n} is not a perfect square")
+    d = system_dim(n)
     t = mat.reshape(d, d, d, d)
     if which == "system":
         return np.einsum("iaib->ab", t)

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import _hermitize
+from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, _check_hermitian,
+                       _check_trace_one, _hermitize, system_dim)
 from .designs import mub_family, pauli_operator_stack
 from .simulate import FrequencyTable
 
@@ -45,15 +46,12 @@ class LsEstimate:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if np.abs(m - m.conj().T).max() > 1e-10:
-            raise ValueError("estimate is not Hermitian")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > 1e-8:
-            raise ValueError(f"estimate trace {tr} deviates from 1")
+        _check_hermitian(m, RAW_HERMITICITY_TOL)
+        _check_trace_one(m, RAW_TRACE_TOL)
 
     @property
     def dim(self) -> int:
-        return round(self.matrix.shape[0] ** 0.5)
+        return system_dim(self.matrix.shape[0])
 
 
 def pauli_assemble(freqs: np.ndarray, n: int) -> np.ndarray:

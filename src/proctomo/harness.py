@@ -47,7 +47,7 @@ import yaml
 
 from .channels import (RANK_CUT, ChannelSpec, ChoiMatrix, choi_from_kraus,
                        distance, fidelity, haar_unitary, kraus_rank,
-                       make_channel, qft_unitary)
+                       make_channel, qft_unitary, qubit_count)
 from .estimators import ls_estimate
 from .projections import (METHODS, ProjectionConfig, proj_cp1_thresholded,
                           project_to_cptp)
@@ -146,16 +146,11 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def _dim_of(cfg: ExperimentConfig, k: Optional[int] = None,
-            d: Optional[int] = None) -> int:
+def _dim_of(k: Optional[int], d: Optional[int]) -> int:
     if d is not None:
         return int(d)
     if k is not None:
         return 2 ** int(k)
-    if cfg.d is not None:
-        return int(cfg.d)
-    if cfg.k is not None:
-        return 2 ** int(cfg.k)
     raise ValueError("config must set k or d")
 
 
@@ -213,12 +208,12 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
     elif cfg.experiment == "dimension_sweep":
         if cfg.k_list:
             for k in cfg.k_list:
-                n = cfg.n_shots if cfg.n_shots else 10 * 9**int(k)
+                n = cfg.n_shots if cfg.n_shots is not None else 10 * 9**int(k)
                 points.append({"k": int(k), "d": None, "n_shots": int(n),
                                "channel": cfg.channel})
         elif cfg.d_list:
             for d in cfg.d_list:
-                n = cfg.n_shots if cfg.n_shots else 100 * int(d) ** 2
+                n = cfg.n_shots if cfg.n_shots is not None else 100 * int(d) ** 2
                 points.append({"k": None, "d": int(d), "n_shots": int(n),
                                "channel": cfg.channel})
         else:
@@ -235,11 +230,9 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
     from .designs import mub_family
 
     for pt in points:
-        dim = _dim_of(cfg, pt["k"], pt["d"])
-        pt["dim"] = dim
-        if cfg.scenario in (1, 2) and dim & (dim - 1):
-            raise ValueError(f"scenario {cfg.scenario} needs a power-of-two "
-                             f"dimension, got {dim}")
+        dim = pt["dim"] = _dim_of(pt["k"], pt["d"])
+        if cfg.scenario in (1, 2):
+            qubit_count(dim)
         if cfg.scenario == 3:
             mub_family(dim * dim)
         if cfg.scenario == 4:

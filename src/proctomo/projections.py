@@ -36,7 +36,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import RANK_CUT, ChoiMatrix, _hermitize, partial_trace
+from .channels import (RANK_CUT, RAW_HERMITICITY_TOL, RAW_TRACE_TOL, TP_TOL,
+                       ChoiMatrix, _check_hermitian, _check_trace_one,
+                       _hermitize, partial_trace, system_dim, tp_deviation)
 
 logger = logging.getLogger(__name__)
 
@@ -136,13 +138,6 @@ def eigh_iterate(x: np.ndarray):
     return np.linalg.eigh(_hermitize(x))
 
 
-def _system_dim(x: np.ndarray) -> int:
-    d = round(x.shape[0] ** 0.5)
-    if d * d != x.shape[0]:
-        raise ValueError("matrix size is not a perfect square")
-    return d
-
-
 def _plus_eye_kron(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """x + 1 (x) c as a new array, added through a reshape view of x."""
     d = c.shape[0]
@@ -154,20 +149,19 @@ def _plus_eye_kron(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def proj_tp(x: np.ndarray) -> np.ndarray:
     """Frobenius projection onto {X : Tr_s(X) = 1/d}."""
-    d = _system_dim(x)
+    d = system_dim(x.shape[0])
     return _plus_eye_kron(x, (np.eye(d) / d - partial_trace(x, "system")) / d)
 
 
 def proj_tp_linear(x: np.ndarray) -> np.ndarray:
     """Linear part of proj_tp: projection onto {X : Tr_s(X) = 0}."""
-    d = _system_dim(x)
+    d = system_dim(x.shape[0])
     return _plus_eye_kron(x, -partial_trace(x, "system") / d)
 
 
 def proj_cp(x: np.ndarray) -> np.ndarray:
     """Frobenius projection onto the PSD cone (clip negative eigenvalues)."""
-    if np.abs(x - x.conj().T).max() > 1e-10:
-        raise ValueError("proj_cp expects a Hermitian matrix")
+    _check_hermitian(x, RAW_HERMITICITY_TOL)
     lam, v = eigh_iterate(x)
     return _psd_from_eigh(lam, v)
 
@@ -206,9 +200,7 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
     """
     if tau is not None and tau < 0:
         raise ValueError("threshold must be nonnegative")
-    tr = np.trace(x).real
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"input trace must be 1, got {tr}")
+    _check_trace_one(x, RAW_TRACE_TOL)
     lam, v = eigh_iterate(x)
     if tau is None:
         tau = max(0.0, -float(lam[0]))
@@ -321,9 +313,8 @@ def depolarizing_finalize(phi: np.ndarray, lam_min: float) -> tuple[ChoiMatrix, 
     the round-off floor of the eigensolver counts as zero.
     """
     d2 = phi.shape[0]
-    d = _system_dim(phi)
-    dev = np.abs(partial_trace(phi, "system") - np.eye(d) / d).max()
-    if dev > 1e-9:
+    dev = tp_deviation(phi)
+    if dev > TP_TOL:
         raise ValueError(f"input is not trace preserving (deviation {dev:.3e})")
     if lam_min < -0.1:
         raise ValueError(f"lambda_min = {lam_min:.3e}; projection has not converged")
@@ -368,13 +359,11 @@ def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     phi0 = np.asarray(phi0, dtype=complex)
-    d = _system_dim(phi0)
-
     if method == "dual":
         return _dual_project(phi0)
 
     report = ProjectionReport(method=method)
-    if np.abs(partial_trace(phi0, "system") - np.eye(d) / d).max() <= 1e-9:
+    if tp_deviation(phi0) <= TP_TOL:
         lam0 = float(np.linalg.eigvalsh(_hermitize(phi0)).min())
         if lam0 >= -cfg.epsilon:
             report.trace.append((lam0, "start", 0))
@@ -463,7 +452,7 @@ def _dual_project(phi0: np.ndarray):
     gradients, V the generalized Jacobian at the current eigendecomposition,
     then backtracks until theta or, below its round-off, |grad| decreases.
     """
-    d = _system_dim(phi0)
+    d = system_dim(phi0.shape[0])
     n = d * d
     report = ProjectionReport(method="dual")
 

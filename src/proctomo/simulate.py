@@ -36,7 +36,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .channels import ChoiMatrix
+from .channels import ChoiMatrix, qubit_count
 from .designs import mub_family, pauli_basis_matrix, AXES
 
 logger = logging.getLogger(__name__)
@@ -87,14 +87,14 @@ class FrequencyTable:
     @property
     def k(self) -> int:
         """Qubit count for the Pauli scenarios (d = 2^k)."""
-        k = self.dim.bit_length() - 1
-        if 2**k != self.dim:
-            raise ValueError("dimension is not a power of two")
-        return k
+        return qubit_count(self.dim)
 
 
 def setting_count(scenario: int, k: Optional[int] = None, d: Optional[int] = None) -> int:
-    """Number of distinct setting/input combinations cycled in each scenario."""
+    """Number of distinct setting/input combinations cycled in each scenario;
+    the Pauli scenarios take k, or d = 2^k."""
+    if scenario in (1, 2) and k is None:
+        k = qubit_count(d)
     if scenario == 1:
         return 3 ** (2 * k)
     if scenario == 2:
@@ -192,10 +192,10 @@ def probability_array(choi: ChoiMatrix, scenario: int) -> np.ndarray:
     d = choi.dim
     phi = choi.matrix
     if scenario == 1:
-        k = _qubits(d)
+        k = qubit_count(d)
         return _clamp_rows(pauli_joint_probabilities(phi, 2 * k))
     if scenario == 2:
-        k = _qubits(d)
+        k = qubit_count(d)
         joint = pauli_joint_probabilities(phi, 2 * k)
         t = joint.reshape(3**k, 3**k, 2**k, 2**k)  # [b, a, p, q]
         # -> [a, b, q, p], written once into a C-ordered array
@@ -207,31 +207,14 @@ def probability_array(choi: ChoiMatrix, scenario: int) -> np.ndarray:
     raise ValueError(f"unknown scenario {scenario}")
 
 
-def _qubits(d: int) -> int:
-    k = d.bit_length() - 1
-    if 2**k != d:
-        raise ValueError(f"Pauli scenarios need a power-of-two dimension, got {d}")
-    return k
-
-
 def born_probabilities(choi: ChoiMatrix, scenario: int, index: int = 0) -> np.ndarray:
     """Outcome distribution for one setting (scenarios 1, 2), one input
     (scenario 4), or the single global setting (scenario 3).
 
     Scenario 2 settings are the (a, b, q) triples with a major and q minor.
     """
-    p = probability_array(choi, scenario)
-    if scenario == 1:
-        return p[index]
-    if scenario == 2:
-        k = choi.dim.bit_length() - 1
-        flat = p.reshape(3**k * 3**k * 2**k, 2**k)
-        return flat[index]
-    if scenario == 3:
-        return p
-    if scenario == 4:
-        return p[index]
-    raise ValueError(f"unknown scenario {scenario}")
+    n_settings = setting_count(scenario, d=choi.dim)
+    return probability_array(choi, scenario).reshape(n_settings, -1)[index]
 
 
 def exact_table(choi: ChoiMatrix, scenario: int) -> FrequencyTable:
@@ -256,10 +239,8 @@ def sample(choi: ChoiMatrix, scenario: int, plan: SamplingPlan) -> FrequencyTabl
     The Born table is normalized in place and then overwritten with the
     frequencies, so the returned ``values`` is that buffer.
     """
-    d = choi.dim
     probs = probability_array(choi, scenario)
-    k = d.bit_length() - 1 if d & (d - 1) == 0 else None
-    n_settings = setting_count(scenario, k=k, d=d)
+    n_settings = setting_count(scenario, d=choi.dim)
     rows = probs.reshape(n_settings, -1)
     nu = plan.n_shots / n_settings
 
@@ -279,7 +260,7 @@ def sample(choi: ChoiMatrix, scenario: int, plan: SamplingPlan) -> FrequencyTabl
         rng = _stream(plan.seed, scenario, n_settings)
         values = np.divide(rng.multinomial(plan.n_shots, joint), nu, out=joint)
 
-    return FrequencyTable(scenario=scenario, dim=d,
+    return FrequencyTable(scenario=scenario, dim=choi.dim,
                           values=values.reshape(probs.shape), nu=float(nu),
                           total_shots=plan.n_shots, scheme=plan.scheme,
                           seed=plan.seed)

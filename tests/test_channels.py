@@ -9,6 +9,7 @@ from proctomo.channels import (ChannelSpec, ChoiMatrix, DensityMatrix,
                                fidelity, kraus_rank, make_channel,
                                maximally_entangled_state, partial_trace,
                                qft_unitary)
+from proctomo.estimators import LsEstimate
 
 from conftest import random_density, random_hermitian, random_kraus_ops, random_unitary
 
@@ -196,3 +197,73 @@ def test_fidelity_of_identical_states(rng):
 
 def test_fidelity_orthogonal_pure_states():
     assert fidelity(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# One case per rule of the physical set, just outside and just inside its
+# tolerance.  Each perturbation of the d = 2 Choi matrix 1/4 breaks one rule
+# and keeps the others well inside theirs.
+# --------------------------------------------------------------------------
+
+
+def _off_diagonal(x):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] += x  # |A - A^dag| = x
+    return m
+
+
+def _trace_shift(x):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 0] += x  # Tr = 1 + x, Tr_s off by x
+    return m
+
+
+def _negative_eigenvalue(x):
+    # Bell-diagonal: every Bell projector has Tr_s = 1/2, so Tr_s = 1/2 exactly
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+    return (bell.T * np.array([1 + x, 0, 0, -x])) @ bell
+
+
+def _tp_shift(x):
+    # 1 (x) Z is traceless with Tr_s = 2 Z
+    return np.eye(4) / 4 + x / 2 * np.kron(np.eye(2), np.diag([1.0, -1.0]))
+
+
+class TestPhysicalRules:
+    @pytest.mark.parametrize("cls", [DensityMatrix, ChoiMatrix])
+    @pytest.mark.parametrize("make,outside,inside,match", [
+        pytest.param(_off_diagonal, 1e-11, 5e-13, "not Hermitian", id="hermiticity"),
+        pytest.param(_trace_shift, 1e-11, 5e-13, "trace must be 1", id="trace"),
+        pytest.param(_negative_eigenvalue, 1e-9, 5e-11, "negative eigenvalue", id="psd"),
+    ])
+    def test_state_rule(self, cls, make, outside, inside, match):
+        with pytest.raises(ValueError, match=match):
+            cls(make(outside))
+        cls(make(inside))
+
+    @pytest.mark.parametrize("cls", [DensityMatrix, ChoiMatrix])
+    def test_non_square(self, cls):
+        with pytest.raises(ValueError, match="square"):
+            cls(np.full((4, 2), 0.25))
+
+    def test_size_not_a_square(self):
+        DensityMatrix(np.eye(6) / 6)
+        with pytest.raises(ValueError, match="not a perfect square"):
+            ChoiMatrix(np.eye(6) / 6)
+
+    def test_trace_preserving(self):
+        with pytest.raises(ValueError, match="Tr_s"):
+            ChoiMatrix(_tp_shift(1e-8))
+        ChoiMatrix(_tp_shift(5e-10))
+        DensityMatrix(_tp_shift(1e-8))  # a state need not be a channel
+
+    @pytest.mark.parametrize("make,outside,inside,match", [
+        (_off_diagonal, 1e-9, 5e-11, "not Hermitian"),
+        (_trace_shift, 1e-7, 5e-9, "trace must be 1"),
+    ], ids=["hermiticity", "trace"])
+    def test_raw_estimate_rule(self, make, outside, inside, match):
+        def estimate(m):
+            return LsEstimate(m, scenario=1, n_shots=1, nu=1.0)
+        with pytest.raises(ValueError, match=match):
+            estimate(make(outside))
+        assert estimate(make(inside)).dim == 2

@@ -69,6 +69,10 @@ class TestConfig:
          "rank_sweep needs n_shots"),
         ({"experiment": "sample_size_sweep", "n_shots_list": [900, -5]},
          "n_shots must be positive"),
+        ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "n_shots": 0},
+         "n_shots must be positive"),
+        ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "n_shots": -5},
+         "n_shots must be positive"),
     ])
     def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
                                                     overrides, match):

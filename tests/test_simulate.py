@@ -62,6 +62,10 @@ class TestBornProbabilities:
             values = probability_array(noisy2, scenario)
             sums = values.sum(axis=-1)
             assert_allclose(sums, np.ones_like(sums), atol=1e-10)
+        # a scenario-4 setting is one input: its row of the table
+        row = born_probabilities(noisy2, 4, 5)
+        assert row.shape == (6,)
+        assert_allclose(row, probability_array(noisy2, 4)[5], atol=0)
 
     def test_unphysical_choi_rejected(self):
         with pytest.raises(ValueError):
