@@ -221,7 +221,7 @@ def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
 
 def apply_kraus(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """Direct channel action sum_i K_i rho K_i^dag."""
-    if kraus.dim != rho.dim:
+    if kraus.dim != rho.matrix.shape[0]:
         raise ValueError("dimension mismatch")
     out = sum(k @ rho.matrix @ k.conj().T for k in kraus.operators)
     return DensityMatrix(_hermitize(out))
@@ -230,7 +230,7 @@ def apply_kraus(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 def apply_via_choi(choi: ChoiMatrix, rho: DensityMatrix) -> DensityMatrix:
     """Channel action through the Choi matrix: C(rho) = d Tr_a(Phi (1 (x) rho^T))."""
     d = choi.dim
-    if rho.dim != d:
+    if rho.matrix.shape[0] != d:
         raise ValueError("dimension mismatch")
     prod = choi.matrix @ np.kron(np.eye(d), rho.matrix.T)
     out = d * partial_trace(prod, "ancilla")

@@ -90,8 +90,10 @@ def _cmd_inspect(args) -> int:
     path = Path(args.csv)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         rows = list(reader)
+    if header is None:
+        raise ValueError(f"{path} is empty")
     print(f"{path}: {len(rows)} rows, columns: {', '.join(header)}")
     if "value" in header:
         vi = header.index("value")

@@ -7,9 +7,12 @@ base 3 with that digit order.
 
 MUB families exist here for D an odd prime (Weyl-Heisenberg quadratic phases
 omega^(j l^2 + t l)) and for D = 2^m (Galois-ring GR(4, m) trace construction
-over the Teichmueller set).  The hard-coded primitive polynomials over GF(2)
-are (by degree): x+1, x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, x^6+x+1,
-x^7+x+1, x^8+x^4+x^3+x^2+1.  Basis 0 is always the computational basis.
+over the Teichmueller set).  The ring is never built: the Galois-ring trace
+of a Teichmueller lift T(y) is Tr(T(y)) = tr(y) + 2 Q(y) mod 4, with
+Q(y) = sum_{i<j} y^(2^i) y^(2^j) in GF(2), so GF(2^m) arithmetic gives every
+phase.  The hard-coded primitive polynomials over GF(2) are (by degree):
+x+1, x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, x^6+x+1, x^7+x+1,
+x^8+x^4+x^3+x^2+1.  Basis 0 is always the computational basis.
 
 ``mub_family`` builds each dimension's family once per process and returns
 the same read-only :class:`MubFamily` on every later call.
@@ -204,119 +207,48 @@ def _mub_odd_prime(p: int) -> np.ndarray:
     return bases
 
 
-# -- GF(2^m) helpers (elements as ints, coefficient of x^j at bit j) --------
-
-
-def _gf2_mul(a: int, b: int, poly: int, m: int) -> int:
-    res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m & 1:
-            a ^= poly
-    return res
-
-
-def _gf2_trace(a: int, poly: int, m: int) -> int:
-    acc = 0
-    cur = a
-    for _ in range(m):
-        acc ^= cur
-        cur = _gf2_mul(cur, cur, poly, m)
-    return acc & 1
-
-
-# -- GR(4, m) helpers (elements as length-m coefficient arrays mod 4) -------
-
-
-def _hensel_lift(poly: int, m: int) -> np.ndarray:
-    """Graeffe lift of a binary irreducible to Z_4: h(x^2) = +-(e^2 - o^2)."""
-    coeffs = np.array([(poly >> j) & 1 for j in range(m + 1)], dtype=np.int64)
-    even = np.where(np.arange(m + 1) % 2 == 0, coeffs, 0)
-    odd = np.where(np.arange(m + 1) % 2 == 1, coeffs, 0)
-    sq = np.convolve(even, even) - np.convolve(odd, odd)
-    h = sq[::2] % 4
-    if m % 2 == 1:
-        h = (-h) % 4
-    if h[m] != 1:
-        raise AssertionError("Hensel lift is not monic")
-    return h.astype(np.int64)
-
-
-def _gr_mul(u: np.ndarray, v: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
-    prod = np.convolve(u, v) % 4
-    for deg in range(len(prod) - 1, m - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg - m : deg + 1] = (prod[deg - m : deg + 1] - c * h) % 4
-    out = np.zeros(m, dtype=np.int64)
-    out[: len(prod[:m])] = prod[:m]
-    return out
-
-
 def _mub_power_of_two(m: int) -> np.ndarray:
-    """GR(4, m) construction: v_{a,b}[x] = i^tr((a + 2b) x)/sqrt(D).
+    """GR(4, m) construction: v_{a,b}[x] = i^(Tr(T(ax)) + 2 tr(bx))/sqrt(D).
 
-    a, b, x range over the Teichmueller set T = {0} u {xi^j}; the trace is
-    Z_4-linear, so tr((a+2b)x) = tr(ax) + 2 tr_gf(b x mod 2) and both parts
-    are gathered from per-element traces through a product-index table.
+    a, b, x range over GF(2^m) and T is the Teichmueller lift into GR(4, m).
+    The sum rule T(a) + T(b) = T(a+b) + 2 T(sqrt(ab)) gives
+    Tr(T(y)) = tr(y) + 2 Q(y) mod 4 with Q(y) = sum_{i<j} y^(2^i) y^(2^j) in
+    GF(2), so every phase is read from GF(2^m) arithmetic: with y = g^e and
+    g = x primitive, y^(2^i) = g^(e 2^i) and both tr and Q are sums of stored
+    powers of g.
     """
     if m not in _GF2_POLYS:
         raise NotImplementedError(f"no stored primitive polynomial of degree {m}")
     poly = _GF2_POLYS[m]
     d = 2**m
-    h = _hensel_lift(poly, m)
+    powers = np.empty(d - 1, dtype=np.int64)
+    cur = 1
+    for e in range(d - 1):
+        powers[e] = cur
+        cur <<= 1
+        if cur >> m & 1:
+            cur ^= poly
+    if cur != 1 or len(set(powers.tolist())) != d - 1:
+        raise AssertionError("x does not have order 2^m - 1")
 
-    teich = [np.zeros(m, dtype=np.int64)]
-    xi = np.zeros(m, dtype=np.int64)
-    if m == 1:
-        # GR(4,1) = Z_4, Teichmueller set {0, 1}
-        xi[0] = 1
-    else:
-        xi[1] = 1
-    cur = np.zeros(m, dtype=np.int64)
-    cur[0] = 1
-    for _ in range(d - 1):
-        teich.append(cur.copy())
-        cur = _gr_mul(cur, xi, h, m)
-    if np.any(cur != teich[1]):
-        raise AssertionError("xi does not have order 2^m - 1")
-    teich = np.stack(teich)
+    # frob[i, e] is the exponent of (g^e)^(2^i)
+    frob = (np.arange(d - 1)[None, :] << np.arange(m)[:, None]) % (d - 1)
+    tr = np.bitwise_xor.reduce(powers[frob], axis=0)
+    i, j = np.triu_indices(m, 1)
+    q = np.bitwise_xor.reduce(powers[(frob[i] + frob[j]) % (d - 1)], axis=0)
+    if np.any(q > 1):
+        raise AssertionError("Q(y) is not in GF(2)")
 
-    def gr_trace(y: np.ndarray) -> int:
-        # two-adic split y = a + 2b, a = y^(2^m), then sum the Frobenius orbit
-        a = y.copy()
-        for _ in range(m):
-            a = _gr_mul(a, a, h, m)
-        twob = (y - a) % 4
-        if np.any(twob % 2):
-            raise AssertionError("two-adic split failed")
-        b_bits = int(sum(1 << j for j in range(m) if (twob[j] // 2) % 2))
-        acc = np.zeros(m, dtype=np.int64)
-        cur = a
-        for _ in range(m):
-            acc = (acc + cur) % 4
-            cur = _gr_mul(cur, cur, h, m)
-        if np.any(acc[1:]):
-            raise AssertionError("trace is not scalar")
-        return int((acc[0] + 2 * _gf2_trace(b_bits, poly, m)) % 4)
-
-    # T \ {0} = <xi> is cyclic of order D-1, so teich[i] teich[j] is
-    # teich[1 + (i+j-2) mod (D-1)] for i, j >= 1 and 0 otherwise; reduction
-    # mod 2 is a ring map, so the bit patterns multiply by the same table.
-    # One trace per Teichmueller element then fills both D x D tables.
+    # element 0 is zero and element k >= 1 is g^(k-1); the nonzero elements
+    # form a cyclic group of order D-1, so element i times element j is
+    # element 1 + (i+j-2) mod (D-1) for i, j >= 1 and 0 otherwise
+    tr_t = np.concatenate(([0], tr))
+    trgr_t = np.concatenate(([0], tr + 2 * q))
     k = np.arange(d)
     idx = 1 + (k[:, None] + k[None, :] - 2) % (d - 1)
     idx[0, :] = idx[:, 0] = 0
-    bits = [int(sum(1 << j for j in range(m) if t[j] % 2)) for t in teich]
-    tr_t = np.array([gr_trace(t) for t in teich], dtype=np.int64)
-    tr2_t = np.array([_gf2_trace(b, poly, m) for b in bits], dtype=np.int64)
-    tr_ax = tr_t[idx]
-    tr2_bx = tr2_t[idx]
 
-    phase = np.mod(tr_ax[:, None, :] + 2 * tr2_bx[None, :, :], 4)
+    phase = np.mod(trgr_t[idx][:, None, :] + 2 * tr_t[idx][None, :, :], 4)
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d)
     bases[1:] = (1j ** phase) / np.sqrt(d)
@@ -392,19 +324,12 @@ def scenario_povm(scenario: int, k: Optional[int] = None, d: Optional[int] = Non
                  for bits in itertools.product((0, 1), repeat=n)]
         labels = tuple(itertools.product((0, 1), repeat=n))
         return Povm(tuple(elems), labels)
-    if scenario == 3:
+    if scenario in (3, 4):
         if d is None:
-            raise ValueError("scenario 3 needs d")
-        fam = mub_family(d * d)
-        vecs = fam.vectors()
-        elems = [np.outer(v, v.conj()) / (d * d + 1) for v in vecs]
-        return Povm(tuple(elems), tuple(range(len(elems))))
-    if scenario == 4:
-        if d is None:
-            raise ValueError("scenario 4 needs d")
-        fam = mub_family(d)
-        vecs = fam.vectors()
-        elems = [np.outer(v, v.conj()) / (d + 1) for v in vecs]
+            raise ValueError(f"scenario {scenario} needs d")
+        dim = d * d if scenario == 3 else d
+        elems = [np.outer(v, v.conj()) / (dim + 1)
+                 for v in mub_family(dim).vectors()]
         return Povm(tuple(elems), tuple(range(len(elems))))
     raise ValueError(f"unknown scenario {scenario}")
 

@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.scenario not in (1, 2, 3, 4):
             raise ValueError("scenario must be 1..4")
+        if not isinstance(self.channel, dict):
+            raise ValueError(f"channel must be a mapping, got {self.channel!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.method not in METHODS:

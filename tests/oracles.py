@@ -5,6 +5,10 @@ in chunks and the sampling path in place; ``proctomo.projections`` adds the
 trace-preserving correction through a reshape view.  The functions here are
 the straightforward forms those replaced.  They do the same per-element
 arithmetic, so the tests compare against them with ``np.array_equal``.
+
+``proctomo.designs`` builds the D = 2^m MUB families from GF(2^m) arithmetic
+alone; the GF(2^m) and GR(4, m) products below build them in the ring itself,
+for a test oracle that shares no arithmetic with the library.
 """
 
 import numpy as np
@@ -105,3 +109,46 @@ def proj_tp_linear(x):
     """Projection onto {X : Tr_s(X) = 0}, through np.kron."""
     d = round(x.shape[0] ** 0.5)
     return x - np.kron(np.eye(d), partial_trace(x, "system")) / d
+
+
+# -- GF(2^m) helpers (elements as ints, coefficient of x^j at bit j) --------
+
+
+def _gf2_mul(a: int, b: int, poly: int, m: int) -> int:
+    res = 0
+    while b:
+        if b & 1:
+            res ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m & 1:
+            a ^= poly
+    return res
+
+
+# -- GR(4, m) helpers (elements as length-m coefficient arrays mod 4) -------
+
+
+def _hensel_lift(poly: int, m: int) -> np.ndarray:
+    """Graeffe lift of a binary irreducible to Z_4: h(x^2) = +-(e^2 - o^2)."""
+    coeffs = np.array([(poly >> j) & 1 for j in range(m + 1)], dtype=np.int64)
+    even = np.where(np.arange(m + 1) % 2 == 0, coeffs, 0)
+    odd = np.where(np.arange(m + 1) % 2 == 1, coeffs, 0)
+    sq = np.convolve(even, even) - np.convolve(odd, odd)
+    h = sq[::2] % 4
+    if m % 2 == 1:
+        h = (-h) % 4
+    if h[m] != 1:
+        raise AssertionError("Hensel lift is not monic")
+    return h.astype(np.int64)
+
+
+def _gr_mul(u: np.ndarray, v: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
+    prod = np.convolve(u, v) % 4
+    for deg in range(len(prod) - 1, m - 1, -1):
+        c = prod[deg]
+        if c:
+            prod[deg - m : deg + 1] = (prod[deg - m : deg + 1] - c * h) % 4
+    out = np.zeros(m, dtype=np.int64)
+    out[: len(prod[:m])] = prod[:m]
+    return out

@@ -80,6 +80,17 @@ class TestApplyViaChoi:
             direct = apply_kraus(kraus, rho)
             assert np.abs(via_choi.matrix - direct.matrix).max() < 1e-10
 
+    def test_choi_matrix_as_input_state(self):
+        # a Choi matrix is a state on C^(d^2); its dim is d, not d^2
+        omega = choi_from_kraus(KrausSet((np.eye(2),)))
+        identity4 = KrausSet((np.eye(4),))
+        assert_allclose(apply_via_choi(choi_from_kraus(identity4), omega).matrix,
+                        omega.matrix, atol=1e-12)
+        assert_allclose(apply_kraus(identity4, omega).matrix, omega.matrix,
+                        atol=1e-12)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_kraus(KrausSet((np.eye(2),)), omega)
+
 
 class TestPartialTrace:
     def test_omega_marginal(self):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proctomo.designs import (_GF2_POLYS, _gf2_mul, _gr_mul, _hensel_lift,
-                              _mub_power_of_two, MubFamily, all_settings,
-                              mub_family, near_isotropy_defect,
+from proctomo.designs import (_GF2_POLYS, _mub_power_of_two, MubFamily,
+                              all_settings, mub_family, near_isotropy_defect,
                               pauli_basis_matrix, pauli_projector,
                               scenario_inputs, scenario_povm,
                               setting_from_index, setting_index,
                               load_mub_family, save_mub_family)
 
 from conftest import random_hermitian
+from oracles import _gf2_mul, _gr_mul, _hensel_lift
 
 
 class TestPauliProjectors:
@@ -113,8 +113,8 @@ def _pairwise_mub_power_of_two(m):
     pair of Teichmueller elements, v_{a,b}[x] = i^(tr(ax) + 2 tr(bx mod 2)).
 
     Traces are traces of the multiplication map in the basis 1, x, ...,
-    x^(m-1) (over Z_4 for GR(4, m), over GF(2) for GF(2^m)), not the
-    Frobenius-orbit sums the library uses.
+    x^(m-1) (over Z_4 for GR(4, m), over GF(2) for GF(2^m)), computed in the
+    ring itself, not the GF(2^m) exponent sums the library uses.
     """
     poly = _GF2_POLYS[m]
     d = 2**m
@@ -148,7 +148,7 @@ def _pairwise_mub_power_of_two(m):
     return bases
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_power_of_two_matches_pairwise_oracle(m):
     assert np.array_equal(_mub_power_of_two(m), _pairwise_mub_power_of_two(m))
 

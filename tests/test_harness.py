@@ -73,6 +73,7 @@ class TestConfig:
          "n_shots must be positive"),
         ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "n_shots": -5},
          "n_shots must be positive"),
+        ({"channel": "qft"}, "channel must be a mapping"),
     ])
     def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
                                                     overrides, match):
@@ -327,6 +328,12 @@ class TestCli:
     def test_missing_config_errors(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.yaml")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_inspect_empty_file_errors(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert cli.main(["inspect", str(empty)]) == 1
+        assert f"error: {empty} is empty" in capsys.readouterr().err
 
     def test_unknown_suite_errors(self, capsys):
         assert cli.main(["verify", "everything-else"]) == 1
