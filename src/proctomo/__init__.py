@@ -10,10 +10,8 @@ from .channels import (ChannelSpec, ChoiMatrix, DensityMatrix, KrausSet,
                        apply_kraus, apply_via_choi, choi_from_kraus, choi_rank,
                        distance, fidelity, kraus_rank, make_channel,
                        maximally_entangled_state, partial_trace, qft_unitary)
-from .designs import (MubFamily, Povm, mub_family, near_isotropy_defect,
-                      pauli_projector, scenario_inputs, scenario_povm)
-from .simulate import (FrequencyTable, SamplingPlan, born_probabilities,
-                       exact_table, sample)
+from .designs import MubFamily, mub_family, near_isotropy_defect
+from .simulate import FrequencyTable, SamplingPlan, exact_table, sample
 from .estimators import (LsEstimate, ls_estimate, ls_scenario1, ls_scenario2,
                          ls_scenario3, ls_scenario4)
 from .projections import (HalfSpace, ProjectionConfig, ProjectionReport,

@@ -94,8 +94,11 @@ def _cmd_inspect(args) -> int:
         rows = list(reader)
     if header is None:
         raise ValueError(f"{path} is empty")
+    errors = {"stage", "metric", "value"} <= set(header)
+    if not errors and not {"method", "lambda_min"} <= set(header):
+        raise ValueError(f"{path} is neither an errors.csv nor a lambda_trace.csv")
     print(f"{path}: {len(rows)} rows, columns: {', '.join(header)}")
-    if "value" in header:
+    if errors:
         vi = header.index("value")
         si = header.index("stage")
         mi = header.index("metric")
@@ -106,7 +109,7 @@ def _cmd_inspect(args) -> int:
             lo, hi = min(vals), max(vals)
             print(f"  {stage:>4s} {metric:<10s} n={len(vals):<4d} "
                   f"min={lo:.4g} max={hi:.4g}")
-    elif "lambda_min" in header:
+    else:
         li = header.index("lambda_min")
         mi = header.index("method")
         groups = {}

@@ -1,9 +1,10 @@
-"""Measurement resources: Pauli product bases, mutually unbiased bases, POVMs.
+"""Measurement resources: Pauli product bases and mutually unbiased bases.
 
 Pauli conventions: |0,s> / |1,s> are the +1 / -1 eigenvectors of sigma_s, so
-|0,z> = |0>, |0,x> = |+>, |0,y> = (|0> + i|1>)/sqrt(2).  Measurement settings
-are tuples over the axes ('x', 'y', 'z'); setting indices enumerate them in
-base 3 with that digit order.
+|0,z> = |0>, |0,x> = |+>, |0,y> = (|0> + i|1>)/sqrt(2).  ``PAULI_VECTORS``
+is the one table of all six, read by the Born and estimator kernels.  A
+setting on n qubits is a word over ``AXES = ('x', 'y', 'z')``; tables index
+settings in base 3 with that digit order, qubit 0 most significant.
 
 MUB families exist here for D an odd prime (Weyl-Heisenberg quadratic phases
 omega^(j l^2 + t l)) and for D = 2^m (Galois-ring GR(4, m) trace construction
@@ -21,13 +22,9 @@ the same read-only :class:`MubFamily` on every later call.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-from .channels import DensityMatrix
 
 AXES = ("x", "y", "z")
 
@@ -52,42 +49,16 @@ _GF2_POLYS = {
 
 __all__ = [
     "AXES",
-    "Povm",
+    "PAULI_VECTORS",
     "MubFamily",
-    "pauli_eigenvector",
-    "pauli_basis_matrix",
-    "pauli_projector",
     "pauli_operator_stack",
-    "all_settings",
-    "setting_index",
-    "setting_from_index",
     "mub_family",
     "near_isotropy_defect",
-    "scenario_povm",
-    "scenario_inputs",
-    "save_mub_family",
-    "load_mub_family",
 ]
 
-
-def pauli_eigenvector(axis: str, outcome: int) -> np.ndarray:
-    """Single-qubit eigenvector |outcome, axis>."""
-    return _EIG[axis][:, outcome].copy()
-
-
-def pauli_basis_matrix(axis: str) -> np.ndarray:
-    """2x2 unitary whose columns are |0,axis>, |1,axis>."""
-    return _EIG[axis].copy()
-
-
-def pauli_projector(setting: Sequence[str], outcome: Sequence[int]) -> np.ndarray:
-    """Rank-one product projector for a Pauli setting and outcome bit string."""
-    if len(setting) != len(outcome):
-        raise ValueError("setting and outcome lengths differ")
-    vec = np.array([1.0 + 0j])
-    for axis, bit in zip(setting, outcome):
-        vec = np.kron(vec, pauli_eigenvector(axis, int(bit)))
-    return np.outer(vec, vec.conj())
+# column u = 2*axis + o is the eigenvector |o, s> of sigma_s, s = AXES[axis]
+PAULI_VECTORS = np.concatenate([_EIG[axis] for axis in AXES], axis=1)
+PAULI_VECTORS.setflags(write=False)
 
 
 def pauli_operator_stack() -> np.ndarray:
@@ -97,57 +68,8 @@ def pauli_operator_stack() -> np.ndarray:
     estimators; the same index layout is used by the joint-probability and
     estimator-assembly kernels.
     """
-    out = np.empty((6, 2, 2), dtype=complex)
-    for s, axis in enumerate(AXES):
-        for o in (0, 1):
-            v = pauli_eigenvector(axis, o)
-            out[2 * s + o] = 3.0 * np.outer(v, v.conj()) - np.eye(2)
-    return out
-
-
-def all_settings(n: int) -> Iterable[tuple[str, ...]]:
-    """All 3^n Pauli settings on n qubits, in base-3 index order."""
-    return itertools.product(AXES, repeat=n)
-
-
-def setting_index(setting: Sequence[str]) -> int:
-    idx = 0
-    for axis in setting:
-        idx = 3 * idx + AXES.index(axis)
-    return idx
-
-
-def setting_from_index(idx: int, n: int) -> tuple[str, ...]:
-    digits = []
-    for _ in range(n):
-        digits.append(AXES[idx % 3])
-        idx //= 3
-    return tuple(reversed(digits))
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Positive operator valued measure: PSD elements resolving the identity."""
-
-    elements: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        object.__setattr__(self, "elements", elems)
-        dim = elems[0].shape[0]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for e in elems:
-            lam_min = np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min()
-            if lam_min < -1e-12:
-                raise ValueError(f"POVM element has eigenvalue {lam_min:.3e}")
-            acc += e
-        if np.abs(acc - np.eye(dim)).max() > 1e-10:
-            raise ValueError("POVM elements do not resolve the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
+    v = PAULI_VECTORS
+    return 3.0 * np.einsum("ru,cu->urc", v, v.conj()) - np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -304,68 +226,3 @@ def near_isotropy_defect(family, n_random: int = 20, seed: int = 7) -> float:
         dev = np.abs(np.linalg.eigvalsh(0.5 * (lhs - rhs + (lhs - rhs).conj().T))).max()
         worst = max(worst, float(dev))
     return worst
-
-
-def scenario_povm(scenario: int, k: Optional[int] = None, d: Optional[int] = None,
-                  setting: Optional[Sequence[str]] = None) -> Povm:
-    """POVM measured in one scenario.
-
-    Scenario 1 (2k-qubit Pauli) and 2 (k-qubit Pauli) need a setting;
-    scenario 3 returns the d^2(d^2+1)-outcome MUB POVM on the joint space;
-    scenario 4 the d(d+1)-outcome MUB POVM on the system alone.
-    """
-    if scenario in (1, 2):
-        if k is None or setting is None:
-            raise ValueError("Pauli scenarios need k and a setting")
-        n = 2 * k if scenario == 1 else k
-        if len(setting) != n:
-            raise ValueError(f"setting must have length {n}")
-        elems = [pauli_projector(setting, bits)
-                 for bits in itertools.product((0, 1), repeat=n)]
-        labels = tuple(itertools.product((0, 1), repeat=n))
-        return Povm(tuple(elems), labels)
-    if scenario in (3, 4):
-        if d is None:
-            raise ValueError(f"scenario {scenario} needs d")
-        dim = d * d if scenario == 3 else d
-        elems = [np.outer(v, v.conj()) / (dim + 1)
-                 for v in mub_family(dim).vectors()]
-        return Povm(tuple(elems), tuple(range(len(elems))))
-    raise ValueError(f"unknown scenario {scenario}")
-
-
-def scenario_inputs(scenario: int, k: Optional[int] = None,
-                    d: Optional[int] = None) -> list[DensityMatrix]:
-    """Input states prepared in the ancilla-free scenarios (2 and 4).
-
-    Scenario 2: the 3^k 2^k transposed Pauli product projectors, ordered with
-    the basis index (base 3) major and the eigenvalue label (base 2) minor.
-    Scenario 4: the d(d+1) transposed MUB projectors, basis-major.  The same
-    family serves as inputs and measurements.
-    """
-    if scenario == 2:
-        if k is None:
-            raise ValueError("scenario 2 needs k")
-        states = []
-        for setting in all_settings(k):
-            for bits in itertools.product((0, 1), repeat=k):
-                proj = pauli_projector(setting, bits)
-                states.append(DensityMatrix(proj.T.copy()))
-        return states
-    if scenario == 4:
-        if d is None:
-            raise ValueError("scenario 4 needs d")
-        fam = mub_family(d)
-        return [DensityMatrix(np.outer(v, v.conj()).T.copy()) for v in fam.vectors()]
-    raise ValueError(f"scenario {scenario} has no prepared input states")
-
-
-def save_mub_family(family: MubFamily, path) -> None:
-    """Serialize a family to .npz with keys 'dim' and 'bases'."""
-    np.savez(path, dim=np.array(family.dim), bases=family.bases)
-
-
-def load_mub_family(path) -> MubFamily:
-    with np.load(path) as data:
-        dim, bases = int(data["dim"]), data["bases"]
-    return MubFamily(dim, bases)

@@ -106,6 +106,10 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.methods is not None and not self.methods:
+            raise ValueError("methods is empty; omit it to run every method")
+        if self.methods and len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods lists a method twice: {self.methods!r}")
         for m in self.methods or ():
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")

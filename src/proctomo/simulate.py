@@ -8,6 +8,15 @@ Scenario layout of the frequency arrays (``FrequencyTable.values``):
 3. ancilla-assisted MUB:    shape (d^2 (d^2+1),), one global distribution
 4. direct MUB:              shape (d(d+1), d(d+1)), [input, outcome]
 
+Inputs and measurements, with C the channel: scenarios 1 and 3 measure the
+joint output in the 2k-qubit Pauli product bases, or with the POVM
+|v><v| / (d^2+1) over the MUB vectors v of C^(d^2).  Scenario 2 prepares
+input (a, q), the transposed projector (P^a_q)^T of Pauli setting a and label
+q (a major, q minor), and outcome p of measurement b has probability
+Tr(P^b_p C((P^a_q)^T)).  Scenario 4 prepares input k, (|v_k><v_k|)^T, and
+outcome l has probability <v_l| C((|v_k><v_k|)^T) |v_l> / (d+1); one MUB
+family of C^d, basis-major, serves as inputs and measurement.
+
 Frequencies are counts divided by nu, the (mean) number of repetitions per
 setting.  In the fixed scheme every setting receives exactly nu shots and
 each per-setting row sums to one; in the random scheme settings are drawn
@@ -37,7 +46,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .channels import ChoiMatrix, qubit_count
-from .designs import mub_family, pauli_basis_matrix, AXES
+from .designs import PAULI_VECTORS, mub_family
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +58,6 @@ __all__ = [
     "setting_count",
     "pauli_joint_probabilities",
     "probability_array",
-    "born_probabilities",
     "exact_table",
     "sample",
     "save_table",
@@ -106,16 +114,6 @@ def setting_count(scenario: int, k: Optional[int] = None, d: Optional[int] = Non
     raise ValueError(f"unknown scenario {scenario}")
 
 
-def _pauli_vector_table() -> np.ndarray:
-    """2 x 6 matrix whose column u = 2*axis + o is the eigenvector |o, s>."""
-    cols = []
-    for axis in AXES:
-        basis = pauli_basis_matrix(axis)
-        cols.append(basis[:, 0])
-        cols.append(basis[:, 1])
-    return np.stack(cols, axis=1)
-
-
 def pauli_joint_probabilities(phi: np.ndarray, n: int) -> np.ndarray:
     """Tr(Phi P^s_o) for every setting s in {x,y,z}^n and outcome o in {0,1}^n.
 
@@ -132,8 +130,7 @@ def pauli_joint_probabilities(phi: np.ndarray, n: int) -> np.ndarray:
     ``tensordot`` arithmetic as on the whole tensor, so the result is
     bitwise equal to it.
     """
-    e = _pauli_vector_table()
-    w = np.einsum("ru,cu->urc", e.conj(), e)
+    w = np.einsum("ru,cu->urc", PAULI_VECTORS.conj(), PAULI_VECTORS)
     t = np.asarray(phi, dtype=complex).reshape((2,) * (2 * n))
     t = np.moveaxis(np.tensordot(t, w, axes=([0, n], [1, 2])), -1, 0)
     out = np.empty((3**n, 2**n))
@@ -205,16 +202,6 @@ def probability_array(choi: ChoiMatrix, scenario: int) -> np.ndarray:
     if scenario == 4:
         return _clamp_rows(_mub_direct_probabilities(phi, d))
     raise ValueError(f"unknown scenario {scenario}")
-
-
-def born_probabilities(choi: ChoiMatrix, scenario: int, index: int = 0) -> np.ndarray:
-    """Outcome distribution for one setting (scenarios 1, 2), one input
-    (scenario 4), or the single global setting (scenario 3).
-
-    Scenario 2 settings are the (a, b, q) triples with a major and q minor.
-    """
-    n_settings = setting_count(scenario, d=choi.dim)
-    return probability_array(choi, scenario).reshape(n_settings, -1)[index]
 
 
 def exact_table(choi: ChoiMatrix, scenario: int) -> FrequencyTable:

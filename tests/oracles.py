@@ -1,4 +1,4 @@
-"""Whole-array reference versions of the chunked kernels, kept as oracles.
+"""Reference forms the library's fast kernels are tested against.
 
 ``proctomo.simulate`` and ``proctomo.estimators`` run the Pauli contractions
 in chunks and the sampling path in place; ``proctomo.projections`` adds the
@@ -6,23 +6,59 @@ trace-preserving correction through a reshape view.  The functions here are
 the straightforward forms those replaced.  They do the same per-element
 arithmetic, so the tests compare against them with ``np.array_equal``.
 
+``pauli_projector``, ``all_settings``, ``setting_index`` and
+``born_probabilities`` (one Born-table row) serve the dense spot checks.
+
 ``proctomo.designs`` builds the D = 2^m MUB families from GF(2^m) arithmetic
 alone; the GF(2^m) and GR(4, m) products below build them in the ring itself,
 for a test oracle that shares no arithmetic with the library.
 """
 
+import itertools
+
 import numpy as np
 
 from proctomo.channels import partial_trace
-from proctomo.designs import pauli_operator_stack
-from proctomo.simulate import (FrequencyTable, _pauli_vector_table, _stream,
-                               setting_count)
+from proctomo import simulate
+from proctomo.designs import AXES, PAULI_VECTORS, pauli_operator_stack
+from proctomo.simulate import FrequencyTable, _stream, setting_count
+
+
+def pauli_projector(setting, outcome):
+    """Rank-one product projector for a Pauli setting and outcome bit string."""
+    if len(setting) != len(outcome):
+        raise ValueError("setting and outcome lengths differ")
+    vec = np.array([1.0 + 0j])
+    for axis, bit in zip(setting, outcome):
+        vec = np.kron(vec, PAULI_VECTORS[:, 2 * AXES.index(axis) + int(bit)])
+    return np.outer(vec, vec.conj())
+
+
+def all_settings(n):
+    """All 3^n Pauli settings on n qubits, in base-3 index order."""
+    return itertools.product(AXES, repeat=n)
+
+
+def setting_index(setting):
+    idx = 0
+    for axis in setting:
+        idx = 3 * idx + AXES.index(axis)
+    return idx
+
+
+def born_probabilities(choi, scenario, index=0):
+    """Outcome distribution for one setting (scenarios 1, 2), one input
+    (scenario 4), or the single global setting (scenario 3).
+
+    Scenario 2 settings are the (a, b, q) triples with a major and q minor.
+    """
+    n_settings = setting_count(scenario, d=choi.dim)
+    return simulate.probability_array(choi, scenario).reshape(n_settings, -1)[index]
 
 
 def pauli_joint_probabilities(phi, n):
     """Tr(Phi P^s_o) as a (3^n, 2^n) array, contracted on the whole tensor."""
-    e = _pauli_vector_table()
-    w = np.einsum("ru,cu->urc", e.conj(), e)
+    w = np.einsum("ru,cu->urc", PAULI_VECTORS.conj(), PAULI_VECTORS)
     t = np.asarray(phi, dtype=complex).reshape((2,) * (2 * n))
     for i in range(n):
         t = np.tensordot(t, w, axes=([i, n], [1, 2]))

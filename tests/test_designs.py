@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proctomo.designs import (_GF2_POLYS, _mub_power_of_two, MubFamily,
-                              all_settings, mub_family, near_isotropy_defect,
-                              pauli_basis_matrix, pauli_projector,
-                              scenario_inputs, scenario_povm,
-                              setting_from_index, setting_index,
-                              load_mub_family, save_mub_family)
+from proctomo.designs import (_GF2_POLYS, _mub_power_of_two, AXES,
+                              PAULI_VECTORS, MubFamily, mub_family,
+                              near_isotropy_defect)
 
 from conftest import random_hermitian
-from oracles import _gf2_mul, _gr_mul, _hensel_lift
+from oracles import (_gf2_mul, _gr_mul, _hensel_lift, all_settings,
+                     pauli_projector, setting_index)
 
 
 class TestPauliProjectors:
@@ -41,9 +39,14 @@ class TestPauliProjectors:
                   "y": np.array([[0, -1j], [1j, 0]]),
                   "z": np.diag([1.0 + 0j, -1.0])}
         for axis, sigma in sigmas.items():
-            basis = pauli_basis_matrix(axis)
             for o in (0, 1):
-                assert_allclose(sigma @ basis[:, o], (-1) ** o * basis[:, o], atol=1e-14)
+                v = PAULI_VECTORS[:, 2 * AXES.index(axis) + o]
+                assert_allclose(sigma @ v, (-1) ** o * v, atol=1e-14)
+
+    def test_vector_table_read_only(self):
+        assert PAULI_VECTORS.shape == (2, 6)
+        with pytest.raises(ValueError):
+            PAULI_VECTORS[0, 0] = 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -51,11 +54,9 @@ class TestPauliProjectors:
 
 
 def test_setting_enumeration_round_trip():
-    n = 3
-    settings = list(all_settings(n))
+    settings = list(all_settings(3))
     assert len(settings) == 27
-    for s in settings:
-        assert setting_from_index(setting_index(s), n) == s
+    assert [setting_index(s) for s in settings] == list(range(27))
 
 
 class TestMubFamilies:
@@ -65,7 +66,8 @@ class TestMubFamilies:
         assert_allclose(fam.bases[0], np.eye(2), atol=1e-15)
         # remaining bases are the x and y eigenbases up to phases
         for b, axis in ((1, "x"), (2, "y")):
-            overlap = np.abs(fam.bases[b] @ pauli_basis_matrix(axis).conj()) ** 2
+            u = 2 * AXES.index(axis)
+            overlap = np.abs(fam.bases[b] @ PAULI_VECTORS[:, u:u + 2].conj()) ** 2
             assert_allclose(np.sort(overlap, axis=1), [[0, 1], [0, 1]], atol=1e-12)
 
     def test_odd_prime_phases(self):
@@ -87,14 +89,6 @@ class TestMubFamilies:
     def test_unsupported_dimension(self):
         with pytest.raises(NotImplementedError, match="odd primes"):
             mub_family(6)
-
-    def test_serialization_round_trip(self, tmp_path):
-        fam = mub_family(4)
-        path = tmp_path / "mub4.npz"
-        save_mub_family(fam, path)
-        loaded = load_mub_family(path)
-        assert loaded.dim == 4
-        assert_allclose(loaded.bases, fam.bases, atol=0)
 
     def test_gf2_polynomials_irreducible(self):
         # x^(2^m) == x mod f, and not earlier
@@ -198,48 +192,3 @@ class TestNearIsotropy:
     def test_random_probe_determinism(self):
         fam = mub_family(5)
         assert near_isotropy_defect(fam, seed=3) == near_isotropy_defect(fam, seed=3)
-
-
-class TestScenarioPovms:
-    def test_scenario3_d2(self):
-        povm = scenario_povm(3, d=2)
-        assert len(povm.elements) == 20
-        for elem in povm.elements:
-            assert np.trace(elem).real == pytest.approx(0.2, abs=1e-12)
-
-    def test_scenario1_projective(self):
-        povm = scenario_povm(1, k=1, setting=("z", "z"))
-        assert len(povm.elements) == 4
-        for a, b in itertools.combinations(povm.elements, 2):
-            assert np.abs(a @ b).max() < 1e-12
-
-    def test_scenario4_d2(self):
-        povm = scenario_povm(4, d=2)
-        assert len(povm.elements) == 6
-        for elem in povm.elements:
-            assert np.trace(elem).real == pytest.approx(1 / 3, abs=1e-12)
-
-
-class TestScenarioInputs:
-    def test_scenario2_single_qubit(self):
-        states = scenario_inputs(2, k=1)
-        assert len(states) == 6
-        mats = [s.matrix for s in states]
-        # z and x eigenprojectors are real, so transposition fixes them
-        for target in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
-                       0.5 * np.ones((2, 2))):
-            assert any(np.abs(m - target).max() < 1e-12 for m in mats)
-        # the y eigenprojectors appear transposed (conjugated)
-        y_plus = 0.5 * np.array([[1, -1j], [1j, 1]]).T
-        assert any(np.abs(m - y_plus).max() < 1e-12 for m in mats)
-
-    def test_scenario4_transposed_mubs(self):
-        fam = mub_family(2)
-        states = scenario_inputs(4, d=2)
-        for vec, state in zip(fam.vectors(), states):
-            assert_allclose(state.matrix, np.outer(vec, vec.conj()).T, atol=1e-12)
-
-    def test_states_are_pure(self):
-        for state in scenario_inputs(2, k=1) + scenario_inputs(4, d=3):
-            purity = np.trace(state.matrix @ state.matrix).real
-            assert purity == pytest.approx(1.0, abs=1e-10)

@@ -7,12 +7,13 @@ from numpy.testing import assert_allclose
 
 from proctomo.channels import (ChannelSpec, choi_from_kraus, make_channel,
                                maximally_entangled_state, qft_unitary)
-from proctomo.designs import all_settings, mub_family, pauli_operator_stack
+from proctomo.designs import mub_family, pauli_operator_stack
 from proctomo.estimators import (ls_estimate, ls_scenario1, ls_scenario2,
                                  ls_scenario3, ls_scenario4, pauli_assemble)
 from proctomo.simulate import FrequencyTable, SamplingPlan, exact_table, sample
 
 import oracles
+from oracles import all_settings, pauli_projector
 from conftest import pauli_channels, pauli_plans, random_unitary, transient_peak
 
 
@@ -54,7 +55,6 @@ class TestScenario1:
         assert np.trace(est.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_assemble_against_projector_loop(self, rng):
-        from proctomo.designs import pauli_projector
         freqs = rng.random((9, 4))
         fast = pauli_assemble(freqs, 2)
         slow = np.zeros((4, 4), dtype=complex)

@@ -74,6 +74,9 @@ class TestConfig:
         ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "n_shots": -5},
          "n_shots must be positive"),
         ({"channel": "qft"}, "channel must be a mapping"),
+        ({"experiment": "algo_comparison", "methods": []}, "methods is empty"),
+        ({"experiment": "algo_comparison", "methods": ["AP", "AP"]},
+         "methods lists a method twice"),
     ])
     def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
                                                     overrides, match):
@@ -334,6 +337,15 @@ class TestCli:
         empty.write_text("")
         assert cli.main(["inspect", str(empty)]) == 1
         assert f"error: {empty} is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["value,x", "foo,bar"])
+    def test_inspect_unknown_layout_errors(self, tmp_path, capsys, header):
+        path = tmp_path / "other.csv"
+        path.write_text(f"{header}\n1,2\n")
+        assert cli.main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {path} is neither" in captured.err
+        assert not captured.out
 
     def test_unknown_suite_errors(self, capsys):
         assert cli.main(["verify", "everything-else"]) == 1

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proctomo.channels import (ChannelSpec, ChoiMatrix, choi_from_kraus,
+from proctomo.channels import (ChannelSpec, ChoiMatrix, DensityMatrix,
+                               KrausSet, apply_kraus, choi_from_kraus,
                                make_channel, maximally_entangled_state)
-from proctomo.designs import all_settings, pauli_projector, setting_index
-from proctomo.simulate import (FrequencyTable, SamplingPlan, born_probabilities,
-                               exact_table, load_table,
-                               pauli_joint_probabilities, probability_array,
-                               sample, save_table, setting_count)
+from proctomo.designs import mub_family
+from proctomo.simulate import (FrequencyTable, SamplingPlan, exact_table,
+                               load_table, pauli_joint_probabilities,
+                               probability_array, sample, save_table,
+                               setting_count)
 
 import oracles
+from oracles import all_settings, born_probabilities, pauli_projector, setting_index
 from conftest import (pauli_channels, pauli_plans, random_density,
                       random_kraus_ops, transient_peak)
 
@@ -46,7 +48,6 @@ class TestBornProbabilities:
 
     def test_joint_kernel_against_projector_loop(self, rng):
         kraus = random_kraus_ops(4, 2, rng)
-        from proctomo.channels import KrausSet
         choi = choi_from_kraus(KrausSet(tuple(kraus)))
         fast = pauli_joint_probabilities(choi.matrix, 4)
         for s_idx, setting in enumerate(all_settings(4)):
@@ -66,6 +67,33 @@ class TestBornProbabilities:
         row = born_probabilities(noisy2, 4, 5)
         assert row.shape == (6,)
         assert_allclose(row, probability_array(noisy2, 4)[5], atol=0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_scenario2_input_convention(self, k, rng):
+        # row (a, b, q), outcome p: Tr(P^b_p C((P^a_q)^T))
+        kraus = KrausSet(tuple(random_kraus_ops(2**k, 2, rng)))
+        table = probability_array(choi_from_kraus(kraus), 2)
+        labels = list(itertools.product((0, 1), repeat=k))
+        for a, sa in enumerate(all_settings(k)):
+            for q, bits_q in enumerate(labels):
+                rho = DensityMatrix(pauli_projector(sa, bits_q).T.copy())
+                out = apply_kraus(kraus, rho).matrix
+                for b, sb in enumerate(all_settings(k)):
+                    expected = [np.trace(pauli_projector(sb, bits_p) @ out).real
+                                for bits_p in labels]
+                    assert_allclose(table[a, b, q], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scenario4_input_convention(self, d, rng):
+        # row k, outcome l: <v_l| C((|v_k><v_k|)^T) |v_l> / (d+1)
+        kraus = KrausSet(tuple(random_kraus_ops(d, 2, rng)))
+        table = probability_array(choi_from_kraus(kraus), 4)
+        vecs = mub_family(d).vectors()
+        for k, v in enumerate(vecs):
+            rho = DensityMatrix(np.outer(v, v.conj()).T.copy())
+            out = apply_kraus(kraus, rho).matrix
+            expected = np.einsum("li,ij,lj->l", vecs.conj(), out, vecs).real
+            assert_allclose(table[k], expected / (d + 1), atol=1e-12)
 
     def test_unphysical_choi_rejected(self):
         with pytest.raises(ValueError):
