@@ -72,13 +72,37 @@ def pauli_operator_stack() -> np.ndarray:
     return 3.0 * np.einsum("ru,cu->urc", v, v.conj()) - np.eye(2)
 
 
+EXACT_TOL = 1e-12     # max entry error of an exact identity (orthonormality, closure, f * chi)
+UNBIASED_TOL = 1e-10  # max ||<u|v>|^2 - 1/D| for vectors u, v of two different bases
+
+
 @dataclass(frozen=True)
 class MubFamily:
     """D+1 mutually unbiased orthonormal bases of C^D.
 
-    ``bases[b, t]`` is the t-th unit vector of basis b; basis 0 is the
-    computational basis.  ``bases`` is a private read-only copy of the array
-    passed in, so one family can be shared between callers and threads.
+    ``bases[b, t]`` is the t-th unit vector of basis b.  ``bases`` is a
+    private read-only copy of the array passed in, so one family can be
+    shared between callers and threads.
+
+    Accepted form: basis 0 is the computational basis (up to the order and
+    phases of its vectors), chi = ``bases[1]`` is a character table (unitary,
+    and conj(chi_s) * chi_t * sqrt(D) is again a row of chi for all s, t),
+    and every basis a >= 1 is f_a * chi row by row with
+    f_a = sqrt(D) ``bases[a, 0]`` (for a = 1 this makes row 0 of chi the
+    constant 1/sqrt(D)).  Every family ``mub_family`` builds has
+    this form: the Fourier table for odd prime D, the Walsh table over
+    GF(2^m) for D = 2^m.  A family of another form raises ValueError, even
+    if it is mutually unbiased.
+
+    Checked, within ``EXACT_TOL`` per entry and ``UNBIASED_TOL`` per squared
+    overlap: basis 0 as above; every entry of bases 1..D has modulus
+    1/sqrt(D), which is unbiasedness against basis 0; chi is unitary and
+    closed as above, one row s at a time; each basis is f_a * chi.  The
+    overlaps of vector t of basis a with vector t' of basis b are then
+    (conj(f_a) * f_b) . chi_u / sqrt(D) with chi_u = conj(chi_t) * chi_t' *
+    sqrt(D), so one (D-a) x D by D x D product per basis a gives every
+    overlap of basis a with every later basis: O(D^4 / 2) work in all, and
+    no temporary larger than one D x D block.
     """
 
     dim: int
@@ -89,21 +113,62 @@ class MubFamily:
         bases.setflags(write=False)
         object.__setattr__(self, "bases", bases)
         d = self.dim
-        if self.bases.shape != (d + 1, d, d):
+        if bases.shape != (d + 1, d, d):
             raise ValueError("expected (D+1, D, D) array of basis vectors")
-        for b in range(d + 1):
-            gram = self.bases[b] @ self.bases[b].conj().T
-            if np.abs(gram - np.eye(d)).max() > 1e-12:
-                raise ValueError(f"basis {b} is not orthonormal")
-        for b1 in range(d + 1):
-            for b2 in range(b1 + 1, d + 1):
-                ovl = np.abs(self.bases[b1] @ self.bases[b2].conj().T) ** 2
-                if np.abs(ovl - 1.0 / d).max() > 1e-10:
-                    raise ValueError(f"bases {b1}, {b2} are not unbiased")
+        modulus = np.abs(bases[0])
+        if (not _is_unitary(bases[0])
+                or np.minimum(modulus, np.abs(modulus - 1.0)).max() > EXACT_TOL):
+            raise ValueError("basis 0 is not the computational basis "
+                             "up to the order and phases of its vectors")
+        for a in range(1, d + 1):
+            if np.abs(np.abs(bases[a]) ** 2 - 1.0 / d).max() > UNBIASED_TOL:
+                raise ValueError(f"basis {a} has an entry of modulus other than "
+                                 f"1/sqrt(D), so bases 0, {a} are not unbiased")
+        chi = bases[1]
+        if not _is_unitary(chi):
+            raise ValueError("basis 1 is not orthonormal")
+        _check_character_table(chi)
+        root = np.sqrt(d)
+        f = root * bases[1:, 0]
+        for a in range(1, d + 1):
+            if np.abs(bases[a] - f[a - 1] * chi).max() > EXACT_TOL:
+                raise ValueError(f"basis {a} is not of the form f * chi: it is not "
+                                 f"sqrt(D) bases[{a}, 0] times basis 1, row by row")
+        for a in range(1, d):
+            ovl = (f[a:] * f[a - 1].conj()) @ chi.T / root
+            dev = np.abs(np.abs(ovl) ** 2 - 1.0 / d).max(axis=1)
+            bad = np.flatnonzero(dev > UNBIASED_TOL)
+            if bad.size:
+                raise ValueError(f"bases {a}, {a + 1 + bad[0]} are not unbiased")
 
     def vectors(self) -> np.ndarray:
         """All (D+1)*D vectors stacked, basis-major."""
         return self.bases.reshape(-1, self.dim)
+
+
+def _is_unitary(u: np.ndarray) -> bool:
+    return np.abs(u @ u.conj().T - np.eye(len(u))).max() <= EXACT_TOL
+
+
+def _check_character_table(chi: np.ndarray) -> None:
+    """Raise unless conj(chi_s) * chi_t * sqrt(D) is a row of chi for all s, t.
+
+    For each s, every product row is matched to the row of chi with the
+    nearest projection onto a fixed generic probe vector, then compared
+    entry by entry, so one row s costs O(D^2).  A wrong match can only
+    reject a table, never accept one.
+    """
+    d = len(chi)
+    root = np.sqrt(d)
+    rng = np.random.default_rng(0)
+    probe = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    keys = chi @ probe
+    for s in range(d):
+        prod = chi[s].conj() * chi * root
+        match = np.abs((prod @ probe)[:, None] - keys[None, :]).argmin(axis=1)
+        if np.abs(prod - chi[match]).max() > EXACT_TOL:
+            raise ValueError("basis 1 is not a character table: "
+                             f"conj(row {s}) * row t * sqrt(D) is not a row of it")
 
 
 def _is_prime(n: int) -> bool:
@@ -164,8 +229,8 @@ def _mub_power_of_two(m: int) -> np.ndarray:
     # element 0 is zero and element k >= 1 is g^(k-1); the nonzero elements
     # form a cyclic group of order D-1, so element i times element j is
     # element 1 + (i+j-2) mod (D-1) for i, j >= 1 and 0 otherwise
-    tr_t = np.concatenate(([0], tr))
-    trgr_t = np.concatenate(([0], tr + 2 * q))
+    tr_t = np.concatenate(([0], tr)).astype(np.uint8)
+    trgr_t = np.concatenate(([0], tr + 2 * q)).astype(np.uint8)
     k = np.arange(d)
     idx = 1 + (k[:, None] + k[None, :] - 2) % (d - 1)
     idx[0, :] = idx[:, 0] = 0
@@ -173,7 +238,9 @@ def _mub_power_of_two(m: int) -> np.ndarray:
     phase = np.mod(trgr_t[idx][:, None, :] + 2 * tr_t[idx][None, :, :], 4)
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d)
-    bases[1:] = (1j ** phase) / np.sqrt(d)
+    # phase is uint8 in 0..3: a table lookup fills bases[1:] in place, and
+    # mode="wrap" keeps np.take from buffering a second D^3 complex array
+    np.take((1j ** np.arange(4)) / np.sqrt(d), phase, out=bases[1:], mode="wrap")
     return bases
 
 

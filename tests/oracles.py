@@ -11,7 +11,9 @@ arithmetic, so the tests compare against them with ``np.array_equal``.
 
 ``proctomo.designs`` builds the D = 2^m MUB families from GF(2^m) arithmetic
 alone; the GF(2^m) and GR(4, m) products below build them in the ring itself,
-for a test oracle that shares no arithmetic with the library.
+for a test oracle that shares no arithmetic with the library.  ``MubFamily``
+validates a family through its character table; ``pairwise_unbiasedness_defect``
+is the check by pairs of bases that this replaced.
 """
 
 import itertools
@@ -188,3 +190,15 @@ def _gr_mul(u: np.ndarray, v: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
     out = np.zeros(m, dtype=np.int64)
     out[: len(prod[:m])] = prod[:m]
     return out
+
+
+def pairwise_unbiasedness_defect(bases):
+    """max | |<u|v>|^2 - 1/D | over u, v in two different bases, one D x D
+    product per pair of bases."""
+    n, d, _ = bases.shape
+    worst = 0.0
+    for b1 in range(n):
+        for b2 in range(b1 + 1, n):
+            ovl = np.abs(bases[b1] @ bases[b2].conj().T) ** 2
+            worst = max(worst, float(np.abs(ovl - 1.0 / d).max()))
+    return worst

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from proctomo.designs import (_GF2_POLYS, _mub_power_of_two, AXES,
-                              PAULI_VECTORS, MubFamily, mub_family,
-                              near_isotropy_defect)
+                              PAULI_VECTORS, UNBIASED_TOL, MubFamily,
+                              mub_family, near_isotropy_defect)
 
 from conftest import random_hermitian
 from oracles import (_gf2_mul, _gr_mul, _hensel_lift, all_settings,
-                     pauli_projector, setting_index)
+                     pairwise_unbiasedness_defect, pauli_projector,
+                     setting_index)
 
 
 class TestPauliProjectors:
@@ -79,7 +81,7 @@ class TestMubFamilies:
                 expected = omega ** ((j * l**2 + t * l) % 3) / np.sqrt(3)
                 assert_allclose(fam.bases[j + 1, t], expected, atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 16])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 16, 32, 64, 128])
     def test_projector_resolution(self, dim):
         fam = mub_family(dim)
         vecs = fam.vectors()
@@ -145,6 +147,80 @@ def _pairwise_mub_power_of_two(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_power_of_two_matches_pairwise_oracle(m):
     assert np.array_equal(_mub_power_of_two(m), _pairwise_mub_power_of_two(m))
+
+
+def test_power_of_two_bytes_pinned_at_256():
+    # sha256 of the D = 256 family as built by (1j ** phase) / sqrt(D) on the
+    # whole D^3 phase array, before the table lookup replaced it
+    digest = hashlib.sha256(_mub_power_of_two(8).tobytes()).hexdigest()
+    assert digest == ("20e19d00aa2b08c33dd5e720b573fcb0"
+                      "6917ef81f7e1d7e7a9eba40d32cbd854")
+
+
+class TestMubValidation:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 16, 32, 64])
+    def test_supported_family_passes_pairwise_oracle(self, dim):
+        bases = mub_family(dim).bases
+        MubFamily(dim, bases)
+        for basis in bases:
+            assert_allclose(basis @ basis.conj().T, np.eye(dim), atol=1e-12)
+        assert pairwise_unbiasedness_defect(bases) <= UNBIASED_TOL
+
+    @staticmethod
+    def _copy(dim):
+        return np.array(mub_family(dim).bases)
+
+    def test_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"expected \(D\+1, D, D\)"):
+            MubFamily(4, self._copy(4)[:-1])
+
+    def test_basis_zero_not_computational(self):
+        # entries of modulus 0 or 1, but two vectors coincide
+        repeated = self._copy(5)
+        repeated[0, 1] = repeated[0, 0]
+        # orthonormal and flat, so every entry check of bases 1..D passes,
+        # but bases 0 and 1 coincide
+        flat = self._copy(5)
+        flat[0] = flat[1]
+        for bases in (repeated, flat):
+            with pytest.raises(ValueError, match="basis 0 is not the computational"):
+                MubFamily(5, bases)
+
+    def test_entry_of_wrong_modulus(self):
+        bases = self._copy(8)
+        bases[3, 2, 5] *= 1.1
+        with pytest.raises(ValueError, match="basis 3 has an entry of modulus "
+                                             "other than 1/sqrt"):
+            MubFamily(8, bases)
+
+    def test_basis_one_not_orthonormal(self):
+        bases = self._copy(8)
+        bases[1, 2] = bases[1, 1]
+        with pytest.raises(ValueError, match="basis 1 is not orthonormal"):
+            MubFamily(8, bases)
+
+    def test_basis_one_not_character_table(self):
+        # column phases keep basis 1 unitary and flat, but conj(row 0) * row t
+        # * sqrt(D) is then the untwisted row t
+        bases = self._copy(8)
+        phases = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, 8))
+        bases[1] *= phases
+        with pytest.raises(ValueError, match="basis 1 is not a character table"):
+            MubFamily(8, bases)
+
+    def test_permuted_rows_not_of_form(self):
+        bases = self._copy(7)
+        bases[4, [1, 2]] = bases[4, [2, 1]]
+        # still mutually unbiased, but not f * chi in basis 1's row order
+        assert pairwise_unbiasedness_defect(bases) <= UNBIASED_TOL
+        with pytest.raises(ValueError, match="basis 4 is not of the form f \\* chi"):
+            MubFamily(7, bases)
+
+    def test_repeated_basis_not_unbiased(self):
+        bases = self._copy(5)
+        bases[3] = bases[2]
+        with pytest.raises(ValueError, match="bases 2, 3 are not unbiased"):
+            MubFamily(5, bases)
 
 
 class TestMubCache:
