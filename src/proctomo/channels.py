@@ -53,6 +53,7 @@ __all__ = [
     "qft_unitary",
     "haar_unitary",
     "pauli_string",
+    "numerical_rank",
     "kraus_rank",
     "choi_rank",
 ]
@@ -362,16 +363,19 @@ def make_channel(spec: ChannelSpec) -> KrausSet:
     raise ValueError(f"unknown channel kind {spec.kind!r}")
 
 
+def numerical_rank(eigenvalues: np.ndarray) -> int:
+    """Number of eigenvalues above ``RANK_CUT``."""
+    return int((eigenvalues > RANK_CUT).sum())
+
+
 def kraus_rank(kraus: KrausSet) -> int:
     """Dimension of the span of the vectorized Kraus operators (Gram
     eigenvalues above ``RANK_CUT``)."""
     vecs = np.stack([k.reshape(-1) for k in kraus.operators])
     gram = vecs @ vecs.conj().T
-    lam = np.linalg.eigvalsh(_hermitize(gram))
-    return int((lam > RANK_CUT).sum())
+    return numerical_rank(np.linalg.eigvalsh(_hermitize(gram)))
 
 
 def choi_rank(choi: ChoiMatrix) -> int:
     """Numerical rank of the Choi matrix (eigenvalues above ``RANK_CUT``)."""
-    lam = np.linalg.eigvalsh(_hermitize(choi.matrix))
-    return int((lam > RANK_CUT).sum())
+    return numerical_rank(np.linalg.eigvalsh(_hermitize(choi.matrix)))

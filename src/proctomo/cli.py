@@ -16,6 +16,7 @@ import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
+from statistics import median
 
 from . import harness, verification
 
@@ -65,10 +66,38 @@ def _cmd_run(args) -> int:
     if overrides:
         cfg = replace(cfg, **overrides)
     out_dir = cfg.out_dir or harness.default_out_dir()
-    records, _ = harness.run(cfg, out_dir=out_dir)
+    records, reports = harness.run(cfg, out_dir=out_dir)
     print(f"wrote {len(records)} records to {out_dir} "
           f"(config hash {cfg.config_hash()})")
+    for line in _convergence_lines(records, reports):
+        print(line)
     return 0
+
+
+def _convergence_lines(records, reports) -> list[str]:
+    """One line per sweep point (median stage times, convergence and mixing
+    over its repetitions), or per method of an algo_comparison run."""
+    lines = []
+    for method, rep in reports.items():
+        lines.append(f"  {method}: iterations {rep.iterations}, proj_cp_calls "
+                     f"{rep.proj_cp_calls}, final lambda_min "
+                     f"{rep.final_lambda_min:.3e}, converged {rep.converged}")
+    points = {}
+    for rec in records:
+        points.setdefault(tuple(rec.point.values()), []).append(rec)
+    for recs in points.values():
+        pt = recs[0].point
+        stages = " ".join(
+            f"{stage} {median(r.wall_times_ms[stage] for r in recs):.1f}"
+            for stage in ("LS", "CP1", "PLS") if stage in recs[0].wall_times_ms)
+        proj = [r.projection for r in recs]
+        lines.append(
+            f"  d={pt['d']} rank={pt['rank']} N={pt['n_shots']}: {len(recs)} reps, "
+            f"median ms {stages}, "
+            f"{sum(not s['converged'] for s in proj)} not converged, "
+            f"max p {max(s['mixing_p'] for s in proj):.3e}, "
+            f"median proj_cp_calls {median(s['proj_cp_calls'] for s in proj):g}")
+    return lines
 
 
 def _cmd_verify(args) -> int:

@@ -6,14 +6,17 @@ is the one table of all six, read by the Born and estimator kernels.  A
 setting on n qubits is a word over ``AXES = ('x', 'y', 'z')``; tables index
 settings in base 3 with that digit order, qubit 0 most significant.
 
-MUB families exist here for D an odd prime (Weyl-Heisenberg quadratic phases
-omega^(j l^2 + t l)) and for D = 2^m (Galois-ring GR(4, m) trace construction
-over the Teichmueller set).  The ring is never built: the Galois-ring trace
-of a Teichmueller lift T(y) is Tr(T(y)) = tr(y) + 2 Q(y) mod 4, with
-Q(y) = sum_{i<j} y^(2^i) y^(2^j) in GF(2), so GF(2^m) arithmetic gives every
-phase.  The hard-coded primitive polynomials over GF(2) are (by degree):
-x+1, x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, x^6+x+1, x^7+x+1,
-x^8+x^4+x^3+x^2+1.  Basis 0 is always the computational basis.
+MUB families exist here for D an odd prime and for D = 2^m, both built by
+one fill: basis 0 is the computational basis, and vector t of basis a+1 is
+roots[(f[a] + c[t]) mod q]/sqrt(D) for the q-th roots of unity and two
+D x D integer tables, phase vectors f and character table c: the f * chi
+form ``MubFamily`` validates.  Odd prime D (Weyl-Heisenberg quadratic
+phases omega^(j l^2 + t l)): q = D, f[j, l] = j l^2, c[t, l] = t l.
+D = 2^m (Galois-ring GR(4, m) trace construction over the Teichmueller
+set): q = 4, f[a, x] = Tr(T(ax)), c[b, x] = 2 tr(bx), read from GF(2^m)
+arithmetic alone.  The stored primitive polynomials over GF(2) are (by
+degree): x+1, x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, x^6+x+1, x^7+x+1,
+x^8+x^4+x^3+x^2+1.
 
 ``mub_family`` builds each dimension's family once per process and returns
 the same read-only :class:`MubFamily` on every later call.
@@ -182,16 +185,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _mub_odd_prime(p: int) -> np.ndarray:
-    omega = np.exp(2j * np.pi / p)
-    l = np.arange(p)
-    bases = np.empty((p + 1, p, p), dtype=complex)
-    bases[0] = np.eye(p)
-    for j in range(p):
-        # vector t of basis j+1 has components omega^(j l^2 + t l)/sqrt(p)
-        phase = (j * l**2)[None, :] + np.outer(l, l)
-        bases[j + 1] = omega ** np.mod(phase, p) / np.sqrt(p)
+def _fill(roots: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Fill the family of the module docstring one D x D basis at a time."""
+    d, q = len(c), len(roots)
+    table = roots / np.sqrt(d)
+    bases = np.empty((d + 1, d, d), dtype=complex)
+    bases[0] = np.eye(d)
+    for a in range(d):
+        bases[a + 1] = table[(f[a] + c) % q]
     return bases
+
+
+def _mub_odd_prime(p: int) -> np.ndarray:
+    l = np.arange(p)
+    return _fill(np.exp(2j * np.pi / p) ** l, np.outer(l, l**2), np.outer(l, l))
 
 
 def _mub_power_of_two(m: int) -> np.ndarray:
@@ -229,19 +236,12 @@ def _mub_power_of_two(m: int) -> np.ndarray:
     # element 0 is zero and element k >= 1 is g^(k-1); the nonzero elements
     # form a cyclic group of order D-1, so element i times element j is
     # element 1 + (i+j-2) mod (D-1) for i, j >= 1 and 0 otherwise
-    tr_t = np.concatenate(([0], tr)).astype(np.uint8)
-    trgr_t = np.concatenate(([0], tr + 2 * q)).astype(np.uint8)
+    tr_t = np.concatenate(([0], tr))
+    trgr_t = np.concatenate(([0], tr + 2 * q))
     k = np.arange(d)
     idx = 1 + (k[:, None] + k[None, :] - 2) % (d - 1)
     idx[0, :] = idx[:, 0] = 0
-
-    phase = np.mod(trgr_t[idx][:, None, :] + 2 * tr_t[idx][None, :, :], 4)
-    bases = np.empty((d + 1, d, d), dtype=complex)
-    bases[0] = np.eye(d)
-    # phase is uint8 in 0..3: a table lookup fills bases[1:] in place, and
-    # mode="wrap" keeps np.take from buffering a second D^3 complex array
-    np.take((1j ** np.arange(4)) / np.sqrt(d), phase, out=bases[1:], mode="wrap")
-    return bases
+    return _fill(1j ** np.arange(4), trgr_t[idx], 2 * tr_t[idx])
 
 
 @functools.lru_cache(maxsize=None)

@@ -45,9 +45,9 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .channels import (RANK_CUT, ChannelSpec, ChoiMatrix, choi_from_kraus,
-                       distance, fidelity, haar_unitary, kraus_rank,
-                       make_channel, qft_unitary, qubit_count)
+from .channels import (ChannelSpec, ChoiMatrix, choi_from_kraus, distance,
+                       fidelity, haar_unitary, kraus_rank, make_channel,
+                       numerical_rank, qft_unitary, qubit_count)
 from .estimators import ls_estimate
 from .projections import (METHODS, ProjectionConfig, proj_cp1_thresholded,
                           project_to_cptp)
@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise ValueError("scenario must be 1..4")
         if not isinstance(self.channel, dict):
             raise ValueError(f"channel must be a mapping, got {self.channel!r}")
+        if self.k is not None and self.d is not None and 2 ** self.k != self.d:
+            raise ValueError(f"k = {self.k} and d = {self.d} disagree: d must be 2**k")
+        if self.k_list is not None and self.d_list is not None:
+            raise ValueError("set k_list or d_list, not both")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.method not in METHODS:
@@ -289,7 +293,7 @@ def _run_repetition(cfg: ExperimentConfig, point: dict, point_idx: int,
         "final_lambda_min": report.final_lambda_min,
         "mixing_p": report.mixing_p,
         "converged": report.converged,
-        "cp1_rank": int((spectrum > RANK_CUT).sum()) if spectrum is not None else None,
+        "cp1_rank": numerical_rank(spectrum) if spectrum is not None else None,
         "cp1_spectrum": spectrum.tolist() if spectrum is not None else None,
     }
     point_desc = {"k": point["k"], "d": point["dim"], "n_shots": point["n_shots"],

@@ -36,9 +36,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import (RANK_CUT, RAW_HERMITICITY_TOL, RAW_TRACE_TOL, TP_TOL,
-                       ChoiMatrix, _check_hermitian, _check_trace_one,
-                       _hermitize, partial_trace, system_dim, tp_deviation)
+from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, TP_TOL, ChoiMatrix,
+                       _check_hermitian, _check_trace_one, _hermitize,
+                       numerical_rank, partial_trace, system_dim, tp_deviation)
 
 logger = logging.getLogger(__name__)
 
@@ -533,5 +533,5 @@ def pls_pipeline(estimate, cfg: Optional[ProjectionConfig] = None,
     phi_cp1, spectrum = proj_cp1_thresholded(mat)
     choi, report = project_to_cptp(phi_cp1, method, cfg)
     report.cp1_spectrum = spectrum
-    report.cp1_rank = int((spectrum > RANK_CUT).sum())
+    report.cp1_rank = numerical_rank(spectrum)
     return choi, report

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proctomo.designs import (_GF2_POLYS, _mub_power_of_two, AXES,
-                              PAULI_VECTORS, UNBIASED_TOL, MubFamily,
+from proctomo.designs import (_GF2_POLYS, _mub_odd_prime, _mub_power_of_two,
+                              AXES, PAULI_VECTORS, UNBIASED_TOL, MubFamily,
                               mub_family, near_isotropy_defect)
 
-from conftest import random_hermitian
+from conftest import random_hermitian, transient_peak
 from oracles import (_gf2_mul, _gr_mul, _hensel_lift, all_settings,
                      pairwise_unbiasedness_defect, pauli_projector,
                      setting_index)
@@ -155,6 +155,22 @@ def test_power_of_two_bytes_pinned_at_256():
     digest = hashlib.sha256(_mub_power_of_two(8).tobytes()).hexdigest()
     assert digest == ("20e19d00aa2b08c33dd5e720b573fcb0"
                       "6917ef81f7e1d7e7a9eba40d32cbd854")
+
+
+@pytest.mark.parametrize("p,digest", [
+    (127, "94d34b05e68eb60eb761b8934d42c26e92f7c17ae5217886216ffe1e49e5edce"),
+    (251, "9473b8746da0dad8b122c9fde6a29d4dcd577f00534180a0f2e306ccc3767e5b"),
+])
+def test_odd_prime_bytes_pinned(p, digest):
+    # sha256 of the family as built by omega ** (j l^2 + t l mod p) / sqrt(p),
+    # one complex power per entry, before both builders shared one fill
+    assert hashlib.sha256(_mub_odd_prime(p).tobytes()).hexdigest() == digest
+
+
+def test_power_of_two_builder_peak():
+    # the builder holds no D^3 temporary next to the family it returns
+    bases, peak = transient_peak(_mub_power_of_two, 7)
+    assert peak <= 1.1 * bases.nbytes
 
 
 class TestMubValidation:

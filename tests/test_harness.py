@@ -77,6 +77,9 @@ class TestConfig:
         ({"experiment": "algo_comparison", "methods": []}, "methods is empty"),
         ({"experiment": "algo_comparison", "methods": ["AP", "AP"]},
          "methods lists a method twice"),
+        ({"d": 4}, "k = 1 and d = 4 disagree"),
+        ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "d_list": [2, 4]},
+         "set k_list or d_list, not both"),
     ])
     def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
                                                     overrides, match):
@@ -292,6 +295,49 @@ class TestCli:
         assert (out_dir / "errors.csv").exists()
         assert cli.main(["inspect", str(out_dir / "errors.csv")]) == 0
         assert "PLS" in capsys.readouterr().out
+
+    def test_run_prints_convergence_lines(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.yaml"
+        cfg_path.write_text(textwrap.dedent("""\
+            experiment: sample_size_sweep
+            scenario: 1
+            k: 1
+            channel: {kind: noisy_qft, measure_prob: 0.25}
+            n_shots_list: [900, 9000]
+            repetitions: 3
+            seed: 3
+        """))
+        out_dir = tmp_path / "sweep"
+        assert cli.main(["run", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert head.startswith("wrote 6 records")
+        records = json.loads((out_dir / "run_records.json").read_text())["records"]
+        assert len(lines) == 2
+        for line, n in zip(lines, (900, 9000)):
+            proj = [r["projection"] for r in records if r["point"]["n_shots"] == n]
+            assert line.startswith(f"  d=2 rank=2 N={n}: 3 reps, median ms LS ")
+            assert " CP1 " in line and " PLS " in line
+            assert f"{sum(not p['converged'] for p in proj)} not converged" in line
+            assert f"max p {max(p['mixing_p'] for p in proj):.3e}" in line
+            calls = sorted(p["proj_cp_calls"] for p in proj)[1]
+            assert line.endswith(f"median proj_cp_calls {calls}")
+
+        cfg_path.write_text(textwrap.dedent("""\
+            experiment: algo_comparison
+            scenario: 1
+            k: 1
+            channel: {kind: noisy_qft, measure_prob: 0.25}
+            n_shots: 900
+            seed: 3
+        """))
+        assert cli.main(["run", str(cfg_path), "--out-dir", str(tmp_path / "algo")]) == 0
+        _, *lines = capsys.readouterr().out.splitlines()
+        _, reports = run(load_config(cfg_path), out_dir=tmp_path / "again")
+        assert lines == [
+            f"  {m}: iterations {r.iterations}, proj_cp_calls {r.proj_cp_calls}, "
+            f"final lambda_min {r.final_lambda_min:.3e}, converged {r.converged}"
+            for m, r in reports.items()]
+        assert len(lines) == 6
 
     def test_run_overrides(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
