@@ -83,9 +83,11 @@ UNBIASED_TOL = 1e-10  # max ||<u|v>|^2 - 1/D| for vectors u, v of two different 
 class MubFamily:
     """D+1 mutually unbiased orthonormal bases of C^D.
 
-    ``bases[b, t]`` is the t-th unit vector of basis b.  ``bases`` is a
-    private read-only copy of the array passed in, so one family can be
-    shared between callers and threads.
+    ``bases[b, t]`` is the t-th unit vector of basis b.  ``bases`` is
+    read-only, so one family can be shared between callers and threads.  A
+    read-only complex array that owns its memory, as the builders return, is
+    kept as it is; any other input is copied, so a caller's array is never
+    shared.
 
     Accepted form: basis 0 is the computational basis (up to the order and
     phases of its vectors), chi = ``bases[1]`` is a character table (unitary,
@@ -112,8 +114,11 @@ class MubFamily:
     bases: np.ndarray
 
     def __post_init__(self):
-        bases = np.array(self.bases, dtype=complex)
-        bases.setflags(write=False)
+        bases = self.bases
+        if not (isinstance(bases, np.ndarray) and bases.dtype == complex
+                and bases.flags.owndata and not bases.flags.writeable):
+            bases = np.array(bases, dtype=complex)
+            bases.setflags(write=False)
         object.__setattr__(self, "bases", bases)
         d = self.dim
         if bases.shape != (d + 1, d, d):
@@ -186,13 +191,17 @@ def _is_prime(n: int) -> bool:
 
 
 def _fill(roots: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Fill the family of the module docstring one D x D basis at a time."""
+    """Fill the family of the module docstring one D x D basis at a time.
+
+    The result is read-only, so ``MubFamily`` takes it without a copy.
+    """
     d, q = len(c), len(roots)
     table = roots / np.sqrt(d)
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d)
     for a in range(d):
         bases[a + 1] = table[(f[a] + c) % q]
+    bases.setflags(write=False)
     return bases
 
 

@@ -135,13 +135,21 @@ def ls_scenario2(table: FrequencyTable) -> LsEstimate:
 
 
 def ls_scenario3(table: FrequencyTable) -> LsEstimate:
-    """Ancilla-assisted MUB estimator: (d^2+1) sum_i f_i |v_i><v_i| - 1."""
+    """Ancilla-assisted MUB estimator: (d^2+1) sum_i f_i |v_i><v_i| - 1.
+
+    The sum runs one basis B_a at a time, as (B_a^T * f_a) @ conj(B_a), so
+    its transients are a few D x D blocks whatever the family's size.
+    """
     _check(table, 3)
     d = table.dim
-    vecs = mub_family(d * d).vectors()
-    if table.values.shape != (vecs.shape[0],):
+    bases = mub_family(d * d).bases
+    if table.values.shape != (bases.shape[0] * bases.shape[1],):
         raise ValueError("table shape does not match d")
-    mat = (d * d + 1) * (vecs.T * table.values) @ vecs.conj() - np.eye(d * d)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for basis, f in zip(bases, table.values.reshape(bases.shape[:2])):
+        mat += (basis.T * f) @ basis.conj()
+    mat *= d * d + 1
+    mat -= np.eye(d * d)
     return _wrap(mat, table)
 
 

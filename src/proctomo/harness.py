@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .channels import (ChannelSpec, ChoiMatrix, choi_from_kraus, distance,
                        fidelity, haar_unitary, kraus_rank, make_channel,
@@ -149,6 +148,8 @@ def default_out_dir() -> str:
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml  # only a config file needs it; `import proctomo` stays lighter
+
     with open(path) as fh:
         data = yaml.safe_load(fh)
     if not isinstance(data, dict):

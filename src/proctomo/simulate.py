@@ -33,6 +33,15 @@ frequencies in that same buffer, so a Pauli ``sample`` peaks at about two
 tables (the Born table plus the multinomial counts).  The chunked and
 in-place steps do the same arithmetic as the whole-array forms, so the
 tables are bitwise equal to theirs.
+
+The MUB kernels take one basis at a time.  The scenario-3 Born table is
+filled row by row, one D x D product conj(B_a) phi per basis B_a of C^D
+(D = d^2), so its transients are a few D x D blocks (about 2.5 MB at
+d = 16) next to the family itself (270 MB at d = 16), where a product over
+the whole vector stack would hold D + 1 such blocks at once.  Scenario 4
+works on d(d+1) x d^2 arrays, a few MB at d = 16.  These kernels sum in
+another order than a single ``einsum`` over the stack would, so their tables
+agree with it to rounding (about 1e-15 of the table's maximum), not bitwise.
 """
 
 from __future__ import annotations
@@ -151,17 +160,31 @@ def pauli_joint_probabilities(phi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _mub_outcome_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
-    """Scenario-3 distribution over the d^2(d^2+1) MUB outcomes."""
-    vecs = mub_family(d * d).vectors()
-    p = np.einsum("vi,ij,vj->v", vecs.conj(), phi, vecs).real
-    return p / (d * d + 1)
+    """Scenario-3 distribution over the d^2(d^2+1) MUB outcomes, basis-major.
+
+    Row a of the table is Re <v|phi|v> for the vectors v of basis a, read as
+    the row-wise dot of conj(B_a) phi with B_a: one D x D product per basis.
+    """
+    bases = mub_family(d * d).bases
+    p = np.empty(bases.shape[:2])
+    for a, basis in enumerate(bases):
+        p[a] = np.einsum("ti,ti->t", basis.conj() @ phi, basis).real
+    p /= d * d + 1
+    return p.reshape(-1)
 
 
 def _mub_direct_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
-    """Scenario-4 distributions p[input k, outcome l]."""
+    """Scenario-4 distributions p[input k, outcome l].
+
+    The amplitude <v_l, v_k| phi |v_l, v_k> is entry (k, l) of R Phi^T R^T,
+    with R[v, (i, a)] = conj(v_i) v_a over the family's vectors and
+    Phi[(i, a), (j, b)] = phi[(i, j), (a, b)]: two BLAS products, the input
+    (ancilla) side first.
+    """
     vecs = mub_family(d).vectors()
-    phi4 = np.asarray(phi).reshape(d, d, d, d)
-    amp = np.einsum("li,kj,ijab,la,kb->kl", vecs.conj(), vecs.conj(), phi4, vecs, vecs)
+    rows = (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(len(vecs), d * d)
+    phi_t = np.asarray(phi).reshape((d,) * 4).transpose(1, 3, 0, 2).reshape(d * d, -1)
+    amp = (rows @ phi_t) @ rows.T
     return amp.real * d / (d + 1)
 
 

@@ -6,6 +6,12 @@ trace-preserving correction through a reshape view.  The functions here are
 the straightforward forms those replaced.  They do the same per-element
 arithmetic, so the tests compare against them with ``np.array_equal``.
 
+``mub_outcome_probabilities``, ``mub_direct_probabilities`` and
+``ls_scenario3_matrix`` are the whole-stack ``einsum`` forms of the MUB Born
+kernels and of the scenario-3 estimator, which the library runs one basis
+at a time through BLAS products.  Their sums run in another order, so
+the tests compare against them within a relative tolerance.
+
 ``pauli_projector``, ``all_settings``, ``setting_index`` and
 ``born_probabilities`` (one Born-table row) serve the dense spot checks.
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from proctomo.channels import partial_trace
 from proctomo import simulate
-from proctomo.designs import AXES, PAULI_VECTORS, pauli_operator_stack
+from proctomo.designs import AXES, PAULI_VECTORS, mub_family, pauli_operator_stack
 from proctomo.simulate import FrequencyTable, _stream, setting_count
 
 
@@ -134,6 +140,29 @@ def ls_matrix(table):
         joint = table.values.transpose(1, 0, 3, 2).reshape(3 ** (2 * k), 4**k)
         m = pauli_assemble(joint, 2 * k) / (3 ** (2 * k) * 2**k)
     return 0.5 * (m + m.conj().T)
+
+
+def mub_outcome_probabilities(phi, d):
+    """Scenario-3 distribution over the d^2(d^2+1) MUB outcomes."""
+    vecs = mub_family(d * d).vectors()
+    p = np.einsum("vi,ij,vj->v", vecs.conj(), phi, vecs).real
+    return p / (d * d + 1)
+
+
+def mub_direct_probabilities(phi, d):
+    """Scenario-4 distributions p[input k, outcome l]."""
+    vecs = mub_family(d).vectors()
+    phi4 = np.asarray(phi).reshape(d, d, d, d)
+    amp = np.einsum("li,kj,ijab,la,kb->kl", vecs.conj(), vecs.conj(), phi4, vecs, vecs)
+    return amp.real * d / (d + 1)
+
+
+def ls_scenario3_matrix(table):
+    """Scenario-3 LS matrix (d^2+1) sum_i f_i |v_i><v_i| - 1 over the whole
+    vector stack, before the final Hermitian symmetrization."""
+    d = table.dim
+    vecs = mub_family(d * d).vectors()
+    return (d * d + 1) * (vecs.T * table.values) @ vecs.conj() - np.eye(d * d)
 
 
 def proj_tp(x):

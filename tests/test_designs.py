@@ -173,6 +173,12 @@ def test_power_of_two_builder_peak():
     assert peak <= 1.1 * bases.nbytes
 
 
+def test_family_adopts_builder_array():
+    # MubFamily keeps the builder's read-only array instead of a second copy
+    fam, peak = transient_peak(mub_family.__wrapped__, 128)
+    assert peak <= 1.1 * fam.bases.nbytes
+
+
 class TestMubValidation:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 16, 32, 64])
     def test_supported_family_passes_pairwise_oracle(self, dim):

@@ -30,7 +30,7 @@ class TestIdentifiability:
     """Exact probabilities reproduce the Choi matrix for every scenario."""
 
     @pytest.mark.parametrize("scenario,dims", [(1, (2, 4)), (2, (2, 4)),
-                                               (3, (2, 4)), (4, (2, 3))])
+                                               (3, (2, 4)), (4, (2, 3, 16))])
     def test_exact_recovery(self, scenario, dims, rng):
         for d in dims:
             for spec in _channels(d, rng):
@@ -105,6 +105,31 @@ class TestScenario3:
         assert_allclose(est.matrix, expected, atol=1e-12)
         assert np.trace(est.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(est.matrix).min() == pytest.approx(-1.0, abs=1e-10)
+
+
+class TestScenario3Assembly:
+    """The per-basis scenario-3 sum agrees with the whole-stack form kept in
+    ``oracles`` up to rounding, and holds only a few D x D blocks.
+
+    Rounding is relative to the scale of the sum (d^2+1) sum_i f_i |v_i><v_i|,
+    whose diagonal is near 1 before the identity is subtracted."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_matches_whole_stack(self, d, rng):
+        for choi in pauli_channels(d.bit_length() - 1, rng):
+            for table in (exact_table(choi, 3),
+                          sample(choi, 3, SamplingPlan("random", 10**5, seed=5))):
+                new = ls_scenario3(table).matrix
+                old = oracles.ls_scenario3_matrix(table)
+                scale = np.abs(old + np.eye(d * d)).max()
+                assert np.abs(new - old).max() <= 1e-14 * scale
+
+    def test_peak_memory_d8(self):
+        choi = pauli_channels(3, np.random.default_rng(0))[0]
+        table = sample(choi, 3, SamplingPlan("random", 10**6, seed=3))
+        family_bytes = mub_family(64).bases.nbytes
+        _, peak = transient_peak(ls_scenario3, table)
+        assert peak < family_bytes / 4
 
 
 class TestScenario4:

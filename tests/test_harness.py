@@ -91,6 +91,14 @@ class TestConfig:
         assert not out_dir.exists()
         assert not sampled
 
+    def test_import_leaves_out_yaml(self):
+        code = "import sys, proctomo; print('yaml' in sys.modules)"
+        src = str(Path(harness.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
     def test_pauli_scenario_rejects_odd_dimension(self, tmp_path):
         cfg = _mini_config(k=None, d=3)
         with pytest.raises(ValueError, match="power-of-two"):
@@ -180,6 +188,15 @@ class TestRun:
             sys.setswitchinterval(interval)
         assert ((tmp_path / "a" / "errors.csv").read_bytes()
                 == (tmp_path / "b" / "errors.csv").read_bytes())
+
+    def test_direct_mub_single_run_d16(self, tmp_path):
+        cfg = _mini_config(scenario=4, k=None, d=16, n_shots=10**5, repetitions=1,
+                           channel={"kind": "mixed_unitary", "base": "qft", "rank": 2})
+        run(cfg, out_dir=tmp_path)
+        _, rows = _read_csv(tmp_path / "errors.csv")
+        si, vi = ERROR_COLUMNS.index("stage"), ERROR_COLUMNS.index("value")
+        assert {row[si] for row in rows} == {"LS", "CP1", "PLS"}
+        assert all(np.isfinite(float(row[vi])) for row in rows)
 
     def test_sample_size_sweep_row_count(self, tmp_path):
         cfg = _mini_config(experiment="sample_size_sweep", n_shots=None,

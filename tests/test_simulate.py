@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from proctomo import simulate
 from proctomo.channels import (ChannelSpec, ChoiMatrix, DensityMatrix,
                                KrausSet, apply_kraus, choi_from_kraus,
                                make_channel, maximally_entangled_state)
@@ -196,3 +197,35 @@ class TestChunkedPauliKernels:
         table, peak = transient_peak(sample, choi, scenario,
                                      SamplingPlan("random", 10**6, seed=3))
         assert peak <= 2.5 * table.values.nbytes
+
+
+def _rel_dev(new, old):
+    return np.abs(new - old).max() / np.abs(old).max()
+
+
+class TestMubKernels:
+    """The per-basis MUB Born kernels agree with the whole-stack ``einsum``
+    forms kept in ``oracles`` up to rounding."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_scenario3_matches_einsum(self, d, rng):
+        for choi in pauli_channels(d.bit_length() - 1, rng):
+            new = simulate._mub_outcome_probabilities(choi.matrix, d)
+            old = oracles.mub_outcome_probabilities(choi.matrix, d)
+            assert new.shape == old.shape
+            assert _rel_dev(new, old) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8])
+    def test_scenario4_matches_einsum(self, d, rng):
+        for n_ops in (1, 2, d * d):
+            choi = choi_from_kraus(KrausSet(tuple(random_kraus_ops(d, n_ops, rng))))
+            new = simulate._mub_direct_probabilities(choi.matrix, d)
+            old = oracles.mub_direct_probabilities(choi.matrix, d)
+            assert new.shape == old.shape
+            assert _rel_dev(new, old) <= 1e-14
+
+    def test_scenario3_peak_memory_d8(self):
+        choi = pauli_channels(3, np.random.default_rng(0))[0]
+        family_bytes = mub_family(64).bases.nbytes
+        _, peak = transient_peak(probability_array, choi, 3)
+        assert peak < family_bytes / 4
