@@ -8,7 +8,9 @@ For every config subdirectory under either root, compares ``errors.csv`` and
 difference.  Exits 0 when everything matches; otherwise prints the first
 file and line that differ, then one line per differing file with the number
 of differing rows and the largest relative change in its numeric column
-(``value`` or ``lambda_min``), and exits 1.
+(``value`` or ``lambda_min``), and exits 1.  Under each such line comes one
+indented line per group of differing rows, with the same two figures: per
+(stage, metric) for ``errors.csv`` and per method for ``lambda_trace.csv``.
 """
 
 import argparse
@@ -19,6 +21,7 @@ from pathlib import Path
 
 FILES = ("errors.csv", "lambda_trace.csv")
 NUMERIC = ("value", "lambda_min")
+GROUP_BY = ("stage", "metric", "method")
 
 
 def first_difference(old: Path, new: Path):
@@ -37,9 +40,21 @@ def first_difference(old: Path, new: Path):
     return f"{new}: line {line} differs from {old}"
 
 
-def row_changes(old: Path, new: Path) -> str:
+def relative_change(x: list, y: list, col) -> float:
+    """|b - a| / |a| for the numeric column of two rows; 0 if it does not
+    parse in both."""
+    try:
+        a, b = float(x[col]), float(y[col])
+    except (IndexError, TypeError, ValueError):
+        return 0.0
+    return abs(b - a) / abs(a) if a else (math.inf if b else 0.0)
+
+
+def row_changes(old: Path, new: Path) -> list:
     """Differing rows of two CSVs and the largest relative change of the
-    numeric column over the rows that differ but still parse."""
+    numeric column over the rows that differ but still parse: one summary
+    line, then one line per group of differing rows, keyed by the old row's
+    ``GROUP_BY`` columns in order of first appearance."""
     rows = []
     for path in (old, new):
         with open(path, newline="", encoding="utf-8") as fh:
@@ -47,19 +62,25 @@ def row_changes(old: Path, new: Path) -> str:
     header = rows[0][0] if rows[0] else []
     name = next((c for c in NUMERIC if c in header), None)
     col = header.index(name) if name else None
+    keys = [header.index(c) for c in GROUP_BY if c in header]
     differing = abs(len(rows[0]) - len(rows[1]))
     worst = 0.0
+    groups = {}
     for x, y in zip(*rows):
         if x == y:
             continue
         differing += 1
-        try:
-            a, b = float(x[col]), float(y[col])
-        except (IndexError, TypeError, ValueError):
-            continue
-        worst = max(worst, abs(b - a) / abs(a) if a else (math.inf if b else 0.0))
+        rel = relative_change(x, y, col)
+        worst = max(worst, rel)
+        key = " ".join(x[i] for i in keys if i < len(x))
+        count, most = groups.get(key, (0, 0.0))
+        groups[key] = (count + 1, max(most, rel))
     change = f"largest relative change in {name} {worst:.3e}" if name else "no numeric column"
-    return f"{new}: {differing} rows differ, {change}"
+    lines = [f"{new}: {differing} rows differ, {change}"]
+    if name and keys:
+        lines += [f"  {key}: {count} rows differ, largest relative change {most:.3e}"
+                  for key, (count, most) in groups.items()]
+    return lines
 
 
 def main(argv=None) -> int:
@@ -93,7 +114,8 @@ def main(argv=None) -> int:
     if differing:
         for old, new in differing:
             both = old.exists() and new.exists()
-            print(f"  {row_changes(old, new) if both else first_difference(old, new)}")
+            for line in row_changes(old, new) if both else [first_difference(old, new)]:
+                print(f"  {line}")
         return 1
     print(f"identical: {compared} files in {len(configs)} configs")
     return 0

@@ -81,10 +81,6 @@ class ErrorBudget:
             raise ValueError("eta must lie in (0, 1)")
 
     @property
-    def dim(self) -> float:
-        return 2.0**self.k
-
-    @property
     def g(self) -> float:
         return g_factor(self.scenario, self.k)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, _check_hermitian,
                        _check_trace_one, _hermitize, system_dim)
 from .designs import mub_family, pauli_operator_stack
-from .simulate import FrequencyTable
+from .simulate import FrequencyTable, _mub_rows
 
 __all__ = [
     "LsEstimate",
@@ -161,20 +161,22 @@ def ls_scenario4(table: FrequencyTable) -> LsEstimate:
 
     with P_l = |v_l><v_l| on the system factor and Q_k = |w_k><w_k| on the
     ancilla factor.
+
+    With P = conj(``_mub_rows(d)``), whose row v is |v><v| flattened, the
+    first sum is P^T (f^T P) realigned from (s, s', a, a') to (s, a, s', a'),
+    and the marginal sums are colsum(f) P and rowsum(f) P.
     """
     _check(table, 4)
     d = table.dim
-    vecs = mub_family(d).vectors()
-    m = vecs.shape[0]
+    projs = _mub_rows(d).conj()
+    m = projs.shape[0]
     if table.values.shape != (m, m):
         raise ValueError("table shape does not match d")
     f = table.values  # [input k, outcome l]
-    projs = np.einsum("ki,kj->kij", vecs, vecs.conj())
-    # sum_l f^k_l P_l for each input k, then tensor against Q_k
-    a_stack = np.einsum("kl,lij->kij", f, projs)
-    term1 = np.einsum("kab,kcd->acbd", a_stack, projs).reshape(d * d, d * d)
-    p_tot = np.einsum("l,lij->ij", f.sum(axis=0), projs)
-    q_tot = np.einsum("k,kij->ij", f.sum(axis=1), projs)
+    term1 = (projs.T @ (f.T @ projs)).reshape((d,) * 4)
+    term1 = term1.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    p_tot = (f.sum(axis=0) @ projs).reshape(d, d)
+    q_tot = (f.sum(axis=1) @ projs).reshape(d, d)
     eye = np.eye(d)
     mat = ((d + 1) / d * term1
            - (np.kron(p_tot, eye) + np.kron(eye, q_tot)) / d

@@ -517,19 +517,16 @@ def _dual_project(phi0: np.ndarray):
 
 
 def pls_pipeline(estimate, cfg: Optional[ProjectionConfig] = None,
-                 method: str = "HIPswitch", direct: bool = False):
+                 method: str = "HIPswitch"):
     """Two-step physical projection of a least-squares estimate.
 
     Step one is ``proj_cp1_thresholded`` at its default threshold tau =
-    max(0, -lambda_min); step two runs ``project_to_cptp``.  ``direct=True``
-    skips the first step and projects the raw estimate (the one-step
-    alternative kept for comparisons).  Returns (ChoiMatrix,
-    ProjectionReport); the report records the spectrum and rank after step
-    one, which stay None with ``direct=True``.
+    max(0, -lambda_min); step two runs ``project_to_cptp``.  Returns
+    (ChoiMatrix, ProjectionReport); the report records the spectrum and rank
+    after step one.  The one-step alternative is ``project_to_cptp`` on the
+    raw estimate's matrix.
     """
     mat = np.asarray(getattr(estimate, "matrix", estimate), dtype=complex)
-    if direct:
-        return project_to_cptp(mat, method, cfg)
     phi_cp1, spectrum = proj_cp1_thresholded(mat)
     choi, report = project_to_cptp(phi_cp1, method, cfg)
     report.cp1_spectrum = spectrum

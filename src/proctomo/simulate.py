@@ -39,14 +39,15 @@ filled row by row, one D x D product conj(B_a) phi per basis B_a of C^D
 (D = d^2), so its transients are a few D x D blocks (about 2.5 MB at
 d = 16) next to the family itself (270 MB at d = 16), where a product over
 the whole vector stack would hold D + 1 such blocks at once.  Scenario 4
-works on d(d+1) x d^2 arrays, a few MB at d = 16.  These kernels sum in
-another order than a single ``einsum`` over the stack would, so their tables
-agree with it to rounding (about 1e-15 of the table's maximum), not bitwise.
+works on d(d+1) x d^2 arrays (about 17 MB at d = 32), and its Born kernel
+and LS estimator share one: the rows conj(v_i) v_a of ``_mub_rows``.  These
+kernels sum in another order than a single ``einsum`` over the stack would,
+so their tables agree with it to rounding (about 1e-15 of the table's
+maximum), not bitwise.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -69,8 +70,6 @@ __all__ = [
     "probability_array",
     "exact_table",
     "sample",
-    "save_table",
-    "load_table",
 ]
 
 
@@ -107,10 +106,10 @@ class FrequencyTable:
         return qubit_count(self.dim)
 
 
-def setting_count(scenario: int, k: Optional[int] = None, d: Optional[int] = None) -> int:
-    """Number of distinct setting/input combinations cycled in each scenario;
-    the Pauli scenarios take k, or d = 2^k."""
-    if scenario in (1, 2) and k is None:
+def setting_count(scenario: int, d: int) -> int:
+    """Number of distinct setting/input combinations cycled in each scenario
+    at system dimension d (d = 2^k in the Pauli scenarios)."""
+    if scenario in (1, 2):
         k = qubit_count(d)
     if scenario == 1:
         return 3 ** (2 * k)
@@ -173,16 +172,21 @@ def _mub_outcome_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
     return p.reshape(-1)
 
 
+def _mub_rows(d: int) -> np.ndarray:
+    """R[v, (i, a)] = conj(v_i) v_a over the vectors v of the MUB family of
+    C^d, basis-major; the scenario-4 Born kernel and LS estimator share it."""
+    vecs = mub_family(d).vectors()
+    return (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(len(vecs), d * d)
+
+
 def _mub_direct_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
     """Scenario-4 distributions p[input k, outcome l].
 
     The amplitude <v_l, v_k| phi |v_l, v_k> is entry (k, l) of R Phi^T R^T,
-    with R[v, (i, a)] = conj(v_i) v_a over the family's vectors and
-    Phi[(i, a), (j, b)] = phi[(i, j), (a, b)]: two BLAS products, the input
-    (ancilla) side first.
+    with R = ``_mub_rows(d)`` and Phi[(i, a), (j, b)] = phi[(i, j), (a, b)]:
+    two BLAS products, the input (ancilla) side first.
     """
-    vecs = mub_family(d).vectors()
-    rows = (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(len(vecs), d * d)
+    rows = _mub_rows(d)
     phi_t = np.asarray(phi).reshape((d,) * 4).transpose(1, 3, 0, 2).reshape(d * d, -1)
     amp = (rows @ phi_t) @ rows.T
     return amp.real * d / (d + 1)
@@ -250,7 +254,7 @@ def sample(choi: ChoiMatrix, scenario: int, plan: SamplingPlan) -> FrequencyTabl
     frequencies, so the returned ``values`` is that buffer.
     """
     probs = probability_array(choi, scenario)
-    n_settings = setting_count(scenario, d=choi.dim)
+    n_settings = setting_count(scenario, choi.dim)
     rows = probs.reshape(n_settings, -1)
     nu = plan.n_shots / n_settings
 
@@ -275,56 +279,3 @@ def sample(choi: ChoiMatrix, scenario: int, plan: SamplingPlan) -> FrequencyTabl
                           total_shots=plan.n_shots, scheme=plan.scheme,
                           seed=plan.seed)
 
-
-def _row_index_maps(table: FrequencyTable):
-    """(setting, input, outcome) ids for each entry of the flattened values."""
-    v = table.values
-    if table.scenario == 1:
-        s, o = np.divmod(np.arange(v.size), v.shape[1])
-        return s, np.zeros(v.size, dtype=int), o
-    if table.scenario == 2:
-        na, nb, nq, npp = v.shape
-        idx = np.arange(v.size)
-        p = idx % npp
-        q = (idx // npp) % nq
-        b = (idx // (npp * nq)) % nb
-        a = idx // (npp * nq * nb)
-        return a * nb + b, q, p
-    if table.scenario == 3:
-        n = v.size
-        z = np.zeros(n, dtype=int)
-        return z, z, np.arange(n)
-    if table.scenario == 4:
-        kk, ll = np.divmod(np.arange(v.size), v.shape[1])
-        return np.zeros(v.size, dtype=int), kk, ll
-    raise ValueError(f"unknown scenario {table.scenario}")
-
-
-def save_table(table: FrequencyTable, path) -> None:
-    """Columnar serialization: commented header, then one row per entry."""
-    s_id, i_id, o_id = _row_index_maps(table)
-    flat = table.values.reshape(-1)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# scenario={table.scenario} d={table.dim} "
-                 f"N={table.total_shots} nu={table.nu!r} "
-                 f"seed={table.seed} scheme={table.scheme} "
-                 f"shape={','.join(map(str, table.values.shape))}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "input", "outcome", "frequency"])
-        for row in zip(s_id, i_id, o_id, flat):
-            writer.writerow([row[0], row[1], row[2], repr(float(row[3]))])
-
-
-def load_table(path) -> FrequencyTable:
-    with open(path) as fh:
-        header = fh.readline().strip().lstrip("# ")
-        meta = dict(item.split("=", 1) for item in header.split())
-        reader = csv.reader(fh)
-        next(reader)  # column names
-        flat = np.array([float(row[3]) for row in reader])
-    shape = tuple(int(x) for x in meta["shape"].split(","))
-    seed = None if meta["seed"] == "None" else int(meta["seed"])
-    return FrequencyTable(scenario=int(meta["scenario"]), dim=int(meta["d"]),
-                          values=flat.reshape(shape), nu=float(meta["nu"]),
-                          total_shots=int(meta["N"]), scheme=meta["scheme"],
-                          seed=seed)

@@ -18,7 +18,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -219,47 +219,38 @@ def check_projection_properties() -> CheckResult:
 
 
 
-def _run_in(cfg: ExperimentConfig, out_dir: Optional[str]):
-    """Run a config, using a self-cleaning scratch directory by default."""
-    if out_dir is not None:
-        return run(cfg, out_dir=out_dir)
+def _run_in(cfg: ExperimentConfig):
+    """Run a config in a self-cleaning scratch directory."""
     with tempfile.TemporaryDirectory(prefix="proctomo_verify_") as tmp:
         return run(cfg, out_dir=tmp)
 
 
-def _median_errors(records, stage: str, metric: str = "trace") -> dict:
-    byn = {}
-    for rec in records:
-        byn.setdefault(rec.point["n_shots"], {}).setdefault(
-            rec.point["rank"], []).append(rec.errors[stage][metric])
-    return byn
-
-
-def check_scaling(out_dir: Optional[str] = None) -> CheckResult:
+def check_scaling() -> CheckResult:
     """Median trace error of the physical estimate follows N^(-1/2)."""
     cfg = ExperimentConfig(
         experiment="sample_size_sweep", scenario=1, k=3,
         channel={"kind": "qft"},
         n_shots_list=[30_000, 100_000, 300_000, 1_000_000],
         repetitions=10, seed=2026)
-    records, _ = _run_in(cfg, out_dir)
-    ns, medians = [], []
-    for n, by_rank in sorted(_median_errors(records, "PLS").items()):
-        ns.append(n)
-        medians.append(_median(next(iter(by_rank.values()))))
+    records, _ = _run_in(cfg)
+    by_n = {}
+    for rec in records:
+        by_n.setdefault(rec.point["n_shots"], []).append(rec.errors["PLS"]["trace"])
+    ns = sorted(by_n)
+    medians = [_median(by_n[n]) for n in ns]
     slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
     return CheckResult("scaling", -0.6 <= slope <= -0.4,
                        {"slope": slope, "window": [-0.6, -0.4],
                         "medians": [float(m) for m in medians]})
 
 
-def check_lowrank_gain(out_dir: Optional[str] = None) -> CheckResult:
+def check_lowrank_gain() -> CheckResult:
     """Rank-one channel at k=3: projection wins a factor >= d^2/10 in trace
     error over the raw least-squares estimate."""
     cfg = ExperimentConfig(
         experiment="single_run", scenario=1, k=3, channel={"kind": "qft"},
         n_shots=1_000_000, repetitions=10, seed=41)
-    records, _ = _run_in(cfg, out_dir)
+    records, _ = _run_in(cfg)
     med_pls = _median([r.errors["PLS"]["trace"] for r in records])
     med_ls = _median([r.errors["LS"]["trace"] for r in records])
     bound = (10 / 64) * med_ls
@@ -268,13 +259,13 @@ def check_lowrank_gain(out_dir: Optional[str] = None) -> CheckResult:
                         "allowed": bound})
 
 
-def check_rank_monotonicity(out_dir: Optional[str] = None) -> CheckResult:
+def check_rank_monotonicity() -> CheckResult:
     """Median trace error grows with the channel rank, less than linearly."""
     cfg = ExperimentConfig(
         experiment="rank_sweep", scenario=1, k=3,
         channel={"kind": "mixed_unitary", "base": "qft"},
         ranks=[1, 2, 4, 8], n_shots=1_000_000, repetitions=10, seed=53)
-    records, _ = _run_in(cfg, out_dir)
+    records, _ = _run_in(cfg)
     by_rank = {}
     for rec in records:
         by_rank.setdefault(rec.point["rank"], []).append(rec.errors["PLS"]["trace"])
@@ -293,7 +284,7 @@ def check_rank_monotonicity(out_dir: Optional[str] = None) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def check_hip_superiority(out_dir: Optional[str] = None) -> CheckResult:
+def check_hip_superiority() -> CheckResult:
     """4-qubit instance: HIPswitch reaches lambda_min >= -1e-7 with fewer
     cone projections than AP or Dykstra get in 500 capped iterations, and
     neither of those reaches the tolerance at all."""
@@ -303,7 +294,7 @@ def check_hip_superiority(out_dir: Optional[str] = None) -> CheckResult:
         n_shots=1_000_000, seed=5,
         methods=["HIPswitch", "AP", "Dykstra"],
         projection={"epsilon": 1e-7, "max_outer_iterations": 500})
-    _, reports = _run_in(cfg, out_dir)
+    _, reports = _run_in(cfg)
     hip, ap, dyk = reports["HIPswitch"], reports["AP"], reports["Dykstra"]
     hip_ok = hip.converged and hip.final_lambda_min >= -1e-7
     others_fail = (not ap.converged) and (not dyk.converged)

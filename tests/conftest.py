@@ -48,7 +48,7 @@ def pauli_channels(k, rng):
 def pauli_plans(scenario, k):
     """One random-scheme and one fixed-scheme plan (two shots per setting)."""
     return [SamplingPlan("random", 10**5, seed=11),
-            SamplingPlan("fixed", 2 * setting_count(scenario, k=k), seed=12)]
+            SamplingPlan("fixed", 2 * setting_count(scenario, 2**k), seed=12)]
 
 
 def transient_peak(fn, *args):

@@ -6,10 +6,10 @@ trace-preserving correction through a reshape view.  The functions here are
 the straightforward forms those replaced.  They do the same per-element
 arithmetic, so the tests compare against them with ``np.array_equal``.
 
-``mub_outcome_probabilities``, ``mub_direct_probabilities`` and
-``ls_scenario3_matrix`` are the whole-stack ``einsum`` forms of the MUB Born
-kernels and of the scenario-3 estimator, which the library runs one basis
-at a time through BLAS products.  Their sums run in another order, so
+``mub_outcome_probabilities``, ``mub_direct_probabilities``,
+``ls_scenario3_matrix`` and ``ls_scenario4_matrix`` are the whole-stack
+``einsum`` forms of the MUB Born kernels and of the MUB estimators, which
+the library runs through BLAS products.  Their sums run in another order, so
 the tests compare against them within a relative tolerance.
 
 ``pauli_projector``, ``all_settings``, ``setting_index`` and
@@ -60,7 +60,7 @@ def born_probabilities(choi, scenario, index=0):
 
     Scenario 2 settings are the (a, b, q) triples with a major and q minor.
     """
-    n_settings = setting_count(scenario, d=choi.dim)
+    n_settings = setting_count(scenario, choi.dim)
     return simulate.probability_array(choi, scenario).reshape(n_settings, -1)[index]
 
 
@@ -109,7 +109,7 @@ def sample(choi, scenario, plan):
     """``simulate.sample`` for scenarios 1 and 2 with a fresh array per step."""
     d = choi.dim
     probs = probability_array(choi, scenario)
-    n_settings = setting_count(scenario, k=d.bit_length() - 1, d=d)
+    n_settings = setting_count(scenario, d)
     rows = probs.reshape(n_settings, -1)
     nu = plan.n_shots / n_settings
     if plan.scheme == "fixed":
@@ -163,6 +163,24 @@ def ls_scenario3_matrix(table):
     d = table.dim
     vecs = mub_family(d * d).vectors()
     return (d * d + 1) * (vecs.T * table.values) @ vecs.conj() - np.eye(d * d)
+
+
+def ls_scenario4_matrix(table):
+    """Scenario-4 LS matrix assembled by ``einsum`` chains over the projector
+    stack, before the final Hermitian symmetrization."""
+    d = table.dim
+    vecs = mub_family(d).vectors()
+    f = table.values  # [input k, outcome l]
+    projs = np.einsum("ki,kj->kij", vecs, vecs.conj())
+    # sum_l f^k_l P_l for each input k, then tensor against Q_k
+    a_stack = np.einsum("kl,lij->kij", f, projs)
+    term1 = np.einsum("kab,kcd->acbd", a_stack, projs).reshape(d * d, d * d)
+    p_tot = np.einsum("l,lij->ij", f.sum(axis=0), projs)
+    q_tot = np.einsum("k,kij->ij", f.sum(axis=1), projs)
+    eye = np.eye(d)
+    return ((d + 1) / d * term1
+            - (np.kron(p_tot, eye) + np.kron(eye, q_tot)) / d
+            + np.eye(d * d))
 
 
 def proj_tp(x):

@@ -443,7 +443,11 @@ class TestCli:
         first, *details = differ.stdout.splitlines()
         assert first.startswith(f"DIFFER {errors}: line 4 differs")
         assert details == [f"  {errors}: 2 rows differ, "
-                           "largest relative change in value 1.000e-06"]
+                           "largest relative change in value 1.000e-06",
+                           "    LS operator: 1 rows differ, "
+                           "largest relative change 0.000e+00",
+                           "    CP1 operator: 1 rows differ, "
+                           "largest relative change 1.000e-06"]
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg_path = self._write_cfg(tmp_path)

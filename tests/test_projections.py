@@ -673,7 +673,7 @@ class TestPipeline:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 2000, seed=12)))
-        choi, report = pls_pipeline(est, method="Dykstra", direct=True)
+        choi, report = project_to_cptp(est.matrix, "Dykstra")
         ChoiMatrix(choi.matrix)
         assert report.cp1_spectrum is None
 

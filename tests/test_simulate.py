@@ -10,9 +10,8 @@ from proctomo.channels import (ChannelSpec, ChoiMatrix, DensityMatrix,
                                make_channel, maximally_entangled_state)
 from proctomo.designs import mub_family
 from proctomo.simulate import (FrequencyTable, SamplingPlan, exact_table,
-                               load_table, pauli_joint_probabilities,
-                               probability_array, sample, save_table,
-                               setting_count)
+                               pauli_joint_probabilities,
+                               probability_array, sample, setting_count)
 
 import oracles
 from oracles import all_settings, born_probabilities, pauli_projector, setting_index
@@ -147,7 +146,7 @@ class TestSampling:
     @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
     def test_setting_counts(self, scenario):
         expected = {1: 9, 2: 18, 3: 1, 4: 6}[scenario]
-        assert setting_count(scenario, k=1, d=2) == expected
+        assert setting_count(scenario, 2) == expected
 
 
 class TestExactTable:
@@ -155,17 +154,6 @@ class TestExactTable:
         table = exact_table(noisy2, 3)
         assert table.scheme == "exact"
         assert_allclose(table.values, probability_array(noisy2, 3), atol=0)
-
-    def test_round_trip_serialization(self, noisy2, tmp_path):
-        table = sample(noisy2, 2, SamplingPlan("random", 3000, seed=13))
-        path = tmp_path / "table.csv"
-        save_table(table, path)
-        loaded = load_table(path)
-        assert loaded.scenario == table.scenario
-        assert loaded.nu == table.nu
-        assert loaded.total_shots == table.total_shots
-        assert np.array_equal(loaded.values, table.values)
-
 
 class TestChunkedPauliKernels:
     """The chunked Born kernel and the in-place sampling path give the same
