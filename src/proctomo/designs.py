@@ -6,12 +6,13 @@ is the one table of all six, read by the Born and estimator kernels.  A
 setting on n qubits is a word over ``AXES = ('x', 'y', 'z')``; tables index
 settings in base 3 with that digit order, qubit 0 most significant.
 
-MUB families exist here for D an odd prime and for D = 2^m, both built by
-one fill: basis 0 is the computational basis, and vector t of basis a+1 is
+MUB families exist here for D an odd prime and for D = 2^m.  Both builders
+return the same three phase tables, from which ``MubFamily`` fills any
+basis: basis 0 is the computational basis, and vector t of basis a+1 is
 roots[(f[a] + c[t]) mod q]/sqrt(D) for the q-th roots of unity and two
-D x D integer tables, phase vectors f and character table c: the f * chi
-form ``MubFamily`` validates.  Odd prime D (Weyl-Heisenberg quadratic
-phases omega^(j l^2 + t l)): q = D, f[j, l] = j l^2, c[t, l] = t l.
+D x D integer tables, phase vectors f and character table c.  Odd prime D
+(Weyl-Heisenberg quadratic phases omega^(j l^2 + t l)): q = D,
+f[j, l] = j l^2, c[t, l] = t l.
 D = 2^m (Galois-ring GR(4, m) trace construction over the Teichmueller
 set): q = 4, f[a, x] = Tr(T(ax)), c[b, x] = 2 tr(bx), read from GF(2^m)
 arithmetic alone.  The stored primitive polynomials over GF(2) are (by
@@ -19,13 +20,14 @@ degree): x+1, x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, x^6+x+1, x^7+x+1,
 x^8+x^4+x^3+x^2+1.
 
 ``mub_family`` builds each dimension's family once per process and returns
-the same read-only :class:`MubFamily` on every later call.
+the same read-only :class:`MubFamily` on every later call.  The family holds
+only the tables (O(D^2) memory) and builds one basis at a time on request.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,83 +77,119 @@ def pauli_operator_stack() -> np.ndarray:
     return 3.0 * np.einsum("ru,cu->urc", v, v.conj()) - np.eye(2)
 
 
-EXACT_TOL = 1e-12     # max entry error of an exact identity (orthonormality, closure, f * chi)
+EXACT_TOL = 1e-12     # max entry error of an exact identity (roots, orthonormality, closure)
 UNBIASED_TOL = 1e-10  # max ||<u|v>|^2 - 1/D| for vectors u, v of two different bases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: == on array fields is ambiguous
 class MubFamily:
-    """D+1 mutually unbiased orthonormal bases of C^D.
+    """D+1 mutually unbiased orthonormal bases of C^D, held as phase tables.
 
-    ``bases[b, t]`` is the t-th unit vector of basis b.  ``bases`` is
-    read-only, so one family can be shared between callers and threads.  A
-    read-only complex array that owns its memory, as the builders return, is
-    kept as it is; any other input is copied, so a caller's array is never
-    shared.
-
-    Accepted form: basis 0 is the computational basis (up to the order and
-    phases of its vectors), chi = ``bases[1]`` is a character table (unitary,
-    and conj(chi_s) * chi_t * sqrt(D) is again a row of chi for all s, t),
-    and every basis a >= 1 is f_a * chi row by row with
-    f_a = sqrt(D) ``bases[a, 0]`` (for a = 1 this makes row 0 of chi the
-    constant 1/sqrt(D)).  Every family ``mub_family`` builds has
-    this form: the Fourier table for odd prime D, the Walsh table over
-    GF(2^m) for D = 2^m.  A family of another form raises ValueError, even
-    if it is mutually unbiased.
+    Basis 0 is the computational basis, and vector t of basis a+1 is
+    ``roots[(f[a] + c[t]) % q] / sqrt(D)`` with q = len(``roots``): the
+    fill of the module docstring.  ``basis(b)`` builds one D x D basis from
+    the tables, so a caller that reads one basis at a time never holds the
+    (D+1) x D x D stack; ``bases`` and ``vectors()`` build the whole stack
+    on each access.  The family keeps read-only copies of the tables and
+    hands out read-only arrays, so one family can be shared between callers
+    and threads, and a caller's array is never shared; ``f`` and ``c`` are
+    kept reduced mod q, which leaves every basis as it is.
 
     Checked, within ``EXACT_TOL`` per entry and ``UNBIASED_TOL`` per squared
-    overlap: basis 0 as above; every entry of bases 1..D has modulus
-    1/sqrt(D), which is unbiasedness against basis 0; chi is unitary and
-    closed as above, one row s at a time; each basis is f_a * chi.  The
-    overlaps of vector t of basis a with vector t' of basis b are then
-    (conj(f_a) * f_b) . chi_u / sqrt(D) with chi_u = conj(chi_t) * chi_t' *
-    sqrt(D), so one (D-a) x D by D x D product per basis a gives every
-    overlap of basis a with every later basis: O(D^4 / 2) work in all, and
-    no temporary larger than one D x D block.
+    overlap: ``f`` and ``c`` are D x D integer tables; the roots have
+    modulus 1 and roots[k] roots[l] = roots[(k + l) mod q], so they are the
+    powers of one q-th root of unity omega; chi = ``basis(1)`` is unitary
+    and a character table (conj(chi_s) * chi_t * sqrt(D) is again a row of
+    chi for all s, t); and bases 1..D are pairwise unbiased.  Every family
+    ``mub_family`` builds passes: the Fourier table for odd prime D, the
+    Walsh table over GF(2^m) for D = 2^m.  Tables that fail raise
+    ValueError, even if their bases are mutually unbiased.
+
+    True by construction of the tables, and so not checked: basis 0 is
+    computational; every entry of bases 1..D has modulus 1/sqrt(D), which is
+    unbiasedness against basis 0; and every basis a+1 is
+    omega^(f[a] - f[0]) times chi, column by column.  Hence every basis is
+    orthonormal when chi is, and the overlaps of vector t of basis a with
+    vector t' of basis b are (conj(g_a) * g_b) . chi_u / sqrt(D), with g_a
+    = sqrt(D) times row 0 of basis a and chi_u = conj(chi_t) * chi_t' *
+    sqrt(D), a row of chi.  One (D-a) x D by D x D product per basis a thus
+    gives every overlap of basis a with every later basis: O(D^4 / 2) work
+    in all, and no temporary larger than one D x D block.
     """
 
     dim: int
-    bases: np.ndarray
+    roots: np.ndarray
+    f: np.ndarray
+    c: np.ndarray
+
+    # roots / sqrt(D) twice over, so f[a] + c indexes it without a mod
+    _table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        bases = self.bases
-        if not (isinstance(bases, np.ndarray) and bases.dtype == complex
-                and bases.flags.owndata and not bases.flags.writeable):
-            bases = np.array(bases, dtype=complex)
-            bases.setflags(write=False)
-        object.__setattr__(self, "bases", bases)
         d = self.dim
-        if bases.shape != (d + 1, d, d):
-            raise ValueError("expected (D+1, D, D) array of basis vectors")
-        modulus = np.abs(bases[0])
-        if (not _is_unitary(bases[0])
-                or np.minimum(modulus, np.abs(modulus - 1.0)).max() > EXACT_TOL):
-            raise ValueError("basis 0 is not the computational basis "
-                             "up to the order and phases of its vectors")
-        for a in range(1, d + 1):
-            if np.abs(np.abs(bases[a]) ** 2 - 1.0 / d).max() > UNBIASED_TOL:
-                raise ValueError(f"basis {a} has an entry of modulus other than "
-                                 f"1/sqrt(D), so bases 0, {a} are not unbiased")
-        chi = bases[1]
+        for tab in (self.f, self.c):
+            tab = np.asarray(tab)
+            if tab.shape != (d, d) or not np.issubdtype(tab.dtype, np.integer):
+                raise ValueError("expected D x D integer tables f and c")
+        roots = _read_only_copy(self.roots, complex)
+        if roots.ndim != 1 or not len(roots):
+            raise ValueError("expected a non-empty vector of roots")
+        if np.abs(np.abs(roots) - 1.0).max() > EXACT_TOL:
+            raise ValueError("roots has an entry of modulus other than 1")
+        q = len(roots)
+        k = np.arange(q)
+        if np.abs(np.outer(roots, roots) - roots[(k[:, None] + k) % q]).max() > EXACT_TOL:
+            raise ValueError("roots are not the powers of one q-th root of unity")
+        f = _read_only_copy(np.mod(self.f, q), np.int64)
+        c = _read_only_copy(np.mod(self.c, q), np.int64)
+        table = _read_only_copy(np.tile(roots / np.sqrt(d), 2), complex)
+        for name, val in (("roots", roots), ("f", f), ("c", c), ("_table", table)):
+            object.__setattr__(self, name, val)
+
+        chi = self.basis(1)
         if not _is_unitary(chi):
             raise ValueError("basis 1 is not orthonormal")
         _check_character_table(chi)
         root = np.sqrt(d)
-        f = root * bases[1:, 0]
-        for a in range(1, d + 1):
-            if np.abs(bases[a] - f[a - 1] * chi).max() > EXACT_TOL:
-                raise ValueError(f"basis {a} is not of the form f * chi: it is not "
-                                 f"sqrt(D) bases[{a}, 0] times basis 1, row by row")
+        g = root * table[f + c[0]]  # g[a] = sqrt(D) row 0 of basis a+1
         for a in range(1, d):
-            ovl = (f[a:] * f[a - 1].conj()) @ chi.T / root
+            ovl = (g[a:] * g[a - 1].conj()) @ chi.T / root
             dev = np.abs(np.abs(ovl) ** 2 - 1.0 / d).max(axis=1)
             bad = np.flatnonzero(dev > UNBIASED_TOL)
             if bad.size:
                 raise ValueError(f"bases {a}, {a + 1 + bad[0]} are not unbiased")
 
+    def basis(self, b: int) -> np.ndarray:
+        """Basis b as a read-only D x D array, vector t in row t."""
+        d = self.dim
+        if not 0 <= b <= d:
+            raise IndexError(f"basis {b} out of range 0..{d}")
+        if b == 0:
+            out = np.eye(d, dtype=complex)
+        else:
+            out = self._table[self.f[b - 1] + self.c]
+        out.setflags(write=False)
+        return out
+
+    @property
+    def bases(self) -> np.ndarray:
+        """All D+1 bases as a read-only (D+1, D, D) array, built on access."""
+        d = self.dim
+        out = np.empty((d + 1, d, d), dtype=complex)
+        for b in range(d + 1):
+            out[b] = self.basis(b)
+        out.setflags(write=False)
+        return out
+
     def vectors(self) -> np.ndarray:
-        """All (D+1)*D vectors stacked, basis-major."""
+        """All (D+1)*D vectors stacked, basis-major, built on access."""
         return self.bases.reshape(-1, self.dim)
+
+
+def _read_only_copy(arr, dtype) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def _is_unitary(u: np.ndarray) -> bool:
@@ -190,29 +228,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _fill(roots: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Fill the family of the module docstring one D x D basis at a time.
-
-    The result is read-only, so ``MubFamily`` takes it without a copy.
-    """
-    d, q = len(c), len(roots)
-    table = roots / np.sqrt(d)
-    bases = np.empty((d + 1, d, d), dtype=complex)
-    bases[0] = np.eye(d)
-    for a in range(d):
-        bases[a + 1] = table[(f[a] + c) % q]
-    bases.setflags(write=False)
-    return bases
-
-
-def _mub_odd_prime(p: int) -> np.ndarray:
+def _mub_odd_prime(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(roots, f, c) of the Weyl-Heisenberg family omega^(j l^2 + t l)."""
     l = np.arange(p)
-    return _fill(np.exp(2j * np.pi / p) ** l, np.outer(l, l**2), np.outer(l, l))
+    return np.exp(2j * np.pi / p) ** l, np.outer(l, l**2), np.outer(l, l)
 
 
-def _mub_power_of_two(m: int) -> np.ndarray:
-    """GR(4, m) construction: v_{a,b}[x] = i^(Tr(T(ax)) + 2 tr(bx))/sqrt(D).
+def _mub_power_of_two(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(roots, f, c) of the GR(4, m) construction.
 
+    Its vectors are v_{a,b}[x] = i^(Tr(T(ax)) + 2 tr(bx))/sqrt(D), where
     a, b, x range over GF(2^m) and T is the Teichmueller lift into GR(4, m).
     The sum rule T(a) + T(b) = T(a+b) + 2 T(sqrt(ab)) gives
     Tr(T(y)) = tr(y) + 2 Q(y) mod 4 with Q(y) = sum_{i<j} y^(2^i) y^(2^j) in
@@ -250,7 +275,7 @@ def _mub_power_of_two(m: int) -> np.ndarray:
     k = np.arange(d)
     idx = 1 + (k[:, None] + k[None, :] - 2) % (d - 1)
     idx[0, :] = idx[:, 0] = 0
-    return _fill(1j ** np.arange(4), trgr_t[idx], 2 * tr_t[idx])
+    return 1j ** np.arange(4), trgr_t[idx], 2 * tr_t[idx]
 
 
 @functools.lru_cache(maxsize=None)
@@ -262,9 +287,9 @@ def mub_family(dim: int) -> MubFamily:
     process; later calls return the same read-only instance.
     """
     if dim >= 2 and dim & (dim - 1) == 0:
-        return MubFamily(dim, _mub_power_of_two(dim.bit_length() - 1))
+        return MubFamily(dim, *_mub_power_of_two(dim.bit_length() - 1))
     if dim > 2 and _is_prime(dim):
-        return MubFamily(dim, _mub_odd_prime(dim))
+        return MubFamily(dim, *_mub_odd_prime(dim))
     raise NotImplementedError(
         f"MUB family for dimension {dim} not implemented; "
         "supported families: odd primes and powers of two"

@@ -137,16 +137,19 @@ def ls_scenario2(table: FrequencyTable) -> LsEstimate:
 def ls_scenario3(table: FrequencyTable) -> LsEstimate:
     """Ancilla-assisted MUB estimator: (d^2+1) sum_i f_i |v_i><v_i| - 1.
 
-    The sum runs one basis B_a at a time, as (B_a^T * f_a) @ conj(B_a), so
-    its transients are a few D x D blocks whatever the family's size.
+    The sum runs one basis B_a at a time, as (B_a^T * f_a) @ conj(B_a),
+    each basis built from the family's phase tables, so its transients are a
+    few D x D blocks and the (D+1) x D x D stack is never held.
     """
     _check(table, 3)
     d = table.dim
-    bases = mub_family(d * d).bases
-    if table.values.shape != (bases.shape[0] * bases.shape[1],):
+    fam = mub_family(d * d)
+    n = fam.dim
+    if table.values.shape != ((n + 1) * n,):
         raise ValueError("table shape does not match d")
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for basis, f in zip(bases, table.values.reshape(bases.shape[:2])):
+    mat = np.zeros((n, n), dtype=complex)
+    for a, f in enumerate(table.values.reshape(n + 1, n)):
+        basis = fam.basis(a)
         mat += (basis.T * f) @ basis.conj()
     mat *= d * d + 1
     mat -= np.eye(d * d)

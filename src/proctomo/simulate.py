@@ -36,9 +36,9 @@ tables are bitwise equal to theirs.
 
 The MUB kernels take one basis at a time.  The scenario-3 Born table is
 filled row by row, one D x D product conj(B_a) phi per basis B_a of C^D
-(D = d^2), so its transients are a few D x D blocks (about 2.5 MB at
-d = 16) next to the family itself (270 MB at d = 16), where a product over
-the whole vector stack would hold D + 1 such blocks at once.  Scenario 4
+(D = d^2), each basis built from the family's phase tables when it is
+needed, so its transients are a few D x D blocks (about 3.5 MB at d = 16),
+where the whole (D+1) x D x D stack would be 270 MB.  Scenario 4
 works on d(d+1) x d^2 arrays (about 17 MB at d = 32), and its Born kernel
 and LS estimator share one: the rows conj(v_i) v_a of ``_mub_rows``.  These
 kernels sum in another order than a single ``einsum`` over the stack would,
@@ -164,9 +164,10 @@ def _mub_outcome_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
     Row a of the table is Re <v|phi|v> for the vectors v of basis a, read as
     the row-wise dot of conj(B_a) phi with B_a: one D x D product per basis.
     """
-    bases = mub_family(d * d).bases
-    p = np.empty(bases.shape[:2])
-    for a, basis in enumerate(bases):
+    fam = mub_family(d * d)
+    p = np.empty((fam.dim + 1, fam.dim))
+    for a in range(fam.dim + 1):
+        basis = fam.basis(a)
         p[a] = np.einsum("ti,ti->t", basis.conj() @ phi, basis).real
     p /= d * d + 1
     return p.reshape(-1)

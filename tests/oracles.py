@@ -12,6 +12,11 @@ arithmetic, so the tests compare against them with ``np.array_equal``.
 the library runs through BLAS products.  Their sums run in another order, so
 the tests compare against them within a relative tolerance.
 
+``mub_outcome_probabilities_by_basis`` and ``ls_scenario3_by_basis`` are
+the scenario-3 kernels' loops over the whole basis stack, which the library
+replaced by bases built one at a time from the family's phase tables; the
+tests compare against them with ``np.array_equal``.
+
 ``pauli_projector``, ``all_settings``, ``setting_index`` and
 ``born_probabilities`` (one Born-table row) serve the dense spot checks.
 
@@ -149,6 +154,18 @@ def mub_outcome_probabilities(phi, d):
     return p / (d * d + 1)
 
 
+def mub_outcome_probabilities_by_basis(phi, d):
+    """The scenario-3 Born table as a loop over the whole (D+1) x D x D
+    stack, one D x D product per basis: the library's per-basis arithmetic
+    on bases read from ``MubFamily.bases``."""
+    bases = mub_family(d * d).bases
+    p = np.empty(bases.shape[:2])
+    for a, basis in enumerate(bases):
+        p[a] = np.einsum("ti,ti->t", basis.conj() @ phi, basis).real
+    p /= d * d + 1
+    return p.reshape(-1)
+
+
 def mub_direct_probabilities(phi, d):
     """Scenario-4 distributions p[input k, outcome l]."""
     vecs = mub_family(d).vectors()
@@ -163,6 +180,20 @@ def ls_scenario3_matrix(table):
     d = table.dim
     vecs = mub_family(d * d).vectors()
     return (d * d + 1) * (vecs.T * table.values) @ vecs.conj() - np.eye(d * d)
+
+
+def ls_scenario3_by_basis(table):
+    """Scenario-3 LS matrix as a loop over the whole (D+1) x D x D stack,
+    the library's per-basis arithmetic including the final Hermitian
+    symmetrization."""
+    d = table.dim
+    bases = mub_family(d * d).bases
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for basis, f in zip(bases, table.values.reshape(bases.shape[:2])):
+        mat += (basis.T * f) @ basis.conj()
+    mat *= d * d + 1
+    mat -= np.eye(d * d)
+    return 0.5 * (mat + mat.conj().T)
 
 
 def ls_scenario4_matrix(table):

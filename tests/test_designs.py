@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proctomo.designs import (_GF2_POLYS, _mub_odd_prime, _mub_power_of_two,
-                              AXES, PAULI_VECTORS, UNBIASED_TOL, MubFamily,
-                              mub_family, near_isotropy_defect)
+from proctomo.designs import (_GF2_POLYS, AXES, PAULI_VECTORS, UNBIASED_TOL,
+                              MubFamily, mub_family, near_isotropy_defect)
 
 from conftest import random_hermitian, transient_peak
 from oracles import (_gf2_mul, _gr_mul, _hensel_lift, all_settings,
@@ -146,13 +145,13 @@ def _pairwise_mub_power_of_two(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_power_of_two_matches_pairwise_oracle(m):
-    assert np.array_equal(_mub_power_of_two(m), _pairwise_mub_power_of_two(m))
+    assert np.array_equal(mub_family(2**m).bases, _pairwise_mub_power_of_two(m))
 
 
 def test_power_of_two_bytes_pinned_at_256():
     # sha256 of the D = 256 family as built by (1j ** phase) / sqrt(D) on the
     # whole D^3 phase array, before the table lookup replaced it
-    digest = hashlib.sha256(_mub_power_of_two(8).tobytes()).hexdigest()
+    digest = hashlib.sha256(mub_family(256).bases.tobytes()).hexdigest()
     assert digest == ("20e19d00aa2b08c33dd5e720b573fcb0"
                       "6917ef81f7e1d7e7a9eba40d32cbd854")
 
@@ -164,85 +163,84 @@ def test_power_of_two_bytes_pinned_at_256():
 def test_odd_prime_bytes_pinned(p, digest):
     # sha256 of the family as built by omega ** (j l^2 + t l mod p) / sqrt(p),
     # one complex power per entry, before both builders shared one fill
-    assert hashlib.sha256(_mub_odd_prime(p).tobytes()).hexdigest() == digest
+    assert hashlib.sha256(mub_family(p).bases.tobytes()).hexdigest() == digest
 
 
-def test_power_of_two_builder_peak():
-    # the builder holds no D^3 temporary next to the family it returns
-    bases, peak = transient_peak(_mub_power_of_two, 7)
-    assert peak <= 1.1 * bases.nbytes
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 16, 64])
+def test_basis_matches_stack(dim):
+    fam = mub_family(dim)
+    bases = fam.bases
+    for a in range(dim + 1):
+        basis = fam.basis(a)
+        assert basis.tobytes() == bases[a].tobytes()
+        assert not basis.flags.writeable
+    for b in (-1, dim + 1):
+        with pytest.raises(IndexError):
+            fam.basis(b)
 
 
-def test_family_adopts_builder_array():
-    # MubFamily keeps the builder's read-only array instead of a second copy
-    fam, peak = transient_peak(mub_family.__wrapped__, 128)
-    assert peak <= 1.1 * fam.bases.nbytes
+def test_family_build_peak():
+    # the family holds D x D tables, never the (D+1) x D x D stack (270 MB)
+    _, peak = transient_peak(mub_family.__wrapped__, 256)
+    assert peak <= 16 * 2**20
 
 
 class TestMubValidation:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 16, 32, 64])
     def test_supported_family_passes_pairwise_oracle(self, dim):
-        bases = mub_family(dim).bases
-        MubFamily(dim, bases)
+        fam = mub_family(dim)
+        MubFamily(dim, fam.roots, fam.f, fam.c)
+        bases = fam.bases
         for basis in bases:
             assert_allclose(basis @ basis.conj().T, np.eye(dim), atol=1e-12)
         assert pairwise_unbiasedness_defect(bases) <= UNBIASED_TOL
 
     @staticmethod
-    def _copy(dim):
-        return np.array(mub_family(dim).bases)
+    def _tables(dim):
+        fam = mub_family(dim)
+        return np.array(fam.roots), np.array(fam.f), np.array(fam.c)
 
     def test_wrong_shape(self):
-        with pytest.raises(ValueError, match=r"expected \(D\+1, D, D\)"):
-            MubFamily(4, self._copy(4)[:-1])
-
-    def test_basis_zero_not_computational(self):
-        # entries of modulus 0 or 1, but two vectors coincide
-        repeated = self._copy(5)
-        repeated[0, 1] = repeated[0, 0]
-        # orthonormal and flat, so every entry check of bases 1..D passes,
-        # but bases 0 and 1 coincide
-        flat = self._copy(5)
-        flat[0] = flat[1]
-        for bases in (repeated, flat):
-            with pytest.raises(ValueError, match="basis 0 is not the computational"):
-                MubFamily(5, bases)
+        roots, f, c = self._tables(4)
+        for f_bad, c_bad in ((f[:-1], c), (f, c[:, :-1]), (f.astype(float), c)):
+            with pytest.raises(ValueError, match="expected D x D integer tables"):
+                MubFamily(4, roots, f_bad, c_bad)
+        for roots_bad in (roots[None], roots[:0]):
+            with pytest.raises(ValueError, match="non-empty vector of roots"):
+                MubFamily(4, roots_bad, f, c)
 
     def test_entry_of_wrong_modulus(self):
-        bases = self._copy(8)
-        bases[3, 2, 5] *= 1.1
-        with pytest.raises(ValueError, match="basis 3 has an entry of modulus "
-                                             "other than 1/sqrt"):
-            MubFamily(8, bases)
+        roots, f, c = self._tables(8)
+        roots[1] *= 1.1
+        with pytest.raises(ValueError, match="modulus other than 1"):
+            MubFamily(8, roots, f, c)
+
+    def test_roots_not_powers_of_one_root(self):
+        # modulus 1 throughout, but roots[1]^2 != roots[2]
+        roots, f, c = self._tables(8)
+        roots[1] = np.exp(0.3j)
+        with pytest.raises(ValueError, match="not the powers of one"):
+            MubFamily(8, roots, f, c)
 
     def test_basis_one_not_orthonormal(self):
-        bases = self._copy(8)
-        bases[1, 2] = bases[1, 1]
+        roots, f, c = self._tables(8)
+        c[2] = c[1]
         with pytest.raises(ValueError, match="basis 1 is not orthonormal"):
-            MubFamily(8, bases)
+            MubFamily(8, roots, f, c)
 
     def test_basis_one_not_character_table(self):
-        # column phases keep basis 1 unitary and flat, but conj(row 0) * row t
-        # * sqrt(D) is then the untwisted row t
-        bases = self._copy(8)
-        phases = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, 8))
-        bases[1] *= phases
+        # a phase per column keeps basis 1 unitary and flat, but
+        # conj(row 0) * row t * sqrt(D) is then the untwisted row t
+        roots, f, c = self._tables(8)
+        c += np.random.default_rng(1).integers(1, 4, size=8)
         with pytest.raises(ValueError, match="basis 1 is not a character table"):
-            MubFamily(8, bases)
-
-    def test_permuted_rows_not_of_form(self):
-        bases = self._copy(7)
-        bases[4, [1, 2]] = bases[4, [2, 1]]
-        # still mutually unbiased, but not f * chi in basis 1's row order
-        assert pairwise_unbiasedness_defect(bases) <= UNBIASED_TOL
-        with pytest.raises(ValueError, match="basis 4 is not of the form f \\* chi"):
-            MubFamily(7, bases)
+            MubFamily(8, roots, f, c)
 
     def test_repeated_basis_not_unbiased(self):
-        bases = self._copy(5)
-        bases[3] = bases[2]
+        roots, f, c = self._tables(5)
+        f[2] = f[1]
         with pytest.raises(ValueError, match="bases 2, 3 are not unbiased"):
-            MubFamily(5, bases)
+            MubFamily(5, roots, f, c)
 
 
 class TestMubCache:
@@ -252,18 +250,28 @@ class TestMubCache:
 
     def test_arrays_read_only(self):
         fam = mub_family(4)
-        for arr in (fam.bases, fam.vectors()):
+        for arr in (fam.bases, fam.vectors(), fam.basis(2), fam.roots, fam.f, fam.c):
             assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0
 
     def test_caller_array_untouched(self):
-        arr = np.array(mub_family(2).bases)
-        fam = MubFamily(2, arr)
-        assert arr.flags.writeable
-        assert not np.shares_memory(arr, fam.bases)
-        arr[0, 0, 0] = 5.0
-        assert fam.bases[0, 0, 0] == 1.0
+        src = mub_family(4)
+        tables = [np.array(src.roots), np.array(src.f), np.array(src.c)]
+        fam = MubFamily(4, *tables)
+        before = fam.bases
+        for arr, kept in zip(tables, (fam.roots, fam.f, fam.c)):
+            assert arr.flags.writeable
+            assert not kept.flags.writeable
+            assert not np.shares_memory(arr, kept)
+            arr[...] = 0
+        assert np.array_equal(fam.bases, before)
+
+    def test_compared_by_identity(self):
+        fam = mub_family(4)
+        twin = MubFamily(4, fam.roots, fam.f, fam.c)
+        assert fam == fam and fam != twin
+        assert len({fam, twin, mub_family(4)}) == 2
 
     def test_unsupported_dimension_raises_every_call(self):
         for _ in range(3):

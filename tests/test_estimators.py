@@ -127,10 +127,18 @@ class TestScenario3Assembly:
                 scale = np.abs(old + np.eye(d * d)).max()
                 assert np.abs(new - old).max() <= 1e-14 * scale
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_matches_stack_loop(self, d, rng):
+        for choi in pauli_channels(d.bit_length() - 1, rng):
+            for table in (exact_table(choi, 3),
+                          sample(choi, 3, SamplingPlan("random", 10**5, seed=5))):
+                assert np.array_equal(ls_scenario3(table).matrix,
+                                      oracles.ls_scenario3_by_basis(table))
+
     def test_peak_memory_d8(self):
         choi = pauli_channels(3, np.random.default_rng(0))[0]
         table = sample(choi, 3, SamplingPlan("random", 10**6, seed=3))
-        family_bytes = mub_family(64).bases.nbytes
+        family_bytes = 65 * 64**2 * 16  # the (D+1) x D x D stack
         _, peak = transient_peak(ls_scenario3, table)
         assert peak < family_bytes / 4
 

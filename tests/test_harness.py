@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +15,8 @@ import yaml
 from proctomo import cli, harness, verification
 from proctomo.harness import (ERROR_COLUMNS, TRACE_COLUMNS, ExperimentConfig,
                               OUT_DIR_ENV, load_config, run)
+
+from conftest import transient_peak
 
 
 def _mini_config(**overrides) -> ExperimentConfig:
@@ -197,6 +200,14 @@ class TestRun:
         si, vi = ERROR_COLUMNS.index("stage"), ERROR_COLUMNS.index("value")
         assert {row[si] for row in rows} == {"LS", "CP1", "PLS"}
         assert all(np.isfinite(float(row[vi])) for row in rows)
+
+    def test_table_released_after_estimate(self, tmp_path):
+        # the k = 4 frequency table (3^8 x 4^4 float64) is dropped once the
+        # LS estimate exists, so the later stages do not hold it
+        table_bytes = 3**8 * 4**4 * 8
+        cfg = _mini_config(k=4, n_shots=10**6, repetitions=1, method="HIPswitch")
+        _, peak = transient_peak(run, cfg, tmp_path)
+        assert peak <= 2.4 * table_bytes
 
     def test_sample_size_sweep_row_count(self, tmp_path):
         cfg = _mini_config(experiment="sample_size_sweep", n_shots=None,
@@ -455,3 +466,18 @@ class TestCli:
         monkeypatch.setenv(OUT_DIR_ENV, str(target))
         assert cli.main(["run", str(cfg_path)]) == 0
         assert (target / "errors.csv").exists()
+
+
+def test_envelope_point_smoke():
+    path = Path(__file__).parent.parent / "scripts" / "envelope.py"
+    spec = importlib.util.spec_from_file_location("envelope", path)
+    envelope = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(envelope)
+    point = dict(envelope.POINTS[1], d=2)
+    line = envelope.measure(point)
+    assert set(line) == {"point", "wall_times_ms", "proj_cp_calls", "peak_rss_mb"}
+    assert line["point"] == point
+    assert set(line["wall_times_ms"]) == {"LS", "CP1", "PLS"}
+    assert line["proj_cp_calls"] >= 1
+    assert line["peak_rss_mb"] > 0
+    json.dumps(line)

@@ -212,8 +212,15 @@ class TestMubKernels:
             assert new.shape == old.shape
             assert _rel_dev(new, old) <= 1e-14
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_scenario3_matches_stack_loop(self, d, rng):
+        for choi in pauli_channels(d.bit_length() - 1, rng):
+            new = simulate._mub_outcome_probabilities(choi.matrix, d)
+            old = oracles.mub_outcome_probabilities_by_basis(choi.matrix, d)
+            assert np.array_equal(new, old)
+
     def test_scenario3_peak_memory_d8(self):
         choi = pauli_channels(3, np.random.default_rng(0))[0]
-        family_bytes = mub_family(64).bases.nbytes
+        family_bytes = 65 * 64**2 * 16  # the (D+1) x D x D stack
         _, peak = transient_peak(probability_array, choi, 3)
         assert peak < family_bytes / 4
