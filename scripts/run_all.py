@@ -2,7 +2,8 @@
 """Run every experiment config in this directory.
 
 Each config lands in its own subdirectory of --out-root (default
-./proctomo_out/<config-name>).  Pass --only to run a subset.
+./proctomo_out/<config-name>).  Pass --only to run a subset; an unknown
+stem exits 1 before any config runs.
 
 BLAS runs one thread unless the caller sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: a multithreaded BLAS reorders its
@@ -35,6 +36,10 @@ def main() -> int:
 
     configs = sorted(HERE.glob("*.yaml"))
     if args.only:
+        unknown = sorted(set(args.only) - {c.stem for c in configs})
+        if unknown:
+            print(f"unknown config stems: {', '.join(unknown)}", file=sys.stderr)
+            return 1
         configs = [c for c in configs if c.stem in args.only]
     if not configs:
         print("no configs selected", file=sys.stderr)

@@ -192,8 +192,6 @@ def confidence_region(spectrum: Sequence[float], budget: ErrorBudget) -> Confide
     best_frob = None
     best_trace = math.inf
     for r in range(1, len(spec) + 1):
-        if spec[:r].sum() <= 0:
-            continue
         delta = _delta_of_rank(spec, r)
         frob = math.sqrt(2 * r) * (delta + 2 * t)
         trace = r * ((4 * math.sqrt(2) + 2) * delta + (4 + 8 * math.sqrt(2)) * t)

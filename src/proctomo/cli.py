@@ -89,7 +89,7 @@ def _convergence_lines(records, reports) -> list[str]:
         pt = recs[0].point
         stages = " ".join(
             f"{stage} {median(r.wall_times_ms[stage] for r in recs):.1f}"
-            for stage in ("LS", "CP1", "PLS") if stage in recs[0].wall_times_ms)
+            for stage in ("LS", "CP1", "PLS"))
         proj = [r.projection for r in recs]
         lines.append(
             f"  d={pt['d']} rank={pt['rank']} N={pt['n_shots']}: {len(recs)} reps, "

@@ -85,7 +85,6 @@ class ExperimentConfig:
     scheme: str = "random"
     method: str = "HIPswitch"
     methods: Optional[list] = None
-    direct: bool = False
     projection: dict = field(default_factory=dict)
     threads: int = 1
     out_dir: Optional[str] = None
@@ -105,8 +104,11 @@ class ExperimentConfig:
             raise ValueError(f"k = {self.k} and d = {self.d} disagree: d must be 2**k")
         if self.k_list is not None and self.d_list is not None:
             raise ValueError("set k_list or d_list, not both")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if type(self.repetitions) is not int or self.repetitions < 1:
+            raise ValueError(
+                f"repetitions must be an integer >= 1, got {self.repetitions!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.methods is not None and not self.methods:
@@ -275,16 +277,13 @@ def _run_repetition(cfg: ExperimentConfig, point: dict, point_idx: int,
     times = {"LS": (t_ls - t0) * 1e3}
 
     # each stage's clock starts after the previous stage's metrics
-    if cfg.direct:
-        stage2_input, spectrum = est.matrix, None
-    else:
-        t_cp1 = time.perf_counter()
-        stage2_input, spectrum = proj_cp1_thresholded(est.matrix)
-        times["CP1"] = (time.perf_counter() - t_cp1) * 1e3
-        errors["CP1"] = _metrics(stage2_input, truth.matrix, physical=True)
+    t_cp1 = time.perf_counter()
+    cp1, spectrum = proj_cp1_thresholded(est.matrix)
+    times["CP1"] = (time.perf_counter() - t_cp1) * 1e3
+    errors["CP1"] = _metrics(cp1, truth.matrix, physical=True)
 
     t_pls = time.perf_counter()
-    pls, report = project_to_cptp(stage2_input, cfg.method, pcfg)
+    pls, report = project_to_cptp(cp1, cfg.method, pcfg)
     times["PLS"] = (time.perf_counter() - t_pls) * 1e3
     errors["PLS"] = _metrics(pls.matrix, truth.matrix, physical=True)
 
@@ -295,8 +294,8 @@ def _run_repetition(cfg: ExperimentConfig, point: dict, point_idx: int,
         "final_lambda_min": report.final_lambda_min,
         "mixing_p": report.mixing_p,
         "converged": report.converged,
-        "cp1_rank": numerical_rank(spectrum) if spectrum is not None else None,
-        "cp1_spectrum": spectrum.tolist() if spectrum is not None else None,
+        "cp1_rank": numerical_rank(spectrum),
+        "cp1_spectrum": spectrum.tolist(),
     }
     point_desc = {"k": point["k"], "d": point["dim"], "n_shots": point["n_shots"],
                   "channel": point["channel_label"], "rank": rank}
@@ -322,11 +321,11 @@ def _algo_comparison(cfg: ExperimentConfig, point: dict, truth: ChoiMatrix):
     seed = _rep_seed(cfg, 0, 0)
     plan = SamplingPlan(cfg.scheme, point["n_shots"], seed)
     est = ls_estimate(sample(truth, cfg.scenario, plan))
-    stage2_input = est.matrix if cfg.direct else proj_cp1_thresholded(est.matrix)[0]
+    cp1, _ = proj_cp1_thresholded(est.matrix)
     rows = []
     reports = {}
     for method in methods:
-        _, report = project_to_cptp(stage2_input, method, cfg.projection_config())
+        _, report = project_to_cptp(cp1, method, cfg.projection_config())
         reports[method] = report
         for it, (lam, mode, calls) in enumerate(report.trace):
             rows.append([method, it, mode, repr(float(lam)), calls])
@@ -356,7 +355,7 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None):
                     lambda r: _run_repetition(cfg, point, idx, r, truth, rank), reps))
         else:
             recs = [_run_repetition(cfg, point, idx, r, truth, rank) for r in reps]
-        records.extend(sorted(recs, key=lambda rec: rec.repetition))
+        records.extend(recs)
 
     _write_errors_csv(out / "errors.csv", cfg, records)
     if cfg.experiment == "algo_comparison":
@@ -372,8 +371,6 @@ def _write_errors_csv(path: Path, cfg: ExperimentConfig, records: list[RunRecord
         for rec in records:
             pt = rec.point
             for stage in ("LS", "CP1", "PLS"):
-                if stage not in rec.errors:
-                    continue
                 wall = (repr(round(rec.wall_times_ms[stage], 3))
                         if cfg.emit_timings else "")
                 for metric in ("trace", "frobenius", "operator", "fidelity"):

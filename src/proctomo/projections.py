@@ -187,8 +187,11 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
     spectrum is then corrected to unit trace.  If the thresholded mass is at
     least one, water filling removes the excess.  Otherwise eigenvalues are
     re-enabled from the top down at lambda + tau until the running total
-    reaches one, the last one receiving the residual mass; the trace is then
-    exactly one by construction and is asserted.
+    reaches one, the last one receiving the residual mass, so the trace is
+    exactly one.  The walk stops early at the first lambda + tau <= 0, which
+    only rounding reaches: an input that is PSD up to rounding has tau near
+    1e-17 and a thresholded mass a few ulps short of one.  The trace is then
+    one to rounding; either way it is asserted to within 1e-9.
 
     With tau = None (the first stage of PLS) tau = max(0, -lambda_min(x)),
     the least eigenvalue taken from the same decomposition.  With tau = 0
@@ -213,7 +216,7 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
         for idx in range(len(lam) - 1, -1, -1):
             contrib = lam[idx] + tau
             if contrib <= 0.0:
-                raise AssertionError("refill walked past the positive spectrum")
+                break
             if running + contrib < 1.0:
                 mu[idx] = contrib
                 running += contrib
@@ -424,7 +427,7 @@ def _dykstra(phi0: np.ndarray, cfg: ProjectionConfig, report: ProjectionReport):
     Frobenius projection of phi0."""
     x = phi0
     corr = np.zeros_like(phi0)
-    best = (-np.inf, proj_tp(phi0))
+    best = (-np.inf, None)
     while True:
         if report.iterations >= cfg.max_outer_iterations:
             return _finish(best[1], best[0], report, converged=False)

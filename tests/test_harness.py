@@ -83,6 +83,9 @@ class TestConfig:
         ({"d": 4}, "k = 1 and d = 4 disagree"),
         ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "d_list": [2, 4]},
          "set k_list or d_list, not both"),
+        ({"seed": -1}, "seed must be a nonnegative integer"),
+        ({"seed": 1.5}, "seed must be a nonnegative integer"),
+        ({"repetitions": 1.5}, "repetitions must be an integer"),
     ])
     def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
                                                     overrides, match):
@@ -129,16 +132,19 @@ class TestConfig:
 
     def test_removed_projection_knob_rejected_on_load(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(textwrap.dedent("""\
-            experiment: single_run
-            scenario: 1
-            k: 1
-            channel: {kind: identity}
-            n_shots: 900
-            projection: {epsilon: 1.0e-7, hip_steps: 30}
-        """))
-        with pytest.raises(TypeError, match="hip_steps"):
-            load_config(cfg_path)
+        for knob, line in (("hip_steps", "projection: {epsilon: 1.0e-7, hip_steps: 30}"),
+                           ("direct", "direct: true")):
+            cfg_path.write_text(textwrap.dedent("""\
+                experiment: single_run
+                scenario: 1
+                k: 1
+                channel: {kind: identity}
+                n_shots: 900
+            """) + line + "\n")
+            with pytest.raises(TypeError, match=knob):
+                load_config(cfg_path)
+        with pytest.raises(TypeError, match="direct"):
+            _mini_config(direct=True)
 
 
 class TestRun:
@@ -256,8 +262,7 @@ class TestRun:
 
 
 class TestStageTimes:
-    @pytest.mark.parametrize("direct", [False, True])
-    def test_stage_times_exclude_metrics(self, tmp_path, monkeypatch, direct):
+    def test_stage_times_exclude_metrics(self, tmp_path, monkeypatch):
         distance, fidelity = harness.distance, harness.fidelity
 
         def slow_distance(*args, **kwargs):
@@ -270,10 +275,9 @@ class TestStageTimes:
 
         monkeypatch.setattr(harness, "distance", slow_distance)
         monkeypatch.setattr(harness, "fidelity", slow_fidelity)
-        records, _ = run(_mini_config(repetitions=1, direct=direct),
-                         out_dir=tmp_path)
+        records, _ = run(_mini_config(repetitions=1), out_dir=tmp_path)
         times = records[0].wall_times_ms
-        assert set(times) == ({"LS", "PLS"} if direct else {"LS", "CP1", "PLS"})
+        assert set(times) == {"LS", "CP1", "PLS"}
         for stage, ms in times.items():
             assert ms < 50.0, (stage, ms)
 
@@ -402,6 +406,14 @@ class TestCli:
         assert "epsilon must be positive" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_negative_seed_fails_before_output(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path)
+        out_dir = tmp_path / "never"
+        assert cli.main(["run", str(cfg_path), "--out-dir", str(out_dir),
+                         "--seed", "-1"]) == 1
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_config_errors(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.yaml")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -466,6 +478,19 @@ class TestCli:
         monkeypatch.setenv(OUT_DIR_ENV, str(target))
         assert cli.main(["run", str(cfg_path)]) == 0
         assert (target / "errors.csv").exists()
+
+
+def test_run_all_rejects_unknown_stem(tmp_path):
+    script = Path(__file__).parent.parent / "scripts" / "run_all.py"
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out_root = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-root", str(out_root),
+         "--only", "dimension_sweep_mub", "typo_name"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert "typo_name" in proc.stderr
+    assert not out_root.exists()
 
 
 def test_envelope_point_smoke():

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
 from proctomo.channels import (ChannelSpec, ChoiMatrix, choi_from_kraus,
-                               make_channel, maximally_entangled_state,
-                               partial_trace)
+                               haar_unitary, make_channel,
+                               maximally_entangled_state, partial_trace)
 import proctomo
 from proctomo import projections
 from proctomo.estimators import ls_estimate
@@ -158,6 +158,31 @@ class TestProjCp1Thresholded:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
         assert mu.min() > -1e-12
         assert (mu > 1e-9).sum() <= (lam > tau).sum() + 1
+
+    @given(n=st.sampled_from([4, 16]), rank=st.integers(1, 16),
+           seed=st.integers(0, 10**6), flat=st.booleans())
+    @example(n=4, rank=1, seed=19, flat=False)
+    @example(n=4, rank=2, seed=1, flat=False)
+    @example(n=4, rank=3, seed=2, flat=False)
+    @example(n=4, rank=2, seed=6, flat=True)
+    @settings(max_examples=200, deadline=None)
+    def test_rank_deficient_density_at_default_threshold(self, n, rank, seed, flat):
+        # a state is PSD only up to rounding, so tau is ~1e-17 and the
+        # thresholded mass can fall a few ulps short of one; flat spectra
+        # are the degenerate ones
+        rank = min(rank, n)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        if flat:
+            q, _ = np.linalg.qr(g)
+            rho = q @ q.conj().T / rank
+        else:
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+        out, spectrum = proj_cp1_thresholded(rho)
+        assert abs(np.trace(out).real - 1.0) < 1e-9
+        assert np.linalg.eigvalsh(out).min() >= -1e-12
+        assert spectrum.min() >= 0.0
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
@@ -659,6 +684,17 @@ class TestPipeline:
         choi, report = pls_pipeline(est)
         assert np.abs(choi.matrix - truth.matrix).max() < 1e-9
         assert report.mixing_p == 0.0
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+    def test_exact_qubit_data_recovers_the_truth(self, scenario):
+        # exact LS estimates of low-rank channels are PSD only up to rounding
+        from proctomo.simulate import exact_table
+        for seed in range(10):
+            for kind, rank in (("unitary", 1), ("mixed_unitary", 2)):
+                spec = ChannelSpec(kind, 2, unitary=haar_unitary(2, seed), rank=rank)
+                truth = choi_from_kraus(make_channel(spec))
+                choi, _ = pls_pipeline(ls_estimate(exact_table(truth, scenario)))
+                assert np.abs(choi.matrix - truth.matrix).max() < 1e-9, (kind, seed)
 
     def test_report_records_both_stages(self, rng):
         truth = choi_from_kraus(make_channel(
