@@ -1,25 +1,31 @@
 #!/usr/bin/env python3
-"""Byte-compare the CSV outputs of two scripts/run_all.py output roots.
+"""Compare the outputs of two scripts/run_all.py output roots.
 
     python scripts/compare_outputs.py OLD_ROOT NEW_ROOT
 
-For every config subdirectory under either root, compares ``errors.csv`` and
-``lambda_trace.csv``.  A file that exists under one root only counts as a
-difference.  Exits 0 when everything matches; otherwise prints the first
-file and line that differ, then one line per differing file with the number
-of differing rows and the largest relative change in its numeric column
-(``value`` or ``lambda_min``), and exits 1.  Under each such line comes one
-indented line per group of differing rows, with the same two figures: per
-(stage, metric) for ``errors.csv`` and per method for ``lambda_trace.csv``.
+For every config subdirectory under either root, byte-compares
+``errors.csv`` and ``lambda_trace.csv``, and compares the ``records`` of
+``run_records.json`` with their ``wall_times_ms`` left out (its ``config``
+holds the output directory, so it is not compared).  A file that exists
+under one root only counts as a difference.  Exits 0 when everything
+matches; otherwise prints the first difference, then one line per differing
+file, and exits 1.  For a CSV that line gives the number of differing rows
+and the largest relative change in its numeric column (``value`` or
+``lambda_min``), and under it comes one indented line per group of
+differing rows, with the same two figures: per (stage, metric) for
+``errors.csv`` and per method for ``lambda_trace.csv``.  For
+``run_records.json`` it gives the number of differing records.
 """
 
 import argparse
 import csv
+import json
 import math
 import sys
 from pathlib import Path
 
-FILES = ("errors.csv", "lambda_trace.csv")
+RECORDS = "run_records.json"
+FILES = ("errors.csv", "lambda_trace.csv", RECORDS)
 NUMERIC = ("value", "lambda_min")
 GROUP_BY = ("stage", "metric", "method")
 
@@ -38,6 +44,21 @@ def first_difference(old: Path, new: Path):
     else:
         line = min(len(la), len(lb)) + 1
     return f"{new}: line {line} differs from {old}"
+
+
+def records_difference(old: Path, new: Path):
+    """None if the two run records agree once wall times are dropped, else a
+    one-line count of the differing records."""
+    if not old.exists() or not new.exists():
+        return f"{new if old.exists() else old}: missing"
+    recs = []
+    for path in (old, new):
+        records = json.loads(path.read_text(encoding="utf-8"))["records"]
+        recs.append([json.dumps({k: v for k, v in rec.items() if k != "wall_times_ms"},
+                                sort_keys=True) for rec in records])
+    differing = abs(len(recs[0]) - len(recs[1])) + sum(
+        x != y for x, y in zip(*recs))
+    return f"{new}: {differing} records differ" if differing else None
 
 
 def relative_change(x: list, y: list, col) -> float:
@@ -105,16 +126,16 @@ def main(argv=None) -> int:
             new = args.new_root / config / name
             if not old.exists() and not new.exists():
                 continue
-            reason = first_difference(old, new)
+            reason = (records_difference if name == RECORDS else first_difference)(old, new)
             if reason:
                 if not differing:
                     print(f"DIFFER {reason}")
-                differing.append((old, new))
+                differing.append((old, new, reason))
             compared += 1
     if differing:
-        for old, new in differing:
-            both = old.exists() and new.exists()
-            for line in row_changes(old, new) if both else [first_difference(old, new)]:
+        for old, new, reason in differing:
+            rows = old.name != RECORDS and old.exists() and new.exists()
+            for line in row_changes(old, new) if rows else [reason]:
                 print(f"  {line}")
         return 1
     print(f"identical: {compared} files in {len(configs)} configs")

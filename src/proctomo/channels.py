@@ -75,6 +75,12 @@ def _check_trace_one(a: np.ndarray, tol: float = TRACE_TOL) -> None:
         raise ValueError(f"trace must be 1, got {tr!r} (tolerance {tol:.1e})")
 
 
+def _check_int(name: str, value, kind: str = "an integer", low: Optional[int] = None):
+    """Refuse anything but a plain int (so bool too), and values below low."""
+    if type(value) is not int or (low is not None and value < low):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def system_dim(n: int) -> int:
     """d for an operator on C^d (x) C^d of size n = d^2."""
     d = round(n ** 0.5)

@@ -44,8 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import (ChannelSpec, ChoiMatrix, choi_from_kraus, distance,
-                       fidelity, haar_unitary, kraus_rank, make_channel,
+from .channels import (ChannelSpec, ChoiMatrix, _check_int, choi_from_kraus,
+                       distance, fidelity, haar_unitary, kraus_rank, make_channel,
                        numerical_rank, qft_unitary, qubit_count)
 from .estimators import ls_estimate
 from .projections import (METHODS, ProjectionConfig, proj_cp1_thresholded,
@@ -100,15 +100,20 @@ class ExperimentConfig:
             raise ValueError("scenario must be 1..4")
         if not isinstance(self.channel, dict):
             raise ValueError(f"channel must be a mapping, got {self.channel!r}")
+        # counts are plain ints: a float or bool would be truncated silently
+        for name in ("k", "d", "n_shots"):
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name))
+        for name in ("n_shots_list", "ranks", "k_list", "d_list"):
+            for i, value in enumerate(getattr(self, name) or ()):
+                _check_int(f"{name}[{i}]", value)
+        _check_int("repetitions", self.repetitions, "an integer >= 1", low=1)
+        _check_int("seed", self.seed, "a nonnegative integer", low=0)
+        _check_int("threads", self.threads)
         if self.k is not None and self.d is not None and 2 ** self.k != self.d:
             raise ValueError(f"k = {self.k} and d = {self.d} disagree: d must be 2**k")
         if self.k_list is not None and self.d_list is not None:
             raise ValueError("set k_list or d_list, not both")
-        if type(self.repetitions) is not int or self.repetitions < 1:
-            raise ValueError(
-                f"repetitions must be an integer >= 1, got {self.repetitions!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.methods is not None and not self.methods:
@@ -161,9 +166,9 @@ def load_config(path) -> ExperimentConfig:
 
 def _dim_of(k: Optional[int], d: Optional[int]) -> int:
     if d is not None:
-        return int(d)
+        return d
     if k is not None:
-        return 2 ** int(k)
+        return 2 ** k
     raise ValueError("config must set k or d")
 
 
@@ -206,7 +211,7 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
         if not cfg.n_shots_list:
             raise ValueError("sample_size_sweep needs n_shots_list")
         for n in cfg.n_shots_list:
-            points.append({"k": cfg.k, "d": cfg.d, "n_shots": int(n),
+            points.append({"k": cfg.k, "d": cfg.d, "n_shots": n,
                            "channel": cfg.channel})
     elif cfg.experiment == "rank_sweep":
         if not cfg.ranks:
@@ -215,26 +220,26 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
             raise ValueError("rank_sweep needs n_shots")
         for r in cfg.ranks:
             chan = dict(cfg.channel)
-            chan.update(kind="mixed_unitary", rank=int(r))
-            points.append({"k": cfg.k, "d": cfg.d, "n_shots": int(cfg.n_shots),
+            chan.update(kind="mixed_unitary", rank=r)
+            points.append({"k": cfg.k, "d": cfg.d, "n_shots": cfg.n_shots,
                            "channel": chan})
     elif cfg.experiment == "dimension_sweep":
         if cfg.k_list:
             for k in cfg.k_list:
-                n = cfg.n_shots if cfg.n_shots is not None else 10 * 9**int(k)
-                points.append({"k": int(k), "d": None, "n_shots": int(n),
+                n = cfg.n_shots if cfg.n_shots is not None else 10 * 9**k
+                points.append({"k": k, "d": None, "n_shots": n,
                                "channel": cfg.channel})
         elif cfg.d_list:
             for d in cfg.d_list:
-                n = cfg.n_shots if cfg.n_shots is not None else 100 * int(d) ** 2
-                points.append({"k": None, "d": int(d), "n_shots": int(n),
+                n = cfg.n_shots if cfg.n_shots is not None else 100 * d ** 2
+                points.append({"k": None, "d": d, "n_shots": n,
                                "channel": cfg.channel})
         else:
             raise ValueError("dimension_sweep needs k_list or d_list")
     else:  # single_run, algo_comparison
         if not cfg.n_shots:
             raise ValueError(f"{cfg.experiment} needs n_shots")
-        points.append({"k": cfg.k, "d": cfg.d, "n_shots": int(cfg.n_shots),
+        points.append({"k": cfg.k, "d": cfg.d, "n_shots": cfg.n_shots,
                        "channel": cfg.channel})
 
     # fail on unsupported combinations before any compute

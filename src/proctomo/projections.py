@@ -19,8 +19,9 @@ pureHIP, HIPswitch), or semismooth Newton on the dual of the projection
 problem, which returns the exact projection in a handful of steps.  Every
 iterate of the AP/HIP family is a Frobenius projection onto a convex superset
 of the physical set, so the distance to any physical point never increases.
-A final depolarizing mixing step cancels the residual negative eigenvalue
-while preserving the partial-trace constraint.
+The alternating methods only yield plane iterates; one driver stops them at
+-epsilon or at the cap, and every method ends in one depolarizing mixing step
+that cancels the residual negative eigenvalue and keeps the partial trace.
 
 Eigendecomposition dominates the run time; the iterates are decomposed by
 ``eigh_iterate``; tau, the first-stage spectrum and the final lambda_min are
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, TP_TOL, ChoiMatrix,
-                       _check_hermitian, _check_trace_one, _hermitize,
+                       _check_hermitian, _check_int, _check_trace_one, _hermitize,
                        numerical_rank, partial_trace, system_dim, tp_deviation)
 
 logger = logging.getLogger(__name__)
@@ -82,6 +83,7 @@ class ProjectionConfig:
     max_outer_iterations: int = 2000
 
     def __post_init__(self):
+        _check_int("max_outer_iterations", self.max_outer_iterations)
         for name in ("epsilon", "max_outer_iterations"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -91,9 +93,10 @@ class ProjectionConfig:
 class ProjectionReport:
     """Trace of one projection run.
 
-    ``trace`` holds one (lambda_min, mode, cumulative proj_cp_calls) row per
-    checked iterate.  ``final_lambda_min`` is the least eigenvalue of the
-    last iterate before depolarizing mixing; ``mixing_p`` solves
+    Built and completed by ``project_to_cptp``.  ``trace`` holds one
+    (lambda_min, mode, cumulative proj_cp_calls) row per checked iterate.
+    ``final_lambda_min`` is the least eigenvalue of the iterate handed to
+    depolarizing mixing (after a cap, the best one seen); ``mixing_p`` solves
     (1-p) lambda_min + p/d^2 = 0 for that value.  ``proj_cp_calls`` counts
     eigendecompositions that produced a PSD projection (the check-only
     decomposition of the accepted iterate is free bookkeeping).  For
@@ -170,10 +173,10 @@ def _psd_from_eigh(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * np.clip(lam, 0.0, None)) @ v.conj().T
 
 
-def _waterfill(values: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """max(values - x0, 0) with x0 >= 0 chosen so the result sums to total."""
+def _waterfill(values: np.ndarray) -> np.ndarray:
+    """max(values - x0, 0) with x0 >= 0 chosen so the result sums to one."""
     u = np.sort(values)[::-1]
-    css = np.cumsum(u) - total
+    css = np.cumsum(u) - 1.0
     idx = np.arange(1, len(u) + 1)
     rho = np.nonzero(u - css / idx > 0)[0][-1]
     theta = css[rho] / (rho + 1.0)
@@ -209,7 +212,7 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
         tau = max(0.0, -float(lam[0]))
     mu = np.where(lam > tau, lam + tau, 0.0)
     if mu.sum() >= 1.0:
-        mu = _waterfill(mu, 1.0)
+        mu = _waterfill(mu)
     else:
         mu = np.zeros_like(lam)
         running = 0.0
@@ -329,76 +332,79 @@ def depolarizing_finalize(phi: np.ndarray, lam_min: float) -> tuple[ChoiMatrix, 
     return ChoiMatrix(_hermitize(mixed)), float(p)
 
 
-def _finish(phi: np.ndarray, lam_min: float, report: ProjectionReport,
-            converged: bool = True):
-    """Common exit: record the final state, warn once if the method stopped
-    short, and mix phi into the physical set."""
-    report.final_lambda_min = lam_min
-    report.converged = converged
-    if not converged:
-        logger.warning("%s did not converge in %d iterations (lambda_min %.3e)",
-                       report.method, report.iterations, lam_min)
-    choi, report.mixing_p = depolarizing_finalize(phi, lam_min)
-    return choi, report
-
-
 def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
                     cfg: Optional[ProjectionConfig] = None, iterate_hook=None):
     """Iteratively move a Hermitian trace-one matrix into the physical set.
 
     AP, Dykstra and the HIP family alternate between the PSD cone and the
-    partial-trace plane and stop once the least eigenvalue of the plane
-    iterate exceeds -cfg.epsilon; the dual method runs semismooth Newton on
-    the dual of the Euclidean projection problem over the plane multiplier
-    until the dual gradient is at most ``DUAL_GRAD_TOL``.  All methods end
-    with depolarizing finalization, so the result is physical.
+    partial-trace plane under ``_run_iterates``; the dual method runs
+    semismooth Newton on the dual of the Euclidean projection problem over
+    the plane multiplier until the dual gradient is at most
+    ``DUAL_GRAD_TOL``.  Here the one report is completed: a run that stopped
+    short is logged once, and depolarizing finalization makes it physical.
 
     ``iterate_hook``, if given, is called with every plane iterate of the
     AP/HIP family (each one is a projection onto a convex superset of the
     physical set, so distances to physical points are nonincreasing along
-    the hooked sequence).
+    the hooked sequence); Dykstra's iterates are not, and dual has none, so
+    a hook with either raises ``ValueError``.
     """
     cfg = cfg or ProjectionConfig()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if iterate_hook is not None and method in ("Dykstra", "dual"):
+        raise ValueError(f"iterate_hook needs an AP/HIP method, not {method}")
     phi0 = np.asarray(phi0, dtype=complex)
-    if method == "dual":
-        return _dual_project(phi0)
-
     report = ProjectionReport(method=method)
+    phi, lam_min, converged = (_dual_project(phi0, report) if method == "dual" else
+                               _run_iterates(phi0, method, cfg, report, iterate_hook))
+    report.final_lambda_min = lam_min
+    report.converged = converged
+    if not converged:
+        logger.warning("%s did not converge in %d iterations (lambda_min %.3e)",
+                       method, report.iterations, lam_min)
+    choi, report.mixing_p = depolarizing_finalize(phi, lam_min)
+    return choi, report
+
+
+def _run_iterates(phi0: np.ndarray, method: str, cfg: ProjectionConfig,
+                  report: ProjectionReport, iterate_hook=None):
+    """Stop an alternating method; returns (phi, lambda_min, converged).
+
+    A physical input stops at once with a "start" row.  Each (lambda_min,
+    plane iterate, mode) the method yields gets a trace row; the run stops
+    at the first lambda_min >= -epsilon, or after max_outer_iterations
+    steps with the iterate of largest lambda_min.
+    """
     if tp_deviation(phi0) <= TP_TOL:
         lam0 = float(np.linalg.eigvalsh(_hermitize(phi0)).min())
         if lam0 >= -cfg.epsilon:
             report.trace.append((lam0, "start", 0))
-            return _finish(phi0, lam0, report)
-
-    if method == "Dykstra":
-        return _dykstra(phi0, cfg, report)
-    return _hip_family(phi0, method, cfg, report, iterate_hook)
-
-
-def _hip_family(phi0: np.ndarray, method: str, cfg: ProjectionConfig,
-                report: ProjectionReport, iterate_hook=None):
-    """AP, oneHIP, pureHIP and HIPswitch share one loop skeleton."""
-    phi = proj_tp(phi0)
-    w_active: list[HalfSpace] = []
-    mode = "AP" if method in ("AP", "HIPswitch") else "HIP"
-    steps_in_mode = 0
-    best = (-np.inf, phi)
-
-    while True:
+            return phi0, lam0, True
+    best = (-np.inf, None)
+    for lam_min, phi, mode in (_dykstra(phi0, report) if method == "Dykstra"
+                               else _hip_family(phi0, method, report)):
         if iterate_hook is not None:
             iterate_hook(phi)
-        lam, v = eigh_iterate(phi)
-        lam_min = float(lam[0])
         report.trace.append((lam_min, mode, report.proj_cp_calls))
         if lam_min > best[0]:
             best = (lam_min, phi)
         if lam_min >= -cfg.epsilon:
-            return _finish(phi, lam_min, report)
+            return phi, lam_min, True
         if report.iterations >= cfg.max_outer_iterations:
-            return _finish(best[1], best[0], report, converged=False)
+            return best[1], best[0], False
 
+
+def _hip_family(phi0: np.ndarray, method: str, report: ProjectionReport):
+    """AP, oneHIP, pureHIP and HIPswitch share one loop skeleton; yields
+    (lambda_min, plane iterate, mode) for each iterate before stepping on."""
+    phi = proj_tp(phi0)
+    w_active: list[HalfSpace] = []
+    mode = "AP" if method in ("AP", "HIPswitch") else "HIP"
+    steps_in_mode = 0
+    while True:
+        lam, v = eigh_iterate(phi)
+        yield float(lam[0]), phi, mode
         report.iterations += 1
         report.proj_cp_calls += 1
         phi_cp = _psd_from_eigh(lam, v)
@@ -421,31 +427,24 @@ def _hip_family(phi0: np.ndarray, method: str, cfg: ProjectionConfig,
                 mode, steps_in_mode = "AP", 0
 
 
-def _dykstra(phi0: np.ndarray, cfg: ProjectionConfig, report: ProjectionReport):
+def _dykstra(phi0: np.ndarray, report: ProjectionReport):
     """Dykstra's algorithm with the correction term on the cone only (the
     partial-trace plane is affine and needs none); converges to the exact
-    Frobenius projection of phi0."""
+    Frobenius projection of phi0.  Yields each plane iterate, lambda_min from
+    a check-only eigvalsh."""
     x = phi0
     corr = np.zeros_like(phi0)
-    best = (-np.inf, None)
     while True:
-        if report.iterations >= cfg.max_outer_iterations:
-            return _finish(best[1], best[0], report, converged=False)
         lam, v = eigh_iterate(x + corr)
         y = _psd_from_eigh(lam, v)
         report.proj_cp_calls += 1
         report.iterations += 1
         corr = x + corr - y
         x = proj_tp(y)
-        lam_min = float(np.linalg.eigvalsh(_hermitize(x)).min())
-        report.trace.append((lam_min, "Dykstra", report.proj_cp_calls))
-        if lam_min > best[0]:
-            best = (lam_min, x)
-        if lam_min >= -cfg.epsilon:
-            return _finish(x, lam_min, report)
+        yield float(np.linalg.eigvalsh(_hermitize(x)).min()), x, "Dykstra"
 
 
-def _dual_project(phi0: np.ndarray):
+def _dual_project(phi0: np.ndarray, report: ProjectionReport):
     """Exact Euclidean projection onto the physical set: semismooth Newton on
     the dual (Malick, SIMAX 2004; Qi & Sun, SIMAX 2006).
 
@@ -454,10 +453,10 @@ def _dual_project(phi0: np.ndarray):
     is Tr_s X(y) - 1/d.  Each step solves (V + mu) dy = -grad by conjugate
     gradients, V the generalized Jacobian at the current eigendecomposition,
     then backtracks until theta or, below its round-off, |grad| decreases.
+    Returns (plane iterate, lambda_min, converged) like ``_run_iterates``.
     """
     d = system_dim(phi0.shape[0])
     n = d * d
-    report = ProjectionReport(method="dual")
 
     def tr_s(a, b):  # Tr_s(a b^dagger) for n x m factors a, b
         return np.tensordot(a.reshape(d, d, -1), b.conj().reshape(d, d, -1),
@@ -515,8 +514,7 @@ def _dual_project(phi0: np.ndarray):
     phi_tp = proj_tp(_psd_from_eigh(lam, q))
     lam_min = float(np.linalg.eigvalsh(_hermitize(phi_tp)).min())
     report.trace.append((lam_min, "dual", report.proj_cp_calls))
-    return _finish(phi_tp, lam_min, report,
-                   converged=report.dual_grad_norm <= DUAL_GRAD_TOL)
+    return phi_tp, lam_min, report.dual_grad_norm <= DUAL_GRAD_TOL
 
 
 def pls_pipeline(estimate, cfg: Optional[ProjectionConfig] = None,

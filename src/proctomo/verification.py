@@ -135,12 +135,13 @@ def _oracle_proj_psd(x: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _oracle_proj_cp1(x: np.ndarray, iters: int = 20000) -> np.ndarray:
-    """Trace-one PSD projection by Dykstra over the two oracle primitives."""
+def _oracle_proj_cp1(x: np.ndarray) -> np.ndarray:
+    """Trace-one PSD projection by Dykstra over the two oracle primitives,
+    at most 20000 steps."""
     n = x.shape[0]
     z = x
     corr = np.zeros_like(x)
-    for _ in range(iters):
+    for _ in range(20000):
         y = _oracle_proj_psd(z + corr)
         corr = z + corr - y
         z_new = y - (np.trace(y).real - 1.0) / n * np.eye(n)

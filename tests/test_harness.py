@@ -86,6 +86,19 @@ class TestConfig:
         ({"seed": -1}, "seed must be a nonnegative integer"),
         ({"seed": 1.5}, "seed must be a nonnegative integer"),
         ({"repetitions": 1.5}, "repetitions must be an integer"),
+        ({"n_shots": 900.5}, "n_shots must be an integer"),
+        ({"n_shots": True}, "n_shots must be an integer"),
+        ({"k": 1.5}, "k must be an integer"),
+        ({"k": None, "scenario": 4, "d": 2.0}, "d must be an integer"),
+        ({"experiment": "rank_sweep", "ranks": [1.5, 2]}, r"ranks\[0\] must be an integer"),
+        ({"experiment": "dimension_sweep", "k": None, "k_list": [1.7]},
+         r"k_list\[0\] must be an integer"),
+        ({"experiment": "dimension_sweep", "k": None, "scenario": 4, "d_list": [2, 3.0]},
+         r"d_list\[1\] must be an integer"),
+        ({"experiment": "sample_size_sweep", "n_shots_list": [900, 900.5]},
+         r"n_shots_list\[1\] must be an integer"),
+        ({"threads": 1.5}, "threads must be an integer"),
+        ({"threads": True}, "threads must be an integer"),
     ])
     def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
                                                     overrides, match):
@@ -121,6 +134,10 @@ class TestConfig:
         ({"ap_steps": 6}, TypeError, "ap_steps"),
         ({"epsilon": 0.0}, ValueError, "epsilon must be positive"),
         ({"epsilon": -1.0}, ValueError, "epsilon must be positive"),
+        ({"max_outer_iterations": 2.5}, ValueError,
+         "max_outer_iterations must be an integer"),
+        ({"max_outer_iterations": True}, ValueError,
+         "max_outer_iterations must be an integer"),
     ])
     def test_bad_projection_rejected_at_construction(self, projection, error, match):
         with pytest.raises(error, match=match):
@@ -471,6 +488,18 @@ class TestCli:
                            "largest relative change 0.000e+00",
                            "    CP1 operator: 1 rows differ, "
                            "largest relative change 1.000e-06"]
+        # records compare without wall times; here only one count moves
+        errors.write_bytes((tmp_path / "old" / "cfg" / "errors.csv").read_bytes())
+        records = tmp_path / "new" / "cfg" / "run_records.json"
+        payload = json.loads(records.read_text())
+        payload["records"][0]["projection"]["iterations"] += 1
+        for rec in payload["records"]:
+            rec["wall_times_ms"] = {}
+        records.write_text(json.dumps(payload))
+        differ = compare()
+        assert differ.returncode == 1
+        assert differ.stdout.splitlines() == [f"DIFFER {records}: 1 records differ",
+                                              f"  {records}: 1 records differ"]
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg_path = self._write_cfg(tmp_path)

@@ -123,7 +123,7 @@ class TestWaterfill:
         values = rng.random(8) * 2
         if values.sum() < 1:
             values = values + 1
-        got = _waterfill(values, 1.0)
+        got = _waterfill(values)
         assert got.sum() == pytest.approx(1.0, abs=1e-9)
         assert_allclose(got, _waterfill_bisection(values), atol=1e-8)
 
@@ -445,6 +445,9 @@ class TestHipInner:
             HalfSpace(normal=2 * np.eye(4, dtype=complex), offset=0.0)
 
 
+ALTERNATING = ["AP", "Dykstra", "oneHIP", "pureHIP", "HIPswitch"]
+
+
 class TestProjectToCptp:
     def test_physical_input_unchanged(self, rng):
         phi = _random_cptp(2, rng)
@@ -507,7 +510,7 @@ class TestProjectToCptp:
         _, report = project_to_cptp(cp1, "AP", short)
         assert not report.converged
 
-    @pytest.mark.parametrize("method", ["AP", "Dykstra", "HIPswitch"])
+    @pytest.mark.parametrize("method", ALTERNATING)
     def test_nonconverged_exit(self, method, caplog):
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
@@ -521,6 +524,33 @@ class TestProjectToCptp:
         warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert len(warnings) == 1
         assert method in warnings[0].getMessage()
+
+    @pytest.mark.parametrize("method", ALTERNATING)
+    def test_converged_exit_bookkeeping(self, method):
+        truth = choi_from_kraus(make_channel(
+            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
+        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=2)))
+        cp1 = proj_cp1_thresholded(est.matrix)[0]
+        hooked = []
+        hook = hooked.append if method != "Dykstra" else None
+        _, report = project_to_cptp(cp1, method, iterate_hook=hook)
+        assert report.converged and report.iterations >= 1
+        lam, _, calls = report.trace[-1]
+        assert calls == report.proj_cp_calls
+        assert lam == report.final_lambda_min >= -ProjectionConfig().epsilon
+        # AP/HIP check the plane iterate before each step and once after the
+        # last; Dykstra checks only after each step
+        checked = report.iterations + (method != "Dykstra")
+        assert len(report.trace) == checked
+        assert len(hooked) == (checked if hook else 0)
+
+    @pytest.mark.parametrize("method", ["Dykstra", "dual"])
+    def test_hook_refused_without_superset_iterates(self, method):
+        hooked = []
+        with pytest.raises(ValueError, match="iterate_hook"):
+            project_to_cptp(_random_tp(4, np.random.default_rng(0)), method,
+                            iterate_hook=hooked.append)
+        assert not hooked
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
