@@ -2,8 +2,9 @@
 """Run every experiment config in this directory.
 
 Each config lands in its own subdirectory of --out-root (default
-./proctomo_out/<config-name>).  Pass --only to run a subset; an unknown
-stem exits 1 before any config runs.
+./proctomo_out/<config-name>).  Pass --only to run a subset.  Every selected
+config is loaded before the first one runs, so an unknown stem or a bad
+config exits 1 before any output exists.
 
 BLAS runs one thread unless the caller sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: a multithreaded BLAS reorders its
@@ -15,13 +16,14 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 # before proctomo imports numpy, which reads these once at load
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from proctomo import cli  # noqa: E402
+from proctomo import cli, harness  # noqa: E402
 
 HERE = Path(__file__).parent
 
@@ -44,6 +46,13 @@ def main() -> int:
     if not configs:
         print("no configs selected", file=sys.stderr)
         return 1
+
+    for cfg in configs:
+        try:
+            replace(harness.load_config(cfg), threads=args.threads)
+        except Exception as exc:  # noqa: BLE001 - reported as the CLI does
+            print(f"error: {cfg.name}: {exc}", file=sys.stderr)
+            return 1
 
     for cfg in configs:
         out_dir = Path(args.out_root) / cfg.stem

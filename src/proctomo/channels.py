@@ -75,10 +75,17 @@ def _check_trace_one(a: np.ndarray, tol: float = TRACE_TOL) -> None:
         raise ValueError(f"trace must be 1, got {tr!r} (tolerance {tol:.1e})")
 
 
-def _check_int(name: str, value, kind: str = "an integer", low: Optional[int] = None):
+def _check_int(name: str, value, kind: Optional[str] = None, low: Optional[int] = None):
     """Refuse anything but a plain int (so bool too), and values below low."""
     if type(value) is not int or (low is not None and value < low):
+        kind = kind or ("an integer" if low is None else f"an integer >= {low}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_real(name: str, value):
+    """Refuse anything but an int or float (so bool and numeric strings too)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def system_dim(n: int) -> int:
@@ -185,8 +192,9 @@ class ChannelSpec:
     rank: int = 1
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
+        _check_int("dim", self.dim, low=2)
+        _check_int("rank", self.rank)
+        _check_real("measure_prob", self.measure_prob)
         if self.kind == "noisy_qft":
             if not (0.0 <= self.measure_prob <= 1.0):
                 raise ValueError("measure_prob must lie in [0, 1]")

@@ -40,17 +40,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .channels import (ChannelSpec, ChoiMatrix, _check_int, choi_from_kraus,
                        distance, fidelity, haar_unitary, kraus_rank, make_channel,
-                       numerical_rank, qft_unitary, qubit_count)
+                       numerical_rank, qft_unitary)
+from .designs import mub_family
 from .estimators import ls_estimate
 from .projections import (METHODS, ProjectionConfig, proj_cp1_thresholded,
                           project_to_cptp)
-from .simulate import SamplingPlan, sample
+from .simulate import SamplingPlan, sample, setting_count
 
 EXPERIMENTS = ("single_run", "sample_size_sweep", "rank_sweep",
                "dimension_sweep", "algo_comparison")
@@ -68,7 +69,8 @@ __all__ = ["ExperimentConfig", "RunRecord", "run", "load_config",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully reproducible experiment."""
+    """One fully reproducible experiment.  Construction refuses what cannot run
+    and expands the rest into ``points``, which ``==`` and the hash ignore."""
 
     experiment: str
     scenario: int
@@ -92,24 +94,31 @@ class ExperimentConfig:
     format_version: int = 1
 
     def __post_init__(self):
-        if self.format_version != 1:
-            raise ValueError(f"unsupported format_version {self.format_version}")
+        if self.format_version != 1 or type(self.format_version) is not int:
+            raise ValueError(f"unsupported format_version {self.format_version!r}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.scenario not in (1, 2, 3, 4):
-            raise ValueError("scenario must be 1..4")
-        if not isinstance(self.channel, dict):
-            raise ValueError(f"channel must be a mapping, got {self.channel!r}")
+        if self.scenario not in (1, 2, 3, 4) or type(self.scenario) is not int:
+            raise ValueError(f"scenario must be 1..4, got {self.scenario!r}")
+        for name in ("channel", "projection"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be a mapping, got {getattr(self, name)!r}")
         # counts are plain ints: a float or bool would be truncated silently
-        for name in ("k", "d", "n_shots"):
+        for name, low in (("k", 1), ("d", 2), ("n_shots", None)):
             if getattr(self, name) is not None:
-                _check_int(name, getattr(self, name))
-        for name in ("n_shots_list", "ranks", "k_list", "d_list"):
+                _check_int(name, getattr(self, name), low=low)
+        for name in ("n_shots_list", "ranks", "k_list", "d_list", "methods"):
+            if not isinstance(getattr(self, name), (list, tuple, type(None))):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
+        for name, low in (("n_shots_list", None), ("ranks", None), ("k_list", 1),
+                          ("d_list", 2)):
             for i, value in enumerate(getattr(self, name) or ()):
-                _check_int(f"{name}[{i}]", value)
-        _check_int("repetitions", self.repetitions, "an integer >= 1", low=1)
+                _check_int(f"{name}[{i}]", value, low=low)
+        _check_int("repetitions", self.repetitions, low=1)
         _check_int("seed", self.seed, "a nonnegative integer", low=0)
-        _check_int("threads", self.threads)
+        _check_int("threads", self.threads, low=1)
+        if type(self.emit_timings) is not bool:
+            raise ValueError(f"emit_timings must be a bool, got {self.emit_timings!r}")
         if self.k is not None and self.d is not None and 2 ** self.k != self.d:
             raise ValueError(f"k = {self.k} and d = {self.d} disagree: d must be 2**k")
         if self.k_list is not None and self.d_list is not None:
@@ -118,14 +127,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.methods is not None and not self.methods:
             raise ValueError("methods is empty; omit it to run every method")
-        if self.methods and len(set(self.methods)) < len(self.methods):
-            raise ValueError(f"methods lists a method twice: {self.methods!r}")
         for m in self.methods or ():
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if self.methods and len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods lists a method twice: {self.methods!r}")
         self.projection_config()  # reject bad projection settings up front
+        object.__setattr__(self, "points", _sweep_points(self))
 
     def projection_config(self) -> ProjectionConfig:
         return ProjectionConfig(**self.projection)
@@ -164,21 +172,33 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def _dim_of(k: Optional[int], d: Optional[int]) -> int:
-    if d is not None:
-        return d
-    if k is not None:
-        return 2 ** k
-    raise ValueError("config must set k or d")
+class SweepPoint(NamedTuple):
+    k: Optional[int]             # qubit count, when the point sets it
+    dim: int
+    n_shots: int
+    spec: ChannelSpec
+
+
+# experiment -> the lists it may sweep: (field, the point value one entry
+# sets, the shot budget when n_shots is unset); the rest run one point
+_SWEEPS = {"sample_size_sweep": (("n_shots_list", "n_shots", None),),
+           "rank_sweep": (("ranks", "rank", None),),
+           "dimension_sweep": (("k_list", "k", lambda k: 10 * 9**k),
+                               ("d_list", "d", lambda d: 100 * d**2))}
+# the channel keys each kind takes besides ``kind``
+_CHANNEL_KEYS = {"identity": (), "qft": (), "random_unitary": (),
+                 "noisy_qft": ("measure_prob",), "mixed_unitary": ("base", "rank")}
 
 
 def _build_channel(channel: dict, dim: int, seed: int) -> ChannelSpec:
-    """Resolve a channel description to a ChannelSpec at a given dimension.
-
-    kinds: identity | qft | random_unitary | noisy_qft | mixed_unitary; the
-    mixed-unitary base is 'identity', 'qft' or 'random'.
-    """
+    """ChannelSpec of a channel mapping at one dimension; the values go to
+    ChannelSpec as given.  A mixed_unitary base is identity, qft or random."""
     kind = channel.get("kind", "identity")
+    if not isinstance(kind, str) or kind not in _CHANNEL_KEYS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    for key in channel:
+        if key != "kind" and key not in _CHANNEL_KEYS[kind]:
+            raise ValueError(f"channel kind {kind!r} takes no key {key!r}")
     if kind == "identity":
         return ChannelSpec("identity", dim)
     if kind == "qft":
@@ -187,78 +207,56 @@ def _build_channel(channel: dict, dim: int, seed: int) -> ChannelSpec:
         return ChannelSpec("unitary", dim, unitary=haar_unitary(dim, seed))
     if kind == "noisy_qft":
         return ChannelSpec("noisy_qft", dim,
-                           measure_prob=float(channel.get("measure_prob", 0.25)))
-    if kind == "mixed_unitary":
-        base = channel.get("base", "identity")
-        if base == "identity":
-            w = np.eye(dim)
-        elif base == "qft":
-            w = qft_unitary(dim)
-        elif base == "random":
-            w = haar_unitary(dim, seed)
-        else:
-            raise ValueError(f"unknown mixed_unitary base {base!r}")
-        return ChannelSpec("mixed_unitary", dim, unitary=w,
-                           rank=int(channel.get("rank", 1)))
-    raise ValueError(f"unknown channel kind {kind!r}")
+                           measure_prob=channel.get("measure_prob", 0.25))
+    base = channel.get("base", "identity")
+    if base == "identity":
+        w = np.eye(dim)
+    elif base == "qft":
+        w = qft_unitary(dim)
+    elif base == "random":
+        w = haar_unitary(dim, seed)
+    else:
+        raise ValueError(f"unknown mixed_unitary base {base!r}")
+    return ChannelSpec("mixed_unitary", dim, unitary=w, rank=channel.get("rank", 1))
 
 
-def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
-    """Expand the config into sweep points, each with its ChannelSpec; a bad
-    dimension, channel, shot count or scheme fails here, before any work."""
+def _sweep_points(cfg: ExperimentConfig) -> tuple:
+    """Expand a validated config's fields into its sweep points; a dimension,
+    channel, shot count or scheme the run cannot take raises here."""
+    lists = _SWEEPS.get(cfg.experiment, ())
+    swept = [sweep for sweep in lists if getattr(cfg, sweep[0])]
+    if lists and not swept:
+        raise ValueError(f"{cfg.experiment} needs {' or '.join(s[0] for s in lists)}")
+    name, key, auto_shots = swept[0] if swept else (None, None, None)
+    if not cfg.n_shots and key != "n_shots" and auto_shots is None:
+        raise ValueError(f"{cfg.experiment} needs n_shots")
+    channel = cfg.channel
+    if key == "rank":
+        if channel.get("kind", "mixed_unitary") != "mixed_unitary" or "rank" in channel:
+            raise ValueError("rank_sweep needs channel kind mixed_unitary and no rank")
+        channel = {**channel, "kind": "mixed_unitary"}
     points = []
-    if cfg.experiment == "sample_size_sweep":
-        if not cfg.n_shots_list:
-            raise ValueError("sample_size_sweep needs n_shots_list")
-        for n in cfg.n_shots_list:
-            points.append({"k": cfg.k, "d": cfg.d, "n_shots": n,
-                           "channel": cfg.channel})
-    elif cfg.experiment == "rank_sweep":
-        if not cfg.ranks:
-            raise ValueError("rank_sweep needs ranks")
-        if not cfg.n_shots:
-            raise ValueError("rank_sweep needs n_shots")
-        for r in cfg.ranks:
-            chan = dict(cfg.channel)
-            chan.update(kind="mixed_unitary", rank=r)
-            points.append({"k": cfg.k, "d": cfg.d, "n_shots": cfg.n_shots,
-                           "channel": chan})
-    elif cfg.experiment == "dimension_sweep":
-        if cfg.k_list:
-            for k in cfg.k_list:
-                n = cfg.n_shots if cfg.n_shots is not None else 10 * 9**k
-                points.append({"k": k, "d": None, "n_shots": n,
-                               "channel": cfg.channel})
-        elif cfg.d_list:
-            for d in cfg.d_list:
-                n = cfg.n_shots if cfg.n_shots is not None else 100 * d ** 2
-                points.append({"k": None, "d": d, "n_shots": n,
-                               "channel": cfg.channel})
-        else:
-            raise ValueError("dimension_sweep needs k_list or d_list")
-    else:  # single_run, algo_comparison
-        if not cfg.n_shots:
-            raise ValueError(f"{cfg.experiment} needs n_shots")
-        points.append({"k": cfg.k, "d": cfg.d, "n_shots": cfg.n_shots,
-                       "channel": cfg.channel})
-
-    # fail on unsupported combinations before any compute
-    # imported at call time so a patched designs.mub_family (perfbench's
-    # tracer) also sees this fail-fast call
-    from .designs import mub_family
-
-    for pt in points:
-        dim = pt["dim"] = _dim_of(pt["k"], pt["d"])
-        if cfg.scenario in (1, 2):
-            qubit_count(dim)
-        if cfg.scenario == 3:
-            mub_family(dim * dim)
-        if cfg.scenario == 4:
-            mub_family(dim)
-        SamplingPlan(cfg.scheme, pt["n_shots"], cfg.seed)
-        pt["spec"] = _build_channel(pt["channel"], dim, cfg.seed)
-        pt["channel_label"] = pt["spec"].label()
-    return points
+    for value in getattr(cfg, name) if name else (None,):
+        pt = {"k": cfg.k, "d": cfg.d, "n_shots": cfg.n_shots, "channel": channel}
+        if auto_shots:  # the swept dimension replaces k and d
+            pt.update(k=None, d=None)
+            if cfg.n_shots is None:
+                pt["n_shots"] = auto_shots(value)
+        if key == "rank":
+            pt["channel"] = {**channel, "rank": value}
+        elif key:
+            pt[key] = value
+        if pt["d"] is None and pt["k"] is None:
+            raise ValueError("config must set k or d")
+        dim = pt["d"] if pt["d"] is not None else 2 ** pt["k"]
+        # setting_count refuses a Pauli dimension that is not 2^k
+        plan = SamplingPlan(cfg.scheme, pt["n_shots"], cfg.seed)
+        plan.shots_per_setting(setting_count(cfg.scenario, dim))
+        if cfg.scenario > 2:
+            mub_family(dim * dim if cfg.scenario == 3 else dim)
+        points.append(SweepPoint(pt["k"], dim, pt["n_shots"],
+                                 _build_channel(pt["channel"], dim, cfg.seed)))
+    return tuple(points)
 
 
 def _rep_seed(cfg: ExperimentConfig, point_idx: int, rep: int) -> int:
@@ -266,11 +264,11 @@ def _rep_seed(cfg: ExperimentConfig, point_idx: int, rep: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _run_repetition(cfg: ExperimentConfig, point: dict, point_idx: int,
+def _run_repetition(cfg: ExperimentConfig, point: SweepPoint, point_idx: int,
                     rep: int, truth: ChoiMatrix, rank: int) -> RunRecord:
     seed = _rep_seed(cfg, point_idx, rep)
     pcfg = cfg.projection_config()
-    plan = SamplingPlan(cfg.scheme, point["n_shots"], seed)
+    plan = SamplingPlan(cfg.scheme, point.n_shots, seed)
 
     # the frequency table is not kept past the estimate: at k = 5 it is
     # 483 MB, held through every later stage otherwise
@@ -302,8 +300,8 @@ def _run_repetition(cfg: ExperimentConfig, point: dict, point_idx: int,
         "cp1_rank": numerical_rank(spectrum),
         "cp1_spectrum": spectrum.tolist(),
     }
-    point_desc = {"k": point["k"], "d": point["dim"], "n_shots": point["n_shots"],
-                  "channel": point["channel_label"], "rank": rank}
+    point_desc = {"k": point.k, "d": point.dim, "n_shots": point.n_shots,
+                  "channel": point.spec.label(), "rank": rank}
     return RunRecord(point=point_desc, repetition=rep, seed=seed, errors=errors,
                      wall_times_ms=times, projection=summary,
                      config_hash=cfg.config_hash())
@@ -320,11 +318,11 @@ def _metrics(mat: np.ndarray, truth: np.ndarray, physical: bool) -> dict:
     return out
 
 
-def _algo_comparison(cfg: ExperimentConfig, point: dict, truth: ChoiMatrix):
+def _algo_comparison(cfg: ExperimentConfig, point: SweepPoint, truth: ChoiMatrix):
     """Run every requested method from one shared first-stage estimate."""
     methods = cfg.methods or list(METHODS)
     seed = _rep_seed(cfg, 0, 0)
-    plan = SamplingPlan(cfg.scheme, point["n_shots"], seed)
+    plan = SamplingPlan(cfg.scheme, point.n_shots, seed)
     est = ls_estimate(sample(truth, cfg.scenario, plan))
     cp1, _ = proj_cp1_thresholded(est.matrix)
     rows = []
@@ -339,15 +337,14 @@ def _algo_comparison(cfg: ExperimentConfig, point: dict, truth: ChoiMatrix):
 
 def run(cfg: ExperimentConfig, out_dir: Optional[str] = None):
     """Execute a config; returns (records, reports) and writes the CSVs."""
-    points = _sweep_points(cfg)
     out = Path(out_dir or cfg.out_dir or default_out_dir())
     out.mkdir(parents=True, exist_ok=True)
 
     records: list[RunRecord] = []
     trace_rows = []
     reports = {}
-    for idx, point in enumerate(points):
-        kraus = make_channel(point["spec"])
+    for idx, point in enumerate(cfg.points):
+        kraus = make_channel(point.spec)
         truth = choi_from_kraus(kraus)
         rank = kraus_rank(kraus)
         if cfg.experiment == "algo_comparison":

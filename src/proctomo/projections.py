@@ -38,8 +38,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, TP_TOL, ChoiMatrix,
-                       _check_hermitian, _check_int, _check_trace_one, _hermitize,
-                       numerical_rank, partial_trace, system_dim, tp_deviation)
+                       _check_hermitian, _check_int, _check_real, _check_trace_one,
+                       _hermitize, numerical_rank, partial_trace, system_dim,
+                       tp_deviation)
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +84,7 @@ class ProjectionConfig:
     max_outer_iterations: int = 2000
 
     def __post_init__(self):
+        _check_real("epsilon", self.epsilon)
         _check_int("max_outer_iterations", self.max_outer_iterations)
         for name in ("epsilon", "max_outer_iterations"):
             if getattr(self, name) <= 0:

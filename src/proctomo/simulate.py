@@ -87,6 +87,13 @@ class SamplingPlan:
         if self.n_shots <= 0:
             raise ValueError("n_shots must be positive")
 
+    def shots_per_setting(self, n_settings: int) -> float:
+        """nu = n_shots / n_settings; the fixed scheme needs it whole."""
+        if self.scheme == "fixed" and self.n_shots % n_settings:
+            raise ValueError(
+                f"fixed scheme needs n_shots divisible by {n_settings} settings")
+        return self.n_shots / n_settings
+
 
 @dataclass(frozen=True)
 class FrequencyTable:
@@ -257,12 +264,9 @@ def sample(choi: ChoiMatrix, scenario: int, plan: SamplingPlan) -> FrequencyTabl
     probs = probability_array(choi, scenario)
     n_settings = setting_count(scenario, choi.dim)
     rows = probs.reshape(n_settings, -1)
-    nu = plan.n_shots / n_settings
+    nu = plan.shots_per_setting(n_settings)
 
     if plan.scheme == "fixed":
-        if plan.n_shots % n_settings:
-            raise ValueError(
-                f"fixed scheme needs n_shots divisible by {n_settings} settings")
         reps = plan.n_shots // n_settings
         for idx in range(n_settings):
             rng = _stream(plan.seed, scenario, idx)

@@ -185,6 +185,19 @@ class TestMakeChannel:
         with pytest.raises(ValueError):
             ChannelSpec("mixed_unitary", 2, rank=5)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"rank": True}, "rank must be an integer, got True"),
+        ({"rank": 1.5}, "rank must be an integer, got 1.5"),
+        ({"dim": 2.0}, r"dim must be an integer >= 2, got 2\.0"),
+        ({"dim": 1}, "dim must be an integer >= 2, got 1"),
+        ({"measure_prob": "0.3"}, "measure_prob must be a number"),
+        ({"measure_prob": None}, "measure_prob must be a number"),
+    ])
+    def test_spec_refuses_bad_values_by_name(self, kwargs, match):
+        kwargs = {"kind": "mixed_unitary", "dim": 2, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            ChannelSpec(**kwargs)
+
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_constructions_are_physical(self, d):
         specs = [ChannelSpec("identity", d),

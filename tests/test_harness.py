@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from pathlib import Path
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proctomo import cli, harness, verification
 from proctomo.harness import (ERROR_COLUMNS, TRACE_COLUMNS, ExperimentConfig,
@@ -25,6 +28,58 @@ def _mini_config(**overrides) -> ExperimentConfig:
                 n_shots=900, repetitions=2, seed=11)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+
+
+def _small(data: dict) -> dict:
+    """A script config cut to k <= 2, N <= 1000 and one repetition."""
+    data = dict(data)
+    for key, value in (("k", 2), ("n_shots", 1000), ("repetitions", 1)):
+        if key in data:
+            data[key] = min(data[key], value)
+    if "k_list" in data:
+        data["k_list"] = [k for k in data["k_list"] if k <= 2]
+    if "d_list" in data:
+        data["d_list"] = data["d_list"][:2]
+    if "n_shots_list" in data:
+        data["n_shots_list"] = [300, 1000]
+    return data
+
+
+# a type swap replaces a value by one of another type; out of range keeps the
+# type (a dict has no range: {} is a valid channel or projection)
+_SWAPS = ("3", 2.5, True, None, [1], {"x": 1})
+_OUT_OF_RANGE = {int: (0, -1), float: (-1.0, 2.0), str: ("nope",), list: ([],)}
+
+
+@st.composite
+def _mutated_script_config(draw):
+    """A script config, made small, with one or two keys dropped, swapped to
+    another type, set out of range, or an unknown key added; at the top level
+    or inside ``channel`` or ``projection``."""
+    path = draw(st.sampled_from(sorted(SCRIPTS.glob("*.yaml"))))
+    data = _small(yaml.safe_load(path.read_text()))
+    touched = []
+    for _ in range(draw(st.integers(1, 2))):
+        where = draw(st.sampled_from(
+            [data] + [v for v in data.values() if isinstance(v, dict)]))
+        op = draw(st.sampled_from(("drop", "swap", "range", "unknown")))
+        if op == "unknown" or not where:
+            key = "zzz"
+            where[key] = 1
+        else:
+            key = draw(st.sampled_from(sorted(where)))
+            if op == "drop":
+                del where[key]
+            elif op == "swap":
+                where[key] = draw(st.sampled_from(
+                    [v for v in _SWAPS if type(v) is not type(where[key])]))
+            elif type(where[key]) in _OUT_OF_RANGE:
+                where[key] = draw(st.sampled_from(_OUT_OF_RANGE[type(where[key])]))
+        touched.append(key)
+    return path.stem, data, touched
 
 
 def _read_csv(path):
@@ -58,11 +113,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown method"):
             _mini_config(method="newton")
 
-    def test_unsupported_dimension_fails_before_compute(self, tmp_path):
-        cfg = _mini_config(experiment="dimension_sweep", k=None,
-                           scenario=4, d_list=[2, 6], n_shots=100)
+    def test_unsupported_dimension_fails_before_compute(self):
         with pytest.raises(NotImplementedError):
-            run(cfg, out_dir=tmp_path)
+            _mini_config(experiment="dimension_sweep", k=None,
+                         scenario=4, d_list=[2, 6], n_shots=100)
 
     @pytest.mark.parametrize("overrides,match", [
         ({"scheme": "foo"}, "unknown scheme"),
@@ -99,6 +153,31 @@ class TestConfig:
          r"n_shots_list\[1\] must be an integer"),
         ({"threads": 1.5}, "threads must be an integer"),
         ({"threads": True}, "threads must be an integer"),
+        ({"channel": {"kind": "mixed_unitary", "rnak": 2}}, "takes no key 'rnak'"),
+        ({"channel": {"kind": "qft", "measure_prob": 0.3}},
+         "takes no key 'measure_prob'"),
+        ({"channel": {"kind": "mixed_unitary", "base": "qft", "rank": 1.5}},
+         "rank must be an integer"),
+        ({"channel": {"kind": "mixed_unitary", "base": "qft", "rank": True}},
+         "rank must be an integer"),
+        ({"channel": {"kind": "noisy_qft", "measure_prob": "0.3"}},
+         "measure_prob must be a number"),
+        ({"experiment": "rank_sweep", "ranks": [1, 2], "channel": {"kind": "qft"}},
+         "rank_sweep needs channel kind mixed_unitary"),
+        ({"experiment": "rank_sweep", "ranks": [1, 2],
+          "channel": {"kind": "mixed_unitary", "rank": 2}},
+         "rank_sweep needs channel kind mixed_unitary and no rank"),
+        ({"emit_timings": "no"}, "emit_timings must be a bool"),
+        ({"k": -1}, "k must be an integer >= 1"),
+        ({"k": None, "scenario": 4, "d": 1}, "d must be an integer >= 2"),
+        ({"scheme": "fixed", "n_shots": 100},
+         "fixed scheme needs n_shots divisible by 9 settings"),
+        ({"scenario": True}, "scenario must be 1..4"),
+        ({"format_version": True}, "unsupported format_version"),
+        ({"projection": [1]}, "projection must be a mapping"),
+        ({"experiment": "sample_size_sweep", "n_shots_list": 900},
+         "n_shots_list must be a list"),
+        ({"experiment": "algo_comparison", "methods": 3}, "methods must be a list"),
     ])
     def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
                                                     overrides, match):
@@ -110,6 +189,21 @@ class TestConfig:
         assert not out_dir.exists()
         assert not sampled
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(case=_mutated_script_config())
+    def test_mutated_script_config_fails_at_construction_or_runs(self, case):
+        stem, data, touched = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "out"
+            try:
+                cfg = ExperimentConfig(**data)
+            except (ValueError, TypeError) as exc:
+                assert any(key in str(exc) for key in touched), (stem, data, exc)
+                assert not out_dir.exists()
+                return
+            run(cfg, out_dir=out_dir)
+            assert (out_dir / "errors.csv").exists()
+
     def test_import_leaves_out_yaml(self):
         code = "import sys, proctomo; print('yaml' in sys.modules)"
         src = str(Path(harness.__file__).resolve().parents[1])
@@ -118,10 +212,9 @@ class TestConfig:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
 
-    def test_pauli_scenario_rejects_odd_dimension(self, tmp_path):
-        cfg = _mini_config(k=None, d=3)
+    def test_pauli_scenario_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="power-of-two"):
-            run(cfg, out_dir=tmp_path)
+            _mini_config(k=None, d=3)
 
     def test_hash_ignores_output_settings(self):
         a = _mini_config()
@@ -138,6 +231,8 @@ class TestConfig:
          "max_outer_iterations must be an integer"),
         ({"max_outer_iterations": True}, ValueError,
          "max_outer_iterations must be an integer"),
+        ({"epsilon": "1e-7"}, ValueError, "epsilon must be a number"),
+        ({"epsilon": True}, ValueError, "epsilon must be a number"),
     ])
     def test_bad_projection_rejected_at_construction(self, projection, error, match):
         with pytest.raises(error, match=match):
@@ -519,6 +614,28 @@ def test_run_all_rejects_unknown_stem(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1
     assert "typo_name" in proc.stderr
+    assert not out_root.exists()
+
+
+def test_run_all_loads_every_config_before_running(tmp_path):
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "run_all.py").write_text((SCRIPTS / "run_all.py").read_text())
+    good = textwrap.dedent("""\
+        experiment: single_run
+        scenario: 1
+        k: 1
+        n_shots: 900
+    """)
+    (scripts / "a_good.yaml").write_text(good + "channel: {kind: qft}\n")
+    (scripts / "b_bad.yaml").write_text(good + "channel: {kind: qft, measure_prob: 0.3}\n")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out_root = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(scripts / "run_all.py"), "--out-root", str(out_root)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert "b_bad.yaml" in proc.stderr and "measure_prob" in proc.stderr
     assert not out_root.exists()
 
 

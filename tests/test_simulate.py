@@ -112,6 +112,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="divisible"):
             sample(noisy2, 1, SamplingPlan("fixed", 100, seed=0))
 
+    def test_shots_per_setting(self):
+        assert SamplingPlan("random", 100, seed=0).shots_per_setting(9) == 100 / 9
+        assert SamplingPlan("fixed", 450, seed=0).shots_per_setting(9) == 50.0
+        with pytest.raises(ValueError, match="divisible by 9 settings"):
+            SamplingPlan("fixed", 100, seed=0).shots_per_setting(9)
+
     def test_impossible_outcome_never_sampled(self, omega2):
         table = sample(omega2, 1, SamplingPlan("random", 10**5, seed=8))
         idx = setting_index(("z", "z"))
