@@ -117,6 +117,8 @@ class ExperimentConfig:
         _check_int("repetitions", self.repetitions, low=1)
         _check_int("seed", self.seed, "a nonnegative integer", low=0)
         _check_int("threads", self.threads, low=1)
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
         if type(self.emit_timings) is not bool:
             raise ValueError(f"emit_timings must be a bool, got {self.emit_timings!r}")
         if self.k is not None and self.d is not None and 2 ** self.k != self.d:

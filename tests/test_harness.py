@@ -168,6 +168,7 @@ class TestConfig:
           "channel": {"kind": "mixed_unitary", "rank": 2}},
          "rank_sweep needs channel kind mixed_unitary and no rank"),
         ({"emit_timings": "no"}, "emit_timings must be a bool"),
+        ({"out_dir": 5}, "out_dir must be a path string"),
         ({"k": -1}, "k must be an integer >= 1"),
         ({"k": None, "scenario": 4, "d": 1}, "d must be an integer >= 2"),
         ({"scheme": "fixed", "n_shots": 100},
@@ -196,12 +197,12 @@ class TestConfig:
         with tempfile.TemporaryDirectory() as tmp:
             out_dir = Path(tmp) / "out"
             try:
-                cfg = ExperimentConfig(**data)
+                cfg = ExperimentConfig(**data, out_dir=str(out_dir))
             except (ValueError, TypeError) as exc:
                 assert any(key in str(exc) for key in touched), (stem, data, exc)
                 assert not out_dir.exists()
                 return
-            run(cfg, out_dir=out_dir)
+            run(cfg)
             assert (out_dir / "errors.csv").exists()
 
     def test_import_leaves_out_yaml(self):
