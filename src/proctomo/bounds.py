@@ -181,6 +181,8 @@ def confidence_region(spectrum: Sequence[float], budget: ErrorBudget) -> Confide
 
     with t = sqrt(8 ln(2^2k/eta) / (3 N g)); the minimum over r is returned
     (all ranks hold simultaneously with probability 1 - eta)."""
+    if budget.n_shots == 0:
+        raise ValueError("confidence_region needs n_shots > 0")
     spec = np.sort(np.asarray(spectrum, dtype=float))[::-1]
     if spec.size == 0:
         raise ValueError("empty spectrum")

@@ -114,6 +114,18 @@ class ExperimentConfig:
                           ("d_list", 2)):
             for i, value in enumerate(getattr(self, name) or ()):
                 _check_int(f"{name}[{i}]", value, low=low)
+        # a field no sweep point reads is refused, not ignored: the lists of
+        # other experiments, and the field a swept entry sets in its place
+        # (rank_sweep's "rank" is a channel key, refused in _sweep_points)
+        sweeps = _SWEEPS.get(self.experiment, ())
+        unread = {name for other in _SWEEPS.values() for name, _, _ in other}
+        unread -= {name for name, _, _ in sweeps}
+        unread |= {key for _, key, _ in sweeps}
+        if self.experiment != "algo_comparison":
+            unread.add("methods")
+        for name in sorted(unread):
+            if getattr(self, name, None) is not None:
+                raise ValueError(f"{self.experiment} does not read {name}; remove it")
         _check_int("repetitions", self.repetitions, low=1)
         _check_int("seed", self.seed, "a nonnegative integer", low=0)
         _check_int("threads", self.threads, low=1)

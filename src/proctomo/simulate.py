@@ -22,9 +22,8 @@ setting.  In the fixed scheme every setting receives exactly nu shots and
 each per-setting row sums to one; in the random scheme settings are drawn
 uniformly and only the expectation of each row sum is one.
 
-Sampling is reproducible: each setting draws from its own Philox stream
-keyed by (seed, scenario, setting index), so results do not depend on how
-the settings are scheduled across threads.
+Sampling is reproducible: a table is one multinomial draw from one Philox
+stream keyed by (seed, scenario, setting count), under either scheme.
 
 Memory: the Pauli tables have 3^2k 2^2k cells (13.4 MB of float64 at k=4,
 483 MB at k=5).  The Born kernel runs in six chunks and writes real parts
@@ -97,7 +96,9 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Observed frequencies for one scenario, normalized by nu."""
+    """Observed frequencies for one scenario: the counts of one multinomial
+    draw divided by nu (``sample``), or exact Born probabilities with
+    scheme ``"exact"`` and nu = nan (``exact_table``)."""
 
     scenario: int
     dim: int                 # system dimension d
@@ -255,32 +256,30 @@ def sample(choi: ChoiMatrix, scenario: int, plan: SamplingPlan) -> FrequencyTabl
     """Draw a frequency table under the fixed or random setting scheme.
 
     Fixed: every setting receives exactly nu = N / n_settings shots (N must
-    divide).  Random: one multinomial draw over the joint (setting, outcome)
+    divide), drawn as one multinomial call over the rows of the Born table.
+    Random: one multinomial draw over the joint (setting, outcome)
     distribution, statistically identical to per-shot uniform settings.
+    Either draw comes from the one stream keyed by (seed, scenario,
+    n_settings).
 
-    The Born table is normalized in place and then overwritten with the
-    frequencies, so the returned ``values`` is that buffer.
+    The counts are divided by nu into the Born table's buffer, so the
+    returned ``values`` is that buffer.
     """
     probs = probability_array(choi, scenario)
     n_settings = setting_count(scenario, choi.dim)
     rows = probs.reshape(n_settings, -1)
     nu = plan.shots_per_setting(n_settings)
-
+    rng = _stream(plan.seed, scenario, n_settings)
     if plan.scheme == "fixed":
-        reps = plan.n_shots // n_settings
-        for idx in range(n_settings):
-            rng = _stream(plan.seed, scenario, idx)
-            rows[idx] = rng.multinomial(reps, rows[idx] / rows[idx].sum())
-        values = np.divide(rows, reps, out=rows)
+        counts = rng.multinomial(plan.n_shots // n_settings, rows)
     else:
         joint = rows.reshape(-1)
         joint /= n_settings
         joint /= joint.sum()
-        rng = _stream(plan.seed, scenario, n_settings)
-        values = np.divide(rng.multinomial(plan.n_shots, joint), nu, out=joint)
+        counts = rng.multinomial(plan.n_shots, joint)
+    values = np.divide(counts.reshape(probs.shape), nu, out=probs)
 
-    return FrequencyTable(scenario=scenario, dim=choi.dim,
-                          values=values.reshape(probs.shape), nu=float(nu),
-                          total_shots=plan.n_shots, scheme=plan.scheme,
-                          seed=plan.seed)
+    return FrequencyTable(scenario=scenario, dim=choi.dim, values=values,
+                          nu=float(nu), total_shots=plan.n_shots,
+                          scheme=plan.scheme, seed=plan.seed)
 

@@ -20,6 +20,12 @@ tests compare against them with ``np.array_equal``.
 ``pauli_projector``, ``all_settings``, ``setting_index`` and
 ``born_probabilities`` (one Born-table row) serve the dense spot checks.
 
+``ls_cell_operators`` writes each scenario's LS estimator as
+Phi_hat = sum_c f_c M_c + C with one dense operator per table cell, and
+``ls_second_moment`` gives the estimate's mean squared Frobenius error from
+those operators and the Born table in closed form; the sampled spread is
+tested against it.
+
 ``proctomo.designs`` builds the D = 2^m MUB families from GF(2^m) arithmetic
 alone; the GF(2^m) and GR(4, m) products below build them in the ring itself,
 for a test oracle that shares no arithmetic with the library.  ``MubFamily``
@@ -117,22 +123,95 @@ def sample(choi, scenario, plan):
     n_settings = setting_count(scenario, d)
     rows = probs.reshape(n_settings, -1)
     nu = plan.n_shots / n_settings
+    rng = _stream(plan.seed, scenario, n_settings)
     if plan.scheme == "fixed":
-        reps = plan.n_shots // n_settings
-        counts = np.empty_like(rows)
-        for idx in range(n_settings):
-            rng = _stream(plan.seed, scenario, idx)
-            counts[idx] = rng.multinomial(reps, rows[idx] / rows[idx].sum())
-        values = counts / reps
+        counts = rng.multinomial(plan.n_shots // n_settings, rows)
     else:
         joint = rows.reshape(-1) / n_settings
-        rng = _stream(plan.seed, scenario, n_settings)
         counts = rng.multinomial(plan.n_shots, joint / joint.sum())
-        values = counts.reshape(rows.shape) / nu
     return FrequencyTable(scenario=scenario, dim=d,
-                          values=values.reshape(probs.shape), nu=float(nu),
+                          values=counts.reshape(probs.shape) / nu, nu=float(nu),
                           total_shots=plan.n_shots, scheme=plan.scheme,
                           seed=plan.seed)
+
+
+def _pauli_cell_operators(n):
+    """(x)_i (3 |o_i,s_i><o_i,s_i| - 1) on n qubits, as a (3^n, 2^n, 2^n,
+    2^n) stack in table order [setting s, outcome o]."""
+    single = {(axis, bit): 3 * pauli_projector((axis,), (bit,)) - np.eye(2)
+              for axis in AXES for bit in (0, 1)}
+    ops = []
+    for setting in all_settings(n):
+        for bits in itertools.product((0, 1), repeat=n):
+            m = np.ones((1, 1))
+            for axis, bit in zip(setting, bits):
+                m = np.kron(m, single[axis, bit])
+            ops.append(m)
+    return np.array(ops).reshape(3**n, 2**n, 2**n, 2**n)
+
+
+def ls_cell_operators(scenario, d):
+    """The LS estimator as Phi_hat = sum_c f_c M_c + C over the cells c of a
+    frequency table, written from the scenario's estimator formula.
+
+    Returns (M, C): M has shape (cells, d^2, d^2) in table order, C is
+    (d^2, d^2).  Built cell by cell with dense Kronecker products; shares no
+    code with ``proctomo.estimators``.
+    """
+    n = d * d
+    if scenario == 1:
+        k = d.bit_length() - 1
+        ops = _pauli_cell_operators(2 * k).reshape(-1, n, n) / 9**k
+        return ops, np.zeros((n, n))
+    if scenario == 2:
+        k = d.bit_length() - 1
+        ops = _pauli_cell_operators(k)  # [s, o, i, j]
+        # cell [a, b, q, p]: M^b_p on the system, M^a_q on the ancilla
+        cells = np.einsum("bpij,aqkl->abqpikjl", ops, ops)
+        return cells.reshape(-1, n, n) / (9**k * d), np.zeros((n, n))
+    if scenario == 3:
+        vecs = mub_family(n).vectors()
+        ops = (n + 1) * np.einsum("vi,vj->vij", vecs, vecs.conj())
+        return ops, -np.eye(n)
+    if scenario == 4:
+        vecs = mub_family(d).vectors()
+        projs = np.einsum("vi,vj->vij", vecs, vecs.conj())
+        eye = np.eye(d)
+        # cell [input k, outcome l]: P_l on the system, P_k on the ancilla
+        # (input k is (|v_k><v_k|)^T, so its Choi-state partner is P_k)
+        cells = [(d + 1) / d * np.kron(p_l, p_k)
+                 - (np.kron(p_l, eye) + np.kron(eye, p_k)) / d
+                 for p_k in projs for p_l in projs]
+        return np.array(cells), np.eye(n)
+    raise ValueError(f"unknown scenario {scenario}")
+
+
+def ls_second_moment(choi, scenario, plan):
+    """E ||Phi_hat - Phi||_F^2 of the LS estimate from one table drawn under
+    ``plan``, in closed form from the Born table and the cell operators.
+
+    The counts n of the cells of one independent multinomial block b of
+    N_b shots, with f = n / nu, contribute
+    N_b (sum_c p_{c|b} ||M_c / nu||^2 - ||sum_c p_{c|b} M_c / nu||^2).
+    The fixed scheme has one block of nu shots per setting; the random
+    scheme has one block of N shots over the joint (setting, outcome)
+    distribution p_{s,o} / n_settings.
+    """
+    n_settings = setting_count(scenario, choi.dim)
+    nu = plan.n_shots / n_settings
+    rows = simulate.probability_array(choi, scenario).reshape(n_settings, -1)
+    ops, _ = ls_cell_operators(scenario, choi.dim)
+    vecs = ops.reshape(n_settings, rows.shape[1], -1) / nu
+    if plan.scheme == "fixed":
+        blocks = [(nu, rows[s], vecs[s]) for s in range(n_settings)]
+    else:
+        blocks = [(plan.n_shots, rows.reshape(-1) / n_settings,
+                   vecs.reshape(-1, vecs.shape[-1]))]
+    total = 0.0
+    for shots, p, v in blocks:
+        mean = p @ v
+        total += shots * (p @ (np.abs(v) ** 2).sum(axis=1) - np.vdot(mean, mean).real)
+    return total
 
 
 def ls_matrix(table):

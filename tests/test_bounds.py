@@ -162,6 +162,10 @@ class TestConfidenceRegion:
         with pytest.raises(ValueError):
             confidence_region([], ErrorBudget(scenario=1, k=1, n_shots=100))
 
+    def test_rejects_zero_shots(self):
+        with pytest.raises(ValueError, match="n_shots"):
+            confidence_region([1, 0, 0, 0], ErrorBudget(scenario=1, k=1, n_shots=0))
+
 
 class TestDirectProjection:
     def test_crossover_matches_two_step_at_d2_over_32(self):

@@ -124,7 +124,7 @@ class TestConfig:
         ({"channel": {"kind": "nope"}}, "unknown channel kind"),
         ({"experiment": "rank_sweep", "ranks": [1, 2], "n_shots": None},
          "rank_sweep needs n_shots"),
-        ({"experiment": "sample_size_sweep", "n_shots_list": [900, -5]},
+        ({"experiment": "sample_size_sweep", "n_shots_list": [900, -5], "n_shots": None},
          "n_shots must be positive"),
         ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "n_shots": 0},
          "n_shots must be positive"),
@@ -179,6 +179,28 @@ class TestConfig:
         ({"experiment": "sample_size_sweep", "n_shots_list": 900},
          "n_shots_list must be a list"),
         ({"experiment": "algo_comparison", "methods": 3}, "methods must be a list"),
+        ({"n_shots_list": [5]}, "single_run does not read n_shots_list"),
+        ({"ranks": [3]}, "single_run does not read ranks"),
+        ({"k_list": [1]}, "single_run does not read k_list"),
+        ({"d_list": [7]}, "single_run does not read d_list"),
+        ({"experiment": "rank_sweep", "ranks": [1, 2], "n_shots_list": [900]},
+         "rank_sweep does not read n_shots_list"),
+        ({"experiment": "algo_comparison", "k_list": [1, 2]},
+         "algo_comparison does not read k_list"),
+        ({"experiment": "sample_size_sweep", "n_shots_list": [900], "n_shots": None,
+          "ranks": [1]},
+         "sample_size_sweep does not read ranks"),
+        ({"experiment": "dimension_sweep", "k": None, "k_list": [1], "n_shots_list": [9]},
+         "dimension_sweep does not read n_shots_list"),
+        ({"experiment": "sample_size_sweep", "n_shots_list": [900]},
+         "sample_size_sweep does not read n_shots"),
+        ({"experiment": "dimension_sweep", "k_list": [1, 2]},
+         "dimension_sweep does not read k"),
+        ({"experiment": "dimension_sweep", "k": None, "d": 2, "k_list": [1, 2]},
+         "dimension_sweep does not read d"),
+        ({"methods": ["AP"]}, "single_run does not read methods"),
+        ({"experiment": "rank_sweep", "ranks": [1, 2], "methods": ["AP"]},
+         "rank_sweep does not read methods"),
     ])
     def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
                                                     overrides, match):

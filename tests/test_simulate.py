@@ -177,8 +177,6 @@ class TestChunkedPauliKernels:
         for choi in pauli_channels(k, rng):
             assert np.array_equal(probability_array(choi, scenario),
                                   oracles.probability_array(choi, scenario))
-            if k == 4 and scenario == 2:
-                continue  # 10^5 fixed-scheme streams; covered at k <= 3
             for plan in pauli_plans(scenario, k):
                 new = sample(choi, scenario, plan)
                 old = oracles.sample(choi, scenario, plan)
@@ -188,9 +186,10 @@ class TestChunkedPauliKernels:
     @pytest.mark.parametrize("scenario", [1, 2])
     def test_sample_peak_memory_k4(self, scenario):
         choi = pauli_channels(4, np.random.default_rng(0))[0]
-        table, peak = transient_peak(sample, choi, scenario,
-                                     SamplingPlan("random", 10**6, seed=3))
-        assert peak <= 2.5 * table.values.nbytes
+        for plan in (SamplingPlan("random", 10**6, seed=3),
+                     SamplingPlan("fixed", 2 * setting_count(scenario, 16), seed=3)):
+            table, peak = transient_peak(sample, choi, scenario, plan)
+            assert peak <= 2.5 * table.values.nbytes, plan.scheme
 
 
 def _rel_dev(new, old):
