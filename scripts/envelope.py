@@ -6,7 +6,7 @@ Points, each a `single_run` with HIPswitch:
 * scenario 1 at k = 4 (`noisy_qft`) and scenarios 3 and 4 at d = 16
   (`mixed_unitary` qft rank 2), random scheme, N = 10^7;
 * scenario 2 at k = 4 (`noisy_qft`), fixed scheme, N = 95 * 104,976: 95
-  shots for each of its 104,976 settings, drawn as one multinomial call.
+  shots for each of its 104,976 settings, drawn as one multinomial row each.
 
 Each point runs in a fresh process, so its peak resident set is its own,
 and prints one JSON line: the point, the stage wall times of its

@@ -4,10 +4,10 @@ Each estimator is linear in the frequencies and unbiased: feeding exact Born
 probabilities reproduces the true Choi matrix.  The Pauli scenarios are
 assembled by folding frequency tensors against the single-qubit operators
 3|o,s><o,s| - 1 one qubit at a time, so no d^4 x (outcome count) design
-matrix is ever materialized.  The fold runs in six chunks read straight from
+matrix is ever materialized.  The fold runs in 36 chunks read straight from
 the real table (scenario 2 through a transposed view), so its transients are
-about one table's worth of float64 and no complex copy of the whole table
-is made.
+about a third of a table's worth of float64 and no complex copy of the whole
+table is made.
 """
 
 from __future__ import annotations
@@ -62,37 +62,41 @@ def pauli_assemble(freqs: np.ndarray, n: int) -> np.ndarray:
     table; it is never copied whole.  The contraction folds one qubit per
     step for an O(n 6^n) total cost.
 
-    The work runs in six chunks, one per value of the last-folded index
-    u_{n-1} = (s_{n-1}, o_{n-1}).  Each chunk is sliced from the real table,
-    interleaved to per-qubit axes u_i = (s_i, o_i), cast to complex and
-    folded over u_0..u_{n-2}; the six 4^(n-1) partial results are stacked
-    and folded over u_{n-1} in one ``tensordot``.  The transients are about
-    one table's worth of float64, and the per-element arithmetic is that of
+    The work runs in 36 chunks, one per value of the last two folded indices
+    (u_{n-2}, u_{n-1}), u_i = (s_i, o_i).  Each chunk is sliced from the real
+    table, interleaved to per-qubit axes, cast to complex and folded over
+    u_0..u_{n-3}; for each u_{n-1} the six 4^(n-2) partial results are
+    stacked and folded over u_{n-2}, and the six 4^(n-1) results of that
+    are stacked and folded over u_{n-1}.  The transients are a few
+    hundredths of a table each, and the per-element arithmetic is that of
     the fold on the whole tensor, so the result is bitwise equal to it.
     """
-    ops = pauli_operator_stack()
     f = np.reshape(freqs, (3,) * n + (2,) * n)
-    perm = [ax for i in range(n) for ax in (i, n + i)]
-    # at n <= 2 a one-value chunk would reach BLAS as a vector product, whose
-    # rounding differs, so u_{n-1} stays whole there
-    if n <= 2:
-        chunks = [(slice(None), slice(None))]
-    else:
-        chunks = [(slice(s, s + 1), slice(o, o + 1)) for s in range(3) for o in range(2)]
-    lead = (slice(None),) * (n - 1)
-    parts = []
-    for s, o in chunks:
-        t = f[lead + (s,) + lead + (o,)].transpose(perm).astype(complex, order="C")
-        t = t.reshape((6,) * (n - 1) + (-1,))
-        for _ in range(n - 1):
-            t = np.tensordot(t, ops, axes=([0], [0]))
-        parts.append(t)
-    # axes are now u_{n-1}, r_0, c_0, ..., r_{n-2}, c_{n-2}
-    t = np.tensordot(np.concatenate(parts), ops, axes=([0], [0]))
-    # axes are now r_0, c_0, r_1, c_1, ...
+    t = _assemble_fold(f, (), pauli_operator_stack())  # axes r_0, c_0, r_1, c_1, ...
     rows = list(range(0, 2 * n, 2))
     cols = list(range(1, 2 * n, 2))
     return np.ascontiguousarray(t.transpose(rows + cols)).reshape(2**n, 2**n)
+
+
+def _assemble_fold(f: np.ndarray, last: tuple, ops: np.ndarray) -> np.ndarray:
+    """Fold the chunks of f whose u_{n-m}..u_{n-1} are the m values in
+    ``last``; returns axes u_{n-m}..u_{n-1} (one value each), r_0, c_0, ..."""
+    n = f.ndim // 2
+    # a chunk with one row left would reach BLAS as a vector product, whose
+    # rounding differs, so the first two qubits are never chunked
+    split = max(0, min(2, n - 2))
+    if len(last) < split:
+        t = np.concatenate([_assemble_fold(f, (u,) + last, ops) for u in range(6)])
+        return np.tensordot(t, ops, axes=([0], [0]))
+    free = (slice(None),) * (n - split)
+    s = tuple(slice(u // 2, u // 2 + 1) for u in last)
+    o = tuple(slice(u % 2, u % 2 + 1) for u in last)
+    perm = [ax for i in range(n) for ax in (i, n + i)]
+    t = f[free + s + free + o].transpose(perm).astype(complex, order="C")
+    t = t.reshape((6,) * (n - split) + (1,) * split)
+    for _ in range(n - split):
+        t = np.tensordot(t, ops, axes=([0], [0]))
+    return t
 
 
 def _check(table: FrequencyTable, scenario: int) -> None:
@@ -157,13 +161,14 @@ def ls_scenario3(table: FrequencyTable) -> LsEstimate:
 
 
 def ls_scenario4(table: FrequencyTable) -> LsEstimate:
-    """Direct MUB estimator (transposed MUB inputs w_k, MUB measurements v_l):
+    """Direct MUB estimator (inputs (|v_k><v_k|)^T, MUB measurements v_l):
 
-    (d+1)/d sum f^k_l P_l (x) Q_k
-      - (1/d) sum f^k_l (P_l (x) 1 + 1 (x) Q_k) + 1 (x) 1,
+    (d+1)/d sum f^k_l P_l (x) P_k
+      - (1/d) sum f^k_l (P_l (x) 1 + 1 (x) P_k) + 1 (x) 1,
 
-    with P_l = |v_l><v_l| on the system factor and Q_k = |w_k><w_k| on the
-    ancilla factor.
+    with P_l = |v_l><v_l| on the system factor and P_k = |v_k><v_k| on the
+    ancilla factor: C(rho) = d Tr_a(Phi (1 (x) rho^T)), so the input
+    (|v_k><v_k|)^T pairs with P_k there, not with its own projector.
 
     With P = conj(``_mub_rows(d)``), whose row v is |v><v| flattened, the
     first sum is P^T (f^T P) realigned from (s, s', a, a') to (s, a, s', a'),

@@ -123,19 +123,20 @@ class ProjectionReport:
 class HalfSpace:
     """Supporting half-space {X : <normal, X> >= offset} of the PSD cone.
 
-    ``tp_normal`` is the component of the normal tangent to the partial-trace
-    plane; the Gram system of the hyperplane projection is built from it.
+    ``tr_normal`` is the d x d partial trace Tr_s(normal); with it the Gram
+    system of the hyperplane projection needs no projected copy of the
+    normal (see ``hip_inner``).
     """
 
     normal: np.ndarray
     offset: float
-    tp_normal: np.ndarray = field(init=False)
+    tr_normal: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nrm = np.linalg.norm(self.normal, "fro")
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError("half-space normal must have unit Frobenius norm")
-        object.__setattr__(self, "tp_normal", proj_tp_linear(self.normal))
+        object.__setattr__(self, "tr_normal", partial_trace(self.normal, "system"))
 
 
 def eigh_iterate(x: np.ndarray):
@@ -257,18 +258,29 @@ def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
+def _tp_inner(a: HalfSpace, b: HalfSpace, d: int) -> float:
+    """<P a, P b> of two normals, P = ``proj_tp_linear``: P is self-adjoint
+    and idempotent, and P x = x - 1 (x) Tr_s(x) / d, so this is
+    <a, b> - <Tr_s a, Tr_s b> / d."""
+    return (np.vdot(a.normal, b.normal).real
+            - np.vdot(a.tr_normal, b.tr_normal).real / d)
+
+
 def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
     """Greedy selection of half-spaces whose joint hyperplane projection is
     also the half-space projection, then the projection itself.
 
     Candidates are scanned in recency order; one is kept when the Gram system
     of the tentative set has all coefficients nonnegative (the KKT condition
-    equating hyperplane- and half-space-intersection projections).  The lower
-    Cholesky factor L of the accepted set's Gram matrix (inner products of the
-    ``tp_normal``s) grows by one row per candidate; a candidate whose pivot is
-    at most ``HIP_PIVOT_CUT`` depends on the accepted normals and is skipped.
+    equating hyperplane- and half-space-intersection projections).  The Gram
+    matrix holds the inner products of the normals' projections P onto the
+    partial-trace plane, read as <P a, P b> = <a, b> - <Tr_s a, Tr_s b> / d,
+    so no projected normal is stored.  Its lower Cholesky factor L grows by
+    one row per candidate; a candidate whose pivot is at most
+    ``HIP_PIVOT_CUT`` depends on the accepted normals and is skipped.
     Returns the accepted list and the projection of phi onto the intersection
-    of the partial-trace plane with those half-spaces.
+    of the partial-trace plane with those half-spaces,
+    phi + P(sum_i c_i normal_i).
 
     The accepted set hinges on signs near -``HIP_COEFF_CUT``, so both solves
     round exactly as LAPACK's triangular solves (the tests' reference).  L^-1
@@ -278,15 +290,16 @@ def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
     upper-triangular matrix with a positive diagonal swaps no rows and has
     zero multipliers, so it reduces to the BLAS triangular back solve.
     """
+    d = system_dim(phi.shape[0])
     accepted: list[HalfSpace] = []
     low = np.zeros((0, 0))
     z = np.zeros(0)
     coeffs = np.zeros(0)
     for cand in halfspaces:
         m = len(accepted)
-        cross = np.array([np.vdot(a.tp_normal, cand.tp_normal).real for a in accepted])
+        cross = np.array([_tp_inner(a, cand, d) for a in accepted])
         y = _forward_solve(low, cross)
-        pivot = np.vdot(cand.tp_normal, cand.tp_normal).real - y @ y
+        pivot = _tp_inner(cand, cand, d) - y @ y
         if pivot <= HIP_PIVOT_CUT:
             logger.debug("dropping degenerate half-space candidate")
             continue
@@ -300,10 +313,10 @@ def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
         if np.all(c >= -HIP_COEFF_CUT):
             accepted.append(cand)
             low, z, coeffs = trial_low, trial_z, c
-    phi_new = phi.copy()
+    step = np.zeros_like(phi)
     for c, h in zip(coeffs, accepted):
-        phi_new += c * h.tp_normal
-    return accepted, phi_new
+        step += c * h.normal
+    return accepted, phi + proj_tp_linear(step)
 
 
 # --------------------------------------------------------------------------

@@ -22,16 +22,19 @@ setting.  In the fixed scheme every setting receives exactly nu shots and
 each per-setting row sums to one; in the random scheme settings are drawn
 uniformly and only the expectation of each row sum is one.
 
-Sampling is reproducible: a table is one multinomial draw from one Philox
-stream keyed by (seed, scenario, setting count), under either scheme.
+Sampling is reproducible: a table is drawn from one Philox stream keyed by
+(seed, scenario, setting count), under either scheme: first the shots per
+setting (fixed, or one multinomial draw over uniform settings), then each
+setting's counts as one multinomial draw over its row of the Born table.
 
 Memory: the Pauli tables have 3^2k 2^2k cells (13.4 MB of float64 at k=4,
-483 MB at k=5).  The Born kernel runs in six chunks and writes real parts
-straight into the table, and ``sample`` normalizes and stores the
-frequencies in that same buffer, so a Pauli ``sample`` peaks at about two
-tables (the Born table plus the multinomial counts).  The chunked and
-in-place steps do the same arithmetic as the whole-array forms, so the
-tables are bitwise equal to theirs.
+483 MB at k=5).  The Born kernel runs in 36 slices and writes real parts
+straight into the table (scenario 2 through a transposed view of it), and
+``sample`` draws the counts in ``SAMPLE_BLOCKS`` blocks of rows and stores
+the frequencies in that same buffer, so a Pauli ``sample`` peaks at about
+1.3 tables.  The sliced, blocked and in-place steps do the same arithmetic
+and draws as the whole-array forms, so the tables are bitwise equal to
+theirs.
 
 The MUB kernels take one basis at a time.  The scenario-3 Born table is
 filled row by row, one D x D product conj(B_a) phi per basis B_a of C^D
@@ -60,6 +63,8 @@ from .designs import PAULI_VECTORS, mub_family
 logger = logging.getLogger(__name__)
 
 Scheme = Literal["fixed", "random", "exact"]
+
+SAMPLE_BLOCKS = 16       # sample: the Born rows are drawn in this many blocks
 
 __all__ = [
     "SamplingPlan",
@@ -96,8 +101,8 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Observed frequencies for one scenario: the counts of one multinomial
-    draw divided by nu (``sample``), or exact Born probabilities with
+    """Observed frequencies for one scenario: the multinomial counts of
+    each setting divided by nu (``sample``), or exact Born probabilities with
     scheme ``"exact"`` and nu = nan (``exact_table``)."""
 
     scenario: int
@@ -135,35 +140,50 @@ def pauli_joint_probabilities(phi: np.ndarray, n: int) -> np.ndarray:
 
     Returns a (3^n, 2^n) array; the contraction processes one qubit at a
     time, so the cost is O(n 6^n) instead of O(18^n) for projector loops.
+    """
+    out = np.empty((3**n, 2**n))
+    _pauli_born(phi, n, out.reshape((3,) * n + (2,) * n))
+    return out
+
+
+def _pauli_born(phi: np.ndarray, n: int, blocks: np.ndarray) -> None:
+    """Write Tr(Phi P^s_o) into ``blocks``, a possibly strided view indexed
+    [s_0..s_{n-1}, o_0..o_{n-1}].
 
     Qubit 0 is contracted on the whole Choi matrix, which leaves a small
-    6 x 4^(n-1) tensor over u_0 = (s_0, o_0).  The remaining qubits are then
-    contracted one u_0 slice at a time, and the real part of each slice is
-    written straight into its [s_0, :, o_0, :] block of the output.  A
-    slice's complex intermediates hold at most a third of the table's bytes,
-    so the kernel peaks at under two tables (24 MiB over a 12.8 MiB table at
-    n=8) instead of nearly five.  Every output element goes through the same
+    6 x 4^(n-1) tensor over u_0 = (s_0, o_0).  Qubit 1 is then contracted
+    one u_0 slice at a time, and the remaining qubits one (u_0, u_1) slice
+    at a time; the real part of each of the 36 slices is written straight
+    into its [s_0, s_1, :, o_0, o_1, :] block.  A slice's complex
+    intermediates hold an eighteenth of the table's bytes, so the kernel
+    peaks at about 1.3 tables (n = 8).  Every element goes through the same
     ``tensordot`` arithmetic as on the whole tensor, so the result is
     bitwise equal to it.
     """
     w = np.einsum("ru,cu->urc", PAULI_VECTORS.conj(), PAULI_VECTORS)
-    t = np.asarray(phi, dtype=complex).reshape((2,) * (2 * n))
-    t = np.moveaxis(np.tensordot(t, w, axes=([0, n], [1, 2])), -1, 0)
-    out = np.empty((3**n, 2**n))
-    blocks = out.reshape((3,) * n + (2,) * n)  # [s_0..s_{n-1}, o_0..o_{n-1}]
-    perm = [0] + list(range(1, 2 * n - 1, 2)) + list(range(2, 2 * n - 1, 2))
-    # at n <= 2 a one-row slice would reach BLAS as a vector product, whose
-    # rounding differs, so the six slices go through as one chunk there
-    step = 6 if n <= 2 else 1
-    for lo in range(0, 6, step):
-        c = t[lo:lo + step]  # [u_0, r_1..r_{n-1}, c_1..c_{n-1}]
-        for i in range(1, n):
-            c = np.moveaxis(np.tensordot(c, w, axes=([i, n], [1, 2])), -1, i)
-        c = c.real.reshape((step,) + (3, 2) * (n - 1)).transpose(perm)
-        for j in range(step):
-            s0, o0 = divmod(lo + j, 2)
-            blocks[(s0,) + (slice(None),) * (n - 1) + (o0,)] = c[j]
-    return out
+    _born_fold(np.asarray(phi, dtype=complex).reshape((2,) * (2 * n)), (), w, blocks)
+
+
+def _born_fold(c: np.ndarray, lead: tuple, w: np.ndarray, blocks: np.ndarray) -> None:
+    """Contract qubits i = len(lead) .. n-1 of c, axes [u_0..u_{i-1}, r_i..,
+    c_i..] with u_j sliced to the value lead[j], and write the real part."""
+    n = blocks.ndim // 2
+    # a slice with one row left would reach BLAS as a vector product, whose
+    # rounding differs, so the last two qubits are never sliced
+    split = max(0, min(2, n - 2))
+    i = len(lead)
+    stop = i + 1 if i < split else n  # qubit i, or at the last level all the rest
+    for j in range(i, stop):
+        c = np.moveaxis(np.tensordot(c, w, axes=([j, n], [1, 2])), -1, j)
+    if i < split:
+        for u in range(6):
+            _born_fold(c[(slice(None),) * i + (slice(u, u + 1),)], lead + (u,), w, blocks)
+        return
+    m = n - split
+    free = (slice(None),) * m
+    index = tuple(u // 2 for u in lead) + free + tuple(u % 2 for u in lead) + free
+    perm = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
+    blocks[index] = c.real.reshape((3, 2) * m).transpose(perm)
 
 
 def _mub_outcome_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
@@ -229,10 +249,13 @@ def probability_array(choi: ChoiMatrix, scenario: int) -> np.ndarray:
         return _clamp_rows(pauli_joint_probabilities(phi, 2 * k))
     if scenario == 2:
         k = qubit_count(d)
-        joint = pauli_joint_probabilities(phi, 2 * k)
-        t = joint.reshape(3**k, 3**k, 2**k, 2**k)  # [b, a, p, q]
-        # -> [a, b, q, p], written once into a C-ordered array
-        return _clamp_rows(np.multiply(d, t.transpose(1, 0, 3, 2), order="C"))
+        # the kernel's [b, a, p, q] order written through a view of the
+        # table's [a, b, q, p], each label split into its k qubits
+        table = np.empty((3,) * (2 * k) + (2,) * (2 * k))
+        a, b, q, p = (list(range(i * k, (i + 1) * k)) for i in range(4))
+        _pauli_born(phi, 2 * k, table.transpose(b + a + p + q))
+        table *= d
+        return _clamp_rows(table.reshape(3**k, 3**k, 2**k, 2**k))
     if scenario == 3:
         return _clamp_rows(_mub_outcome_probabilities(phi, d))
     if scenario == 4:
@@ -255,15 +278,16 @@ def _stream(seed: int, scenario: int, idx: int) -> np.random.Generator:
 def sample(choi: ChoiMatrix, scenario: int, plan: SamplingPlan) -> FrequencyTable:
     """Draw a frequency table under the fixed or random setting scheme.
 
-    Fixed: every setting receives exactly nu = N / n_settings shots (N must
-    divide), drawn as one multinomial call over the rows of the Born table.
-    Random: one multinomial draw over the joint (setting, outcome)
-    distribution, statistically identical to per-shot uniform settings.
-    Either draw comes from the one stream keyed by (seed, scenario,
-    n_settings).
+    First the shots per setting: exactly nu = N / n_settings each in the
+    fixed scheme (N must divide), one multinomial draw of N shots over
+    uniform settings in the random scheme.  Then each setting's counts are
+    one multinomial draw of its shots over its row of the Born table, the
+    rows taken in ``SAMPLE_BLOCKS`` blocks.  Every draw comes from the one
+    stream keyed by (seed, scenario, n_settings); numpy draws a block of
+    rows row by row, so the blocks give the bits of one call over all rows.
 
-    The counts are divided by nu into the Born table's buffer, so the
-    returned ``values`` is that buffer.
+    Each block's counts are divided by nu into its rows of the Born table's
+    buffer, so the returned ``values`` is that buffer.
     """
     probs = probability_array(choi, scenario)
     n_settings = setting_count(scenario, choi.dim)
@@ -271,15 +295,14 @@ def sample(choi: ChoiMatrix, scenario: int, plan: SamplingPlan) -> FrequencyTabl
     nu = plan.shots_per_setting(n_settings)
     rng = _stream(plan.seed, scenario, n_settings)
     if plan.scheme == "fixed":
-        counts = rng.multinomial(plan.n_shots // n_settings, rows)
+        shots = np.full(n_settings, plan.n_shots // n_settings)
     else:
-        joint = rows.reshape(-1)
-        joint /= n_settings
-        joint /= joint.sum()
-        counts = rng.multinomial(plan.n_shots, joint)
-    values = np.divide(counts.reshape(probs.shape), nu, out=probs)
+        shots = rng.multinomial(plan.n_shots, np.full(n_settings, 1 / n_settings))
+    step = math.ceil(n_settings / SAMPLE_BLOCKS)
+    for lo in range(0, n_settings, step):
+        blk = slice(lo, lo + step)
+        np.divide(rng.multinomial(shots[blk], rows[blk]), nu, out=rows[blk])
 
-    return FrequencyTable(scenario=scenario, dim=choi.dim, values=values,
+    return FrequencyTable(scenario=scenario, dim=choi.dim, values=probs,
                           nu=float(nu), total_shots=plan.n_shots,
                           scheme=plan.scheme, seed=plan.seed)
-

@@ -117,7 +117,8 @@ def probability_array(choi, scenario):
 
 
 def sample(choi, scenario, plan):
-    """``simulate.sample`` for scenarios 1 and 2 with a fresh array per step."""
+    """``simulate.sample`` for scenarios 1 and 2 with a fresh array per step
+    and all rows drawn in one multinomial call."""
     d = choi.dim
     probs = probability_array(choi, scenario)
     n_settings = setting_count(scenario, d)
@@ -125,10 +126,10 @@ def sample(choi, scenario, plan):
     nu = plan.n_shots / n_settings
     rng = _stream(plan.seed, scenario, n_settings)
     if plan.scheme == "fixed":
-        counts = rng.multinomial(plan.n_shots // n_settings, rows)
+        shots = np.full(n_settings, plan.n_shots // n_settings)
     else:
-        joint = rows.reshape(-1) / n_settings
-        counts = rng.multinomial(plan.n_shots, joint / joint.sum())
+        shots = rng.multinomial(plan.n_shots, np.full(n_settings, 1 / n_settings))
+    counts = rng.multinomial(shots, rows)
     return FrequencyTable(scenario=scenario, dim=d,
                           values=counts.reshape(probs.shape) / nu, nu=float(nu),
                           total_shots=plan.n_shots, scheme=plan.scheme,
@@ -282,7 +283,7 @@ def ls_scenario4_matrix(table):
     vecs = mub_family(d).vectors()
     f = table.values  # [input k, outcome l]
     projs = np.einsum("ki,kj->kij", vecs, vecs.conj())
-    # sum_l f^k_l P_l for each input k, then tensor against Q_k
+    # sum_l f^k_l P_l for each input k, then tensor against P_k
     a_stack = np.einsum("kl,lij->kij", f, projs)
     term1 = np.einsum("kab,kcd->acbd", a_stack, projs).reshape(d * d, d * d)
     p_tot = np.einsum("l,lij->ij", f.sum(axis=0), projs)

@@ -227,7 +227,7 @@ class TestChunkedAssembly:
         choi = pauli_channels(4, np.random.default_rng(0))[0]
         table = sample(choi, scenario, SamplingPlan("random", 10**6, seed=3))
         est, peak = transient_peak(ls_estimate, table)
-        assert peak <= 2.5 * table.values.nbytes
+        assert peak <= 0.37 * table.values.nbytes  # measured 0.32 tables
         assert np.array_equal(est.matrix, oracles.ls_matrix(table))
 
 

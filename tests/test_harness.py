@@ -1,3 +1,4 @@
+import copy
 import csv
 import importlib.util
 import json
@@ -74,8 +75,9 @@ def _mutated_script_config(draw):
             if op == "drop":
                 del where[key]
             elif op == "swap":
-                where[key] = draw(st.sampled_from(
-                    [v for v in _SWAPS if type(v) is not type(where[key])]))
+                # a copy: a later op may mutate the swapped-in list or dict
+                where[key] = copy.deepcopy(draw(st.sampled_from(
+                    [v for v in _SWAPS if type(v) is not type(where[key])])))
             elif type(where[key]) in _OUT_OF_RANGE:
                 where[key] = draw(st.sampled_from(_OUT_OF_RANGE[type(where[key])]))
         touched.append(key)
@@ -344,11 +346,12 @@ class TestRun:
 
     def test_table_released_after_estimate(self, tmp_path):
         # the k = 4 frequency table (3^8 x 4^4 float64) is dropped once the
-        # LS estimate exists, so the later stages do not hold it
+        # LS estimate exists, so the later stages do not hold it; the peak,
+        # measured at 1.45 tables, is sampling's
         table_bytes = 3**8 * 4**4 * 8
         cfg = _mini_config(k=4, n_shots=10**6, repetitions=1, method="HIPswitch")
         _, peak = transient_peak(run, cfg, tmp_path)
-        assert peak <= 2.4 * table_bytes
+        assert peak <= 1.65 * table_bytes
 
     def test_sample_size_sweep_row_count(self, tmp_path):
         cfg = _mini_config(experiment="sample_size_sweep", n_shots=None,

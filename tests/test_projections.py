@@ -27,7 +27,8 @@ from proctomo.projections import (DUAL_GRAD_TOL, MAX_HALFSPACES, HalfSpace,
 from proctomo.simulate import SamplingPlan, sample
 
 import oracles
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import (random_density, random_hermitian, random_unitary,
+                      transient_peak)
 
 
 def _random_tp(n, rng):
@@ -260,16 +261,25 @@ def _hip_inner_oracle(halfspaces, phi):
     """Reference hip_inner: rebuild and re-solve the whole trial Gram system
     for every candidate, dropping any dependent row, not only the newest.
 
-    The solves are scipy's ``solve_triangular``.  Bitwise equality with
-    ``hip_inner``'s numpy solves rests on numpy and scipy bundling OpenBLAS
-    builds that share the ``ddot`` and ``trsm`` kernels.
+    The Gram entries are <P a, P b> = <a, b> - <Tr_s a, Tr_s b> / d, P the
+    projection onto the partial-trace plane's directions (checked against
+    dense projections in ``TestHipInner``).  The solves are scipy's
+    ``solve_triangular``.  Bitwise equality with ``hip_inner``'s numpy
+    solves rests on numpy and scipy bundling OpenBLAS builds that share the
+    ``ddot`` and ``trsm`` kernels.
     """
+    d = round(phi.shape[0] ** 0.5)
+    traces = {id(h): partial_trace(h.normal, "system") for h in halfspaces}
+
+    def inner(a, b):
+        return (np.vdot(a.normal, b.normal).real
+                - np.vdot(traces[id(a)], traces[id(b)]).real / d)
+
     accepted = []
     coeffs = np.zeros(0)
     for cand in halfspaces:
         trial = accepted + [cand]
-        gram = np.array([[np.vdot(a.tp_normal, b.tp_normal).real for b in trial]
-                         for a in trial])
+        gram = np.array([[inner(a, b) for b in trial] for a in trial])
         rhs = np.array([h.offset - np.vdot(h.normal, phi).real for h in trial])
         c, kept = _solve_gram_oracle(gram, rhs)
         if len(trial) - 1 not in kept:
@@ -277,10 +287,10 @@ def _hip_inner_oracle(halfspaces, phi):
         if np.all(c[kept] >= -1e-12):
             accepted = [trial[i] for i in kept]
             coeffs = c[kept]
-    phi_new = phi.copy()
+    step = np.zeros_like(phi)
     for c, h in zip(coeffs, accepted):
-        phi_new += c * h.tp_normal
-    return accepted, phi_new
+        step += c * h.normal
+    return accepted, phi + oracles.proj_tp_linear(step)
 
 
 def _unit(a):
@@ -402,7 +412,7 @@ class TestHipInner:
         active, new = hip_inner([w], phi)
         assert len(active) == 1
         # equals the single-hyperplane projection within the plane
-        ta = w.tp_normal
+        ta = proj_tp_linear(w.normal)
         expected = phi + (w.offset - np.vdot(a, phi).real) / np.vdot(ta, ta).real * ta
         assert_allclose(new, expected, atol=1e-10)
         assert np.vdot(a, new).real == pytest.approx(w.offset, abs=1e-9)
@@ -429,8 +439,8 @@ class TestHipInner:
         a2 /= np.linalg.norm(a2, "fro")
         w1 = HalfSpace(normal=a1, offset=float(np.vdot(a1, phi).real) + 1.0)
         w2 = HalfSpace(normal=a2, offset=float(np.vdot(a2, phi).real) + 0.05)
-        gram = np.array([[np.vdot(w.tp_normal, v.tp_normal).real for v in (w1, w2)]
-                         for w in (w1, w2)])
+        gram = np.array([[np.vdot(proj_tp_linear(w.normal), proj_tp_linear(v.normal)).real
+                          for v in (w1, w2)] for w in (w1, w2)])
         rhs = np.array([1.0, 0.05])
         coeffs = np.linalg.solve(gram, rhs)
         assert coeffs.min() < 0, "construction should force a negative coefficient"
@@ -439,6 +449,18 @@ class TestHipInner:
         for w in (w1, w2):
             assert np.vdot(w.normal, new).real >= w.offset - 1e-9
         assert np.abs(partial_trace(new - phi, "system")).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_gram_identity_matches_dense_projection(self, n, rng):
+        # <P a, P b> = <a, b> - <Tr_s a, Tr_s b> / d, P = proj_tp_linear
+        d = round(n**0.5)
+        for _ in range(5):
+            a, b = (HalfSpace(normal=_unit(random_hermitian(n, rng)), offset=0.0)
+                    for _ in range(2))
+            for x, y in ((a, b), (a, a), (b, a)):
+                dense = np.vdot(proj_tp_linear(x.normal), proj_tp_linear(y.normal)).real
+                assert abs(projections._tp_inner(x, y, d) - dense) <= 1e-14
+            assert np.array_equal(a.tr_normal, partial_trace(a.normal, "system"))
 
     def test_normal_must_be_unit(self, rng):
         with pytest.raises(ValueError):
@@ -777,10 +799,10 @@ class TestCountBudget:
         monkeypatch.setattr(projections, "hip_inner", spy)
         _, report = pls_pipeline(estimate, method="HIPswitch")
         assert report.converged
-        assert report.proj_cp_calls == 31
-        assert len(calls) == 25
-        # CP1 + 31 projections + the accepted iterate; ChoiMatrix validation
-        assert linalg_calls == {"eigh": 33, "eigvalsh": 1}
+        assert report.proj_cp_calls == 33
+        assert len(calls) == 27
+        # CP1 + 33 projections + the accepted iterate; ChoiMatrix validation
+        assert linalg_calls == {"eigh": 35, "eigvalsh": 1}
 
     def test_dual(self, estimate, linalg_calls):
         _, report = pls_pipeline(estimate, method="dual")
@@ -788,3 +810,15 @@ class TestCountBudget:
         assert report.proj_cp_calls == 7
         # CP1 + 7 Newton decompositions; final plane iterate, ChoiMatrix
         assert linalg_calls == {"eigh": 8, "eigvalsh": 2}
+
+
+def test_hipswitch_peak_memory_k4():
+    # each half-space holds one 256 x 256 normal and its 16 x 16 Tr_s; the
+    # run's transients, measured at 12.2 such matrices, are pinned here
+    truth = choi_from_kraus(make_channel(
+        ChannelSpec("noisy_qft", 16, measure_prob=0.25)))
+    est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**6, seed=3)))
+    phi = proj_cp1_thresholded(est.matrix)[0]
+    (_, report), peak = transient_peak(project_to_cptp, phi, "HIPswitch")
+    assert report.converged
+    assert peak <= 13.9 * phi.nbytes

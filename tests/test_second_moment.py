@@ -7,17 +7,21 @@ from the same stream; this test checks the draws' distribution instead: a
 wrong shot count, a wrong normalization, draws correlated across settings
 or a kernel that breaks unbiasedness moves the mean squared error.
 
+Draws correlated across settings can leave the mean squared error of
+scenario 2 within the bound, so ``test_settings_draw_independently`` checks
+their independence directly, on a channel whose Born rows are all equal.
+
 The seeds (0..R-1), repetition counts, shot budgets and the bound |z| <= 4
 are fixed here, before any run; z is the Monte Carlo mean's deviation from
-the closed form in units of its standard error.
+its expected value in units of its standard error.
 """
 
 import numpy as np
 import pytest
 
-from proctomo.channels import ChannelSpec, choi_from_kraus, make_channel
+from proctomo.channels import ChannelSpec, ChoiMatrix, choi_from_kraus, make_channel
 from proctomo.estimators import ls_estimate
-from proctomo.simulate import SamplingPlan, probability_array, sample
+from proctomo.simulate import SamplingPlan, probability_array, sample, setting_count
 
 import oracles
 
@@ -66,3 +70,25 @@ def test_mean_squared_error_matches_closed_form(d, scenario, scheme):
         errs[seed] = np.linalg.norm(ls_estimate(table).matrix - truth.matrix) ** 2
     z = (errs.mean() - expected) / (errs.std(ddof=1) / np.sqrt(reps))
     assert abs(z) <= Z_BOUND, (errs.mean(), expected, z)
+
+
+@pytest.mark.parametrize("scenario,d", [(1, 2), (2, 2), (2, 4), (4, 2), (4, 3)])
+def test_settings_draw_independently(scenario, d):
+    # The completely depolarizing channel gives every setting the uniform
+    # row, so under the fixed scheme the count X_s of setting s's first half
+    # of outcomes is Binomial(nu, 1/2), independent across settings.  With
+    # Z_s = (X_s - nu/2) / sqrt(nu/4), U = sum_{s<t} Z_s Z_t has mean 0 and
+    # variance S(S-1)/2 over S settings; draws shared or correlated across
+    # settings make E U > 0.
+    reps, nu = 200, 10
+    truth = ChoiMatrix(np.eye(d * d) / (d * d))
+    n_settings = setting_count(scenario, d)
+    u = np.empty(reps)
+    for seed in range(reps):
+        table = sample(truth, scenario, SamplingPlan("fixed", nu * n_settings, seed))
+        counts = np.rint(table.values.reshape(n_settings, -1) * nu)
+        x = counts[:, :counts.shape[1] // 2].sum(axis=1)
+        z = (x - nu / 2) / np.sqrt(nu / 4)
+        u[seed] = (z.sum() ** 2 - (z**2).sum()) / 2
+    z = u.mean() / np.sqrt(n_settings * (n_settings - 1) / 2 / reps)
+    assert abs(z) <= Z_BOUND, z

@@ -189,7 +189,8 @@ class TestChunkedPauliKernels:
         for plan in (SamplingPlan("random", 10**6, seed=3),
                      SamplingPlan("fixed", 2 * setting_count(scenario, 16), seed=3)):
             table, peak = transient_peak(sample, choi, scenario, plan)
-            assert peak <= 2.5 * table.values.nbytes, plan.scheme
+            # measured 1.28 tables in all four cases
+            assert peak <= 1.45 * table.values.nbytes, plan.scheme
 
 
 def _rel_dev(new, old):
