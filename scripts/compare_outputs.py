@@ -14,7 +14,10 @@ and the largest relative change in its numeric column (``value`` or
 ``lambda_min``), and under it comes one indented line per group of
 differing rows, with the same two figures: per (stage, metric) for
 ``errors.csv`` and per method for ``lambda_trace.csv``.  For
-``run_records.json`` it gives the number of differing records.
+``run_records.json`` it gives the number of differing records and the
+dotted paths of the fields that differ in any of them, e.g.
+``40 records differ: errors.CP1.fidelity, errors.PLS.fidelity``; a list
+such as ``projection.cp1_spectrum`` counts as one field.
 """
 
 import argparse
@@ -46,19 +49,37 @@ def first_difference(old: Path, new: Path):
     return f"{new}: line {line} differs from {old}"
 
 
+def differing_paths(a, b, prefix: str = "") -> list:
+    """Dotted paths of the leaves where two JSON values differ, descending
+    into mappings only; a key on one side alone is a differing leaf."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [path for key in sorted(set(a) | set(b))
+                for path in (differing_paths(a[key], b[key], f"{prefix}{key}.")
+                             if key in a and key in b else [f"{prefix}{key}"])]
+    same = json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    return [] if same else [prefix[:-1]]
+
+
 def records_difference(old: Path, new: Path):
     """None if the two run records agree once wall times are dropped, else a
-    one-line count of the differing records."""
+    one-line count of the differing records and the fields that differ."""
     if not old.exists() or not new.exists():
         return f"{new if old.exists() else old}: missing"
     recs = []
     for path in (old, new):
         records = json.loads(path.read_text(encoding="utf-8"))["records"]
-        recs.append([json.dumps({k: v for k, v in rec.items() if k != "wall_times_ms"},
-                                sort_keys=True) for rec in records])
-    differing = abs(len(recs[0]) - len(recs[1])) + sum(
-        x != y for x, y in zip(*recs))
-    return f"{new}: {differing} records differ" if differing else None
+        recs.append([{k: v for k, v in rec.items() if k != "wall_times_ms"}
+                     for rec in records])
+    differing = abs(len(recs[0]) - len(recs[1]))
+    paths = set()
+    for x, y in zip(*recs):
+        moved = differing_paths(x, y)
+        differing += bool(moved)
+        paths.update(moved)
+    if not differing:
+        return None
+    fields = f": {', '.join(sorted(paths))}" if paths else ""
+    return f"{new}: {differing} records differ{fields}"
 
 
 def relative_change(x: list, y: list, col) -> float:

@@ -8,7 +8,7 @@ and evaluate concentration bounds and confidence regions.
 
 from .channels import (ChannelSpec, ChoiMatrix, DensityMatrix, KrausSet,
                        apply_kraus, apply_via_choi, choi_from_kraus, choi_rank,
-                       distance, fidelity, kraus_rank, make_channel,
+                       distance, fidelity, kraus_factor, kraus_rank, make_channel,
                        maximally_entangled_state, partial_trace, qft_unitary)
 from .designs import MubFamily, mub_family, near_isotropy_defect
 from .simulate import FrequencyTable, SamplingPlan, exact_table, sample

@@ -11,6 +11,10 @@ Conventions used throughout the package:
   trace is 1/d times the identity (the channel is trace preserving).
   ``ChoiMatrix`` is a ``DensityMatrix`` plus that test.
 
+The Kraus stack is vectorized in one place, ``kraus_factor``: the n x r W
+with Choi matrix W W^dag, whose r x r W^dag b W gives ``fidelity`` and whose
+W^dag W gives ``kraus_rank``.  ``distance`` returns all three error norms.
+
 Each physical-set rule is one function here (``system_dim``,
 ``qubit_count``, ``tp_deviation``, ``_check_hermitian``, ``_check_trace_one``)
 with its tolerance named in the table below: validated states use the strict
@@ -32,14 +36,13 @@ RAW_HERMITICITY_TOL = 1e-10  # max ||A - A^dag||_inf of a raw estimate or proj_c
 RAW_TRACE_TOL = 1e-8         # max |Tr A - 1| of a raw estimate or first-stage input
 RANK_CUT = 1e-9              # eigenvalues above this count towards the numerical rank
 
-Metric = Literal["frobenius", "trace", "operator"]
-
 __all__ = [
     "DensityMatrix",
     "KrausSet",
     "ChoiMatrix",
     "ChannelSpec",
     "maximally_entangled_state",
+    "kraus_factor",
     "choi_from_kraus",
     "apply_via_choi",
     "apply_kraus",
@@ -221,17 +224,18 @@ def maximally_entangled_state(d: int) -> DensityMatrix:
     return DensityMatrix(np.outer(omega, omega.conj()))
 
 
-def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
-    """Choi matrix (C (x) I)(Omega) of the channel with the given Kraus set.
-
-    (K (x) 1)|omega> has components K[p, q]/sqrt(d) at index (p, q), i.e. the
-    row-major flattening of K, so the Choi matrix is the Gram accumulation of
-    the vectorized Kraus operators divided by d.
-    """
+def kraus_factor(kraus: KrausSet) -> np.ndarray:
+    """The n x r factor W of the Choi matrix W W^dag: column i is
+    (K_i (x) 1)|omega> = vec(K_i)/sqrt(d), vec the row-major flattening."""
     d = kraus.dim
-    vecs = np.stack([k.reshape(-1) for k in kraus.operators]) / np.sqrt(d)
-    phi = vecs.T @ vecs.conj()  # sum_i |v_i><v_i| with v_i as the i-th row
-    return ChoiMatrix(_hermitize(phi))
+    return (np.stack([k.reshape(-1) for k in kraus.operators]) / np.sqrt(d)).T
+
+
+def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
+    """Choi matrix (C (x) I)(Omega) = W W^dag of the channel with the given
+    Kraus set, W its ``kraus_factor``."""
+    w = kraus_factor(kraus)
+    return ChoiMatrix(_hermitize(w @ w.conj().T))
 
 
 def apply_kraus(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
@@ -270,29 +274,25 @@ def partial_trace(mat: np.ndarray, which: Literal["system", "ancilla"]) -> np.nd
     raise ValueError(f"unknown factor {which!r}")
 
 
-def distance(a: np.ndarray, b: np.ndarray, metric: Metric = "frobenius") -> float:
-    """Distance between Hermitian matrices: Frobenius, trace, or operator norm."""
+def distance(a: np.ndarray, b: np.ndarray) -> dict:
+    """Trace, Frobenius and operator norm of the Hermitian part of a - b,
+    keyed by those names; the trace and operator norm share one ``eigvalsh``."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
     diff = _hermitize(a - b)
-    if metric == "frobenius":
-        return float(np.linalg.norm(diff, "fro"))
-    lam = np.linalg.eigvalsh(diff)
-    if metric == "trace":
-        return float(np.abs(lam).sum())
-    if metric == "operator":
-        return float(np.abs(lam).max())
-    raise ValueError(f"unknown metric {metric!r}")
+    lam = np.abs(np.linalg.eigvalsh(diff))
+    return {"trace": float(lam.sum()),
+            "frobenius": float(np.linalg.norm(diff, "fro")),
+            "operator": float(lam.max())}
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """State fidelity F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2 for PSD a, b."""
-    lam, v = np.linalg.eigh(_hermitize(np.asarray(a)))
-    sq = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
-    inner = sq @ np.asarray(b) @ sq
-    mu = np.linalg.eigvalsh(_hermitize(inner))
+def fidelity(w: np.ndarray, b: np.ndarray) -> float:
+    """F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2 for PSD a = W W^dag, W n x r,
+    and PSD b: the nonzero eigenvalues mu of sqrt(a) b sqrt(a) are those of
+    the r x r W^dag b W, so F = (sum sqrt(max(mu, 0)))^2."""
+    mu = np.linalg.eigvalsh(_hermitize(w.conj().T @ np.asarray(b) @ w))
     return float(np.sqrt(np.clip(mu, 0.0, None)).sum() ** 2)
 
 
@@ -383,11 +383,10 @@ def numerical_rank(eigenvalues: np.ndarray) -> int:
 
 
 def kraus_rank(kraus: KrausSet) -> int:
-    """Dimension of the span of the vectorized Kraus operators (Gram
-    eigenvalues above ``RANK_CUT``)."""
-    vecs = np.stack([k.reshape(-1) for k in kraus.operators])
-    gram = vecs @ vecs.conj().T
-    return numerical_rank(np.linalg.eigvalsh(_hermitize(gram)))
+    """Dimension of the span of the vectorized Kraus operators: eigenvalues of
+    W^dag W (the nonzero ones of the Choi matrix W W^dag) above ``RANK_CUT``."""
+    w = kraus_factor(kraus)
+    return numerical_rank(np.linalg.eigvalsh(_hermitize(w.conj().T @ w)))
 
 
 def choi_rank(choi: ChoiMatrix) -> int:

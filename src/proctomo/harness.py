@@ -16,8 +16,8 @@ Outputs in ``out_dir``:
 * ``errors.csv``       -- columns: experiment, scenario, k, d, channel, rank,
   N, repetition, seed, metric, stage, value, wall_time_ms (fixed order,
   UTF-8, '.' decimal).  Metrics are trace/frobenius/operator distances to
-  the true Choi matrix plus fidelity for the physical stages; stages are
-  LS, CP1, PLS.
+  the true Choi matrix plus, for the physical stages, fidelity from the
+  truth's Kraus factor (built once per point); stages are LS, CP1, PLS.
 * ``lambda_trace.csv`` -- algo_comparison only: method, iteration, mode,
   lambda_min, cum_projcp_calls.
 * ``run_records.json`` -- full per-repetition records including wall times.
@@ -45,8 +45,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channels import (ChannelSpec, ChoiMatrix, _check_int, choi_from_kraus,
-                       distance, fidelity, haar_unitary, kraus_rank, make_channel,
-                       numerical_rank, qft_unitary)
+                       distance, fidelity, haar_unitary, kraus_factor, kraus_rank,
+                       make_channel, numerical_rank, qft_unitary)
 from .designs import mub_family
 from .estimators import ls_estimate
 from .projections import (METHODS, ProjectionConfig, proj_cp1_thresholded,
@@ -279,7 +279,8 @@ def _rep_seed(cfg: ExperimentConfig, point_idx: int, rep: int) -> int:
 
 
 def _run_repetition(cfg: ExperimentConfig, point: SweepPoint, point_idx: int,
-                    rep: int, truth: ChoiMatrix, rank: int) -> RunRecord:
+                    rep: int, truth: ChoiMatrix, factor: np.ndarray,
+                    rank: int) -> RunRecord:
     seed = _rep_seed(cfg, point_idx, rep)
     pcfg = cfg.projection_config()
     plan = SamplingPlan(cfg.scheme, point.n_shots, seed)
@@ -290,19 +291,19 @@ def _run_repetition(cfg: ExperimentConfig, point: SweepPoint, point_idx: int,
     est = ls_estimate(sample(truth, cfg.scenario, plan))
     t_ls = time.perf_counter()
 
-    errors = {"LS": _metrics(est.matrix, truth.matrix, physical=False)}
+    errors = {"LS": distance(est.matrix, truth.matrix)}
     times = {"LS": (t_ls - t0) * 1e3}
 
     # each stage's clock starts after the previous stage's metrics
     t_cp1 = time.perf_counter()
     cp1, spectrum = proj_cp1_thresholded(est.matrix)
     times["CP1"] = (time.perf_counter() - t_cp1) * 1e3
-    errors["CP1"] = _metrics(cp1, truth.matrix, physical=True)
+    errors["CP1"] = _metrics(cp1, truth.matrix, factor)
 
     t_pls = time.perf_counter()
     pls, report = project_to_cptp(cp1, cfg.method, pcfg)
     times["PLS"] = (time.perf_counter() - t_pls) * 1e3
-    errors["PLS"] = _metrics(pls.matrix, truth.matrix, physical=True)
+    errors["PLS"] = _metrics(pls.matrix, truth.matrix, factor)
 
     summary = {
         "method": cfg.method,
@@ -321,15 +322,9 @@ def _run_repetition(cfg: ExperimentConfig, point: SweepPoint, point_idx: int,
                      config_hash=cfg.config_hash())
 
 
-def _metrics(mat: np.ndarray, truth: np.ndarray, physical: bool) -> dict:
-    out = {
-        "trace": distance(mat, truth, "trace"),
-        "frobenius": distance(mat, truth, "frobenius"),
-        "operator": distance(mat, truth, "operator"),
-    }
-    if physical:
-        out["fidelity"] = fidelity(truth, mat)
-    return out
+def _metrics(mat: np.ndarray, truth: np.ndarray, factor: np.ndarray) -> dict:
+    """A physical stage's errors; fidelity reads the truth's Kraus factor."""
+    return {**distance(mat, truth), "fidelity": fidelity(factor, mat)}
 
 
 def _algo_comparison(cfg: ExperimentConfig, point: SweepPoint, truth: ChoiMatrix):
@@ -360,17 +355,19 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None):
     for idx, point in enumerate(cfg.points):
         kraus = make_channel(point.spec)
         truth = choi_from_kraus(kraus)
+        factor = kraus_factor(kraus)
         rank = kraus_rank(kraus)
         if cfg.experiment == "algo_comparison":
             trace_rows, reports = _algo_comparison(cfg, point, truth)
             continue
         reps = range(cfg.repetitions)
+        def repetition(r):
+            return _run_repetition(cfg, point, idx, r, truth, factor, rank)
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                recs = list(pool.map(
-                    lambda r: _run_repetition(cfg, point, idx, r, truth, rank), reps))
+                recs = list(pool.map(repetition, reps))
         else:
-            recs = [_run_repetition(cfg, point, idx, r, truth, rank) for r in reps]
+            recs = [repetition(r) for r in reps]
         records.extend(recs)
 
     _write_errors_csv(out / "errors.csv", cfg, records)

@@ -57,7 +57,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .channels import ChoiMatrix, qubit_count
+from .channels import ChoiMatrix, _check_int, qubit_count
 from .designs import PAULI_VECTORS, mub_family
 
 logger = logging.getLogger(__name__)
@@ -88,8 +88,11 @@ class SamplingPlan:
     def __post_init__(self):
         if self.scheme not in ("fixed", "random"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.n_shots <= 0:
-            raise ValueError("n_shots must be positive")
+        # plain ints: numpy would truncate a float or bool, or fail untyped
+        _check_int("n_shots", self.n_shots)
+        if self.n_shots < 1:
+            raise ValueError(f"n_shots must be positive, got {self.n_shots}")
+        _check_int("seed", self.seed, "a nonnegative integer", low=0)
 
     def shots_per_setting(self, n_settings: int) -> float:
         """nu = n_shots / n_settings; the fixed scheme needs it whole."""
@@ -271,7 +274,7 @@ def exact_table(choi: ChoiMatrix, scenario: int) -> FrequencyTable:
 
 
 def _stream(seed: int, scenario: int, idx: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=[int(seed) & (2**64 - 1), scenario, idx])
+    seq = np.random.SeedSequence(entropy=[seed, scenario, idx])
     return np.random.Generator(np.random.Philox(seq))
 
 

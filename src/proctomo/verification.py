@@ -71,7 +71,7 @@ def check_identifiability() -> CheckResult:
         for spec in _test_channels(d):
             truth = choi_from_kraus(make_channel(spec))
             est = ls_estimate(exact_table(truth, scenario))
-            err = distance(est.matrix, truth.matrix, "frobenius")
+            err = distance(est.matrix, truth.matrix)["frobenius"]
             worst = max(worst, err)
     return CheckResult("identifiability", worst <= 1e-9,
                        {"worst_frobenius": worst, "tolerance": 1e-9,
@@ -196,15 +196,15 @@ def check_projection_properties() -> CheckResult:
                 table = sample(truth, scenario, SamplingPlan("random", 10**4, seed))
                 est = ls_estimate(table)
                 cp1, _ = proj_cp1_thresholded(est.matrix)
-                op_ls = distance(est.matrix, truth.matrix, "operator")
-                op_cp1 = distance(cp1, truth.matrix, "operator")
+                op_ls = distance(est.matrix, truth.matrix)["operator"]
+                op_cp1 = distance(cp1, truth.matrix)["operator"]
                 if op_cp1 > 2 * op_ls + 1e-12:
                     violations_p2 += 1
                 dists = []
                 project_to_cptp(cp1, "HIPswitch", ProjectionConfig(),
                                 iterate_hook=lambda phi: dists.append(
-                                    distance(phi, truth.matrix, "frobenius")))
-                base = distance(cp1, truth.matrix, "frobenius")
+                                    distance(phi, truth.matrix)["frobenius"]))
+                base = distance(cp1, truth.matrix)["frobenius"]
                 seqs = [base] + dists
                 if any(b > a + 1e-10 for a, b in zip(seqs, seqs[1:])):
                     violations_p3 += 1
@@ -369,7 +369,7 @@ def check_bound_validity() -> CheckResult:
         for seed in range(n_runs):
             table = sample(truth, scenario, SamplingPlan("random", n_shots, seed))
             choi, report = pls_pipeline(ls_estimate(table))
-            err = distance(choi.matrix, truth.matrix, "frobenius")
+            err = distance(choi.matrix, truth.matrix)["frobenius"]
             errs.append(err)
             region = confidence_region(report.cp1_spectrum, ErrorBudget(
                 scenario=scenario, k=1, n_shots=n_shots, eta=eta))

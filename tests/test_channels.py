@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import sqrtm
 
 from proctomo.channels import (ChannelSpec, ChoiMatrix, DensityMatrix,
                                KrausSet, apply_kraus, apply_via_choi,
                                choi_from_kraus, choi_rank, distance,
-                               fidelity, kraus_rank, make_channel,
+                               fidelity, kraus_factor, kraus_rank, make_channel,
                                maximally_entangled_state, partial_trace,
                                qft_unitary)
 from proctomo.estimators import LsEstimate
@@ -131,29 +132,29 @@ class TestPartialTrace:
 class TestDistance:
     def test_zero_for_equal(self, rng):
         a = random_hermitian(4, rng)
-        for metric in ("frobenius", "trace", "operator"):
-            assert distance(a, a, metric) == pytest.approx(0.0, abs=1e-14)
+        assert distance(a, a) == pytest.approx(
+            {"trace": 0.0, "frobenius": 0.0, "operator": 0.0}, abs=1e-14)
 
     def test_orthogonal_pure_choi_states(self):
         # orthogonal unitaries give Choi matrices at the maximal trace distance
         u1 = choi_from_kraus(KrausSet((np.eye(2),))).matrix
         u2 = choi_from_kraus(KrausSet((np.diag([1.0, -1.0]),))).matrix
-        assert distance(u1, u2, "trace") == pytest.approx(2.0, abs=1e-12)
+        assert distance(u1, u2) == pytest.approx(
+            {"trace": 2.0, "frobenius": np.sqrt(2), "operator": 1.0}, abs=1e-12)
 
     def test_two_by_two_diagonal(self):
         a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        assert distance(a, b, "frobenius") == pytest.approx(np.sqrt(2))
-        assert distance(a, b, "trace") == pytest.approx(2.0)
-        assert distance(a, b, "operator") == pytest.approx(1.0)
+        assert distance(a, b) == pytest.approx(
+            {"trace": 2.0, "frobenius": np.sqrt(2), "operator": 1.0})
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_norm_ordering(self, seed):
         rng = np.random.default_rng(seed)
         diff = random_hermitian(4, rng)
-        op = distance(diff, 0 * diff, "operator")
-        fro = distance(diff, 0 * diff, "frobenius")
-        tr = distance(diff, 0 * diff, "trace")
+        norms = distance(diff, 0 * diff)
+        assert list(norms) == ["trace", "frobenius", "operator"]
+        op, fro, tr = norms["operator"], norms["frobenius"], norms["trace"]
         assert op <= fro + 1e-12
         assert fro <= tr + 1e-12
         assert tr <= 16 * op + 1e-12
@@ -216,11 +217,44 @@ class TestMakeChannel:
 
 def test_fidelity_of_identical_states(rng):
     rho = random_density(4, rng)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
+    assert fidelity(np.linalg.cholesky(rho), rho) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fidelity_orthogonal_pure_states():
-    assert fidelity(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
+    w = np.array([[1.0], [0.0]])
+    assert fidelity(w, np.diag([0.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fidelity_of_rank_one_truth_is_overlap(rng):
+    # the d = 16 QFT Choi matrix is |psi><psi|, psi its one factor column, so
+    # F(truth, b) = <psi|b|psi> exactly, with no round-off eigenvalues of the
+    # 256 x 256 sqrt(a) b sqrt(a) to add up
+    kraus = make_channel(ChannelSpec("unitary", 16, unitary=qft_unitary(16)))
+    w = kraus_factor(kraus)
+    assert w.shape == (256, 1)
+    psi = w[:, 0]
+    b = 0.9 * np.outer(psi, psi.conj()) + 0.1 * random_density(256, rng)
+    assert fidelity(w, b) == pytest.approx((psi.conj() @ b @ psi).real, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_fidelity_matches_square_root_form(n, rng):
+    # full-rank pairs with the Cholesky factor of a (r = n), against
+    # (Tr sqrt(sqrt(a) b sqrt(a)))^2 through scipy's matrix square root
+    for _ in range(5):
+        a, b = random_density(n, rng), random_density(n, rng)
+        sa = sqrtm(a)
+        expected = np.trace(sqrtm(sa @ b @ sa)).real ** 2
+        assert fidelity(np.linalg.cholesky(a), b) == pytest.approx(expected, abs=1e-9)
+
+
+def test_kraus_factor_gives_choi_and_rank():
+    kraus = make_channel(ChannelSpec("noisy_qft", 4, measure_prob=0.25))
+    w = kraus_factor(kraus)
+    assert w.shape == (16, 3)
+    assert_allclose(w @ w.conj().T, choi_from_kraus(kraus).matrix, atol=1e-15)
+    # p0 U + p1 U = U: three Kraus operators spanning two dimensions
+    assert kraus_rank(kraus) == 2
 
 
 # --------------------------------------------------------------------------

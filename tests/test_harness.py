@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proctomo import cli, harness, verification
+from proctomo.channels import ChannelSpec, choi_from_kraus, kraus_factor, make_channel
 from proctomo.harness import (ERROR_COLUMNS, TRACE_COLUMNS, ExperimentConfig,
                               OUT_DIR_ENV, load_config, run)
 
@@ -422,11 +423,11 @@ class TestStageTimes:
 
 class TestHarnessSeams:
     """The benchmark tracer wraps these harness names, so every repetition
-    must reach the first and second stage through them."""
+    must reach the first and second stage and the metrics through them."""
 
     def _spy(self, monkeypatch):
         calls = []
-        for name in ("proj_cp1_thresholded", "project_to_cptp"):
+        for name in ("proj_cp1_thresholded", "project_to_cptp", "distance", "fidelity"):
             def spy(*args, _name=name, _original=getattr(harness, name), **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
@@ -436,7 +437,9 @@ class TestHarnessSeams:
     def test_single_run(self, tmp_path, monkeypatch):
         calls = self._spy(monkeypatch)
         run(_mini_config(repetitions=3), out_dir=tmp_path)
-        assert calls == ["proj_cp1_thresholded", "project_to_cptp"] * 3
+        # one distance per stage, one fidelity per physical stage
+        assert calls == ["distance", "proj_cp1_thresholded", "distance", "fidelity",
+                         "project_to_cptp", "distance", "fidelity"] * 3
 
     def test_algo_comparison(self, tmp_path, monkeypatch):
         calls = self._spy(monkeypatch)
@@ -445,6 +448,28 @@ class TestHarnessSeams:
                            projection={"max_outer_iterations": 300})
         run(cfg, out_dir=tmp_path)
         assert calls == ["proj_cp1_thresholded"] + ["project_to_cptp"] * 3
+
+
+class TestMetrics:
+    def test_physical_stage_decompositions(self, monkeypatch):
+        # one eigvalsh of the n x n difference and one of the r x r W^dag b W;
+        # the truth itself is never decomposed
+        kraus = make_channel(ChannelSpec("noisy_qft", 8, measure_prob=0.25))
+        truth, factor = choi_from_kraus(kraus), kraus_factor(kraus)
+        shift = 1e-3 * np.linspace(-1.0, 1.0, 64)
+        est = truth.matrix + np.diag(shift)
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name in shapes:
+            def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                shapes[_name].append(a.shape)
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        row = harness._metrics(est, truth.matrix, factor)
+        assert shapes == {"eigh": [], "eigvalsh": [(64, 64), (3, 3)]}
+        assert set(row) == {"trace", "frobenius", "operator", "fidelity"}
+        assert row["trace"] == pytest.approx(np.abs(shift).sum())
+        assert row["frobenius"] == pytest.approx(np.linalg.norm(shift))
+        assert row["operator"] == pytest.approx(1e-3)
 
 
 class TestCli:
@@ -609,18 +634,21 @@ class TestCli:
                            "largest relative change 0.000e+00",
                            "    CP1 operator: 1 rows differ, "
                            "largest relative change 1.000e-06"]
-        # records compare without wall times; here only one count moves
+        # records compare without wall times; here one count and one
+        # fidelity move, and the fields are named
         errors.write_bytes((tmp_path / "old" / "cfg" / "errors.csv").read_bytes())
         records = tmp_path / "new" / "cfg" / "run_records.json"
         payload = json.loads(records.read_text())
         payload["records"][0]["projection"]["iterations"] += 1
+        payload["records"][0]["errors"]["PLS"]["fidelity"] *= 1 + 1e-6
         for rec in payload["records"]:
             rec["wall_times_ms"] = {}
         records.write_text(json.dumps(payload))
         differ = compare()
         assert differ.returncode == 1
-        assert differ.stdout.splitlines() == [f"DIFFER {records}: 1 records differ",
-                                              f"  {records}: 1 records differ"]
+        moved = (f"{records}: 1 records differ: "
+                 "errors.PLS.fidelity, projection.iterations")
+        assert differ.stdout.splitlines() == [f"DIFFER {moved}", f"  {moved}"]
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg_path = self._write_cfg(tmp_path)

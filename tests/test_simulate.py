@@ -118,6 +118,28 @@ class TestSampling:
         with pytest.raises(ValueError, match="divisible by 9 settings"):
             SamplingPlan("fixed", 100, seed=0).shots_per_setting(9)
 
+    @pytest.mark.parametrize("scheme,n_shots,seed,match", [
+        ("random", 1000.5, 1, "n_shots must be an integer, got 1000.5"),
+        ("random", True, 1, "n_shots must be an integer, got True"),
+        ("fixed", 900.0, 1, "n_shots must be an integer, got 900.0"),
+        ("random", "900", 1, "n_shots must be an integer, got '900'"),
+        ("random", 0, 1, "n_shots must be positive, got 0"),
+        ("random", 1000, 1.7, "seed must be a nonnegative integer, got 1.7"),
+        ("random", 1000, True, "seed must be a nonnegative integer, got True"),
+        ("random", 1000, -1, "seed must be a nonnegative integer, got -1"),
+    ])
+    def test_plan_refuses_what_it_would_truncate_or_alias(self, scheme, n_shots,
+                                                          seed, match):
+        with pytest.raises(ValueError, match=match):
+            SamplingPlan(scheme, n_shots, seed)
+
+    def test_wide_seeds_keep_their_bits(self, noisy2):
+        # every nonnegative seed goes to SeedSequence whole: 2**64 is not 0
+        tables = [sample(noisy2, 1, SamplingPlan("random", 10**4, seed)).values
+                  for seed in (0, 2**64, 2**64 - 1)]
+        assert not np.array_equal(tables[0], tables[1])
+        assert not np.array_equal(tables[1], tables[2])
+
     def test_impossible_outcome_never_sampled(self, omega2):
         table = sample(omega2, 1, SamplingPlan("random", 10**5, seed=8))
         idx = setting_index(("z", "z"))
