@@ -20,6 +20,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .channels import _check_int, _check_real
+
 __all__ = [
     "ErrorBudget",
     "ConfidenceRegion",
@@ -69,12 +71,12 @@ class ErrorBudget:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.scenario not in (1, 2, 3, 4):
-            raise ValueError("scenario must be 1..4")
-        if self.n_shots < 0:
-            raise ValueError("n_shots must be nonnegative")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        if self.scenario not in (1, 2, 3, 4) or type(self.scenario) is not int:
+            raise ValueError(f"scenario must be 1..4, got {self.scenario!r}")
+        _check_int("n_shots", self.n_shots, low=0)
+        _check_int("rank", self.rank, low=1)
+        for name in ("k", "delta", "eta", "epsilon"):
+            _check_real(name, getattr(self, name))
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
         if not 0 < self.eta < 1:
@@ -186,8 +188,8 @@ def confidence_region(spectrum: Sequence[float], budget: ErrorBudget) -> Confide
     spec = np.sort(np.asarray(spectrum, dtype=float))[::-1]
     if spec.size == 0:
         raise ValueError("empty spectrum")
-    if spec[-1] < -1e-9 or abs(spec.sum() - 1.0) > 1e-6:
-        raise ValueError("spectrum must come from a trace-one PSD matrix")
+    if not np.isfinite(spec).all() or spec[-1] < -1e-9 or abs(spec.sum() - 1.0) > 1e-6:
+        raise ValueError("spectrum must come from a finite trace-one PSD matrix")
     spec = np.clip(spec, 0.0, None)
     t = math.sqrt(8 * math.log(2.0 ** (2 * budget.k) / budget.eta)
                   / (3 * budget.n_shots * budget.g))

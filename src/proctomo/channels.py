@@ -15,10 +15,11 @@ The Kraus stack is vectorized in one place, ``kraus_factor``: the n x r W
 with Choi matrix W W^dag, whose r x r W^dag b W gives ``fidelity`` and whose
 W^dag W gives ``kraus_rank``.  ``distance`` returns all three error norms.
 
-Each physical-set rule is one function here (``system_dim``,
-``qubit_count``, ``tp_deviation``, ``_check_hermitian``, ``_check_trace_one``)
-with its tolerance named in the table below: validated states use the strict
-tolerances, raw least-squares estimates the looser ``RAW_*`` pair.
+Each physical-set rule is one function here (``system_dim``, ``qubit_count``,
+``tp_deviation``, ``_check_hermitian``, ``_check_trace_one``; the last two
+refuse a nan or inf entry first) with its tolerance named in the table below:
+validated states use the strict tolerances, raw least-squares estimates the
+looser ``RAW_*`` pair.
 """
 
 from __future__ import annotations
@@ -66,13 +67,20 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+
+
 def _check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    _check_finite(a)
     dev = np.abs(a - a.conj().T).max()
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
 
 
 def _check_trace_one(a: np.ndarray, tol: float = TRACE_TOL) -> None:
+    _check_finite(a)
     tr = np.trace(a).real
     if abs(tr - 1.0) > tol:
         raise ValueError(f"trace must be 1, got {tr!r} (tolerance {tol:.1e})")
@@ -86,9 +94,12 @@ def _check_int(name: str, value, kind: Optional[str] = None, low: Optional[int] 
 
 
 def _check_real(name: str, value):
-    """Refuse anything but an int or float (so bool and numeric strings too)."""
+    """Refuse anything but an int or finite float (so bool, numeric strings,
+    nan and inf too)."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def system_dim(n: int) -> int:

@@ -13,7 +13,6 @@ table is made.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,10 +37,6 @@ class LsEstimate:
     """Least-squares estimate of a Choi matrix (Hermitian, unit trace)."""
 
     matrix: np.ndarray
-    scenario: int
-    n_shots: int
-    nu: float
-    seed: Optional[int] = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -104,20 +99,13 @@ def _check(table: FrequencyTable, scenario: int) -> None:
         raise ValueError(f"table is for scenario {table.scenario}, not {scenario}")
 
 
-def _wrap(matrix: np.ndarray, table: FrequencyTable) -> LsEstimate:
-    return LsEstimate(matrix=_hermitize(matrix), scenario=table.scenario,
-                      n_shots=table.total_shots, nu=table.nu, seed=table.seed)
-
-
 def ls_scenario1(table: FrequencyTable) -> LsEstimate:
     """Ancilla-assisted Pauli estimator:
     (1/3^2k) sum f^s_o (x)_i (3 |o_i,s_i><o_i,s_i| - 1)."""
     _check(table, 1)
     k = table.k
-    if table.values.shape != (3 ** (2 * k), 4**k):
-        raise ValueError("table shape does not match k")
     mat = pauli_assemble(table.values, 2 * k) / 3 ** (2 * k)
-    return _wrap(mat, table)
+    return LsEstimate(_hermitize(mat))
 
 
 def ls_scenario2(table: FrequencyTable) -> LsEstimate:
@@ -131,11 +119,9 @@ def ls_scenario2(table: FrequencyTable) -> LsEstimate:
     _check(table, 2)
     k = table.k
     d = 2**k
-    if table.values.shape != (3**k, 3**k, 2**k, 2**k):
-        raise ValueError("table shape does not match k")
     joint = table.values.transpose(1, 0, 3, 2)  # [b, a, p, q], a strided view
     mat = pauli_assemble(joint, 2 * k) / (3 ** (2 * k) * d)
-    return _wrap(mat, table)
+    return LsEstimate(_hermitize(mat))
 
 
 def ls_scenario3(table: FrequencyTable) -> LsEstimate:
@@ -149,15 +135,13 @@ def ls_scenario3(table: FrequencyTable) -> LsEstimate:
     d = table.dim
     fam = mub_family(d * d)
     n = fam.dim
-    if table.values.shape != ((n + 1) * n,):
-        raise ValueError("table shape does not match d")
     mat = np.zeros((n, n), dtype=complex)
     for a, f in enumerate(table.values.reshape(n + 1, n)):
         basis = fam.basis(a)
         mat += (basis.T * f) @ basis.conj()
     mat *= d * d + 1
     mat -= np.eye(d * d)
-    return _wrap(mat, table)
+    return LsEstimate(_hermitize(mat))
 
 
 def ls_scenario4(table: FrequencyTable) -> LsEstimate:
@@ -177,9 +161,6 @@ def ls_scenario4(table: FrequencyTable) -> LsEstimate:
     _check(table, 4)
     d = table.dim
     projs = _mub_rows(d).conj()
-    m = projs.shape[0]
-    if table.values.shape != (m, m):
-        raise ValueError("table shape does not match d")
     f = table.values  # [input k, outcome l]
     term1 = (projs.T @ (f.T @ projs)).reshape((d,) * 4)
     term1 = term1.transpose(0, 2, 1, 3).reshape(d * d, d * d)
@@ -189,17 +170,11 @@ def ls_scenario4(table: FrequencyTable) -> LsEstimate:
     mat = ((d + 1) / d * term1
            - (np.kron(p_tot, eye) + np.kron(eye, q_tot)) / d
            + np.eye(d * d))
-    return _wrap(mat, table)
+    return LsEstimate(_hermitize(mat))
 
 
 def ls_estimate(table: FrequencyTable) -> LsEstimate:
-    """Dispatch to the closed-form estimator for the table's scenario."""
-    if table.scenario == 1:
-        return ls_scenario1(table)
-    if table.scenario == 2:
-        return ls_scenario2(table)
-    if table.scenario == 3:
-        return ls_scenario3(table)
-    if table.scenario == 4:
-        return ls_scenario4(table)
-    raise ValueError(f"unknown scenario {table.scenario}")
+    """Dispatch to the closed-form estimator for the table's scenario, which
+    the table checked to be 1..4 when it was built."""
+    estimators = (ls_scenario1, ls_scenario2, ls_scenario3, ls_scenario4)
+    return estimators[table.scenario - 1](table)

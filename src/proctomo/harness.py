@@ -146,6 +146,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.methods and len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods lists a method twice: {self.methods!r}")
+        # algo_comparison runs each of ``methods`` once, on one estimate
+        for name, default in (("repetitions", 1), ("method", "HIPswitch")):
+            if self.experiment == "algo_comparison" and getattr(self, name) != default:
+                raise ValueError(f"algo_comparison does not read {name}; remove it")
         self.projection_config()  # reject bad projection settings up front
         object.__setattr__(self, "points", _sweep_points(self))
 

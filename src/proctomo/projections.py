@@ -207,8 +207,8 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
     Returns (matrix, spectrum): the spectrum is the corrected eigenvalues in
     descending order, which is the spectrum of the returned matrix.
     """
-    if tau is not None and tau < 0:
-        raise ValueError("threshold must be nonnegative")
+    if tau is not None and not 0 <= tau < math.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {tau!r}")
     _check_trace_one(x, RAW_TRACE_TOL)
     lam, v = eigh_iterate(x)
     if tau is None:

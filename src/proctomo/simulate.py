@@ -1,6 +1,7 @@
 """Born probabilities and multinomial sampling for the four scenarios.
 
-Scenario layout of the frequency arrays (``FrequencyTable.values``):
+Scenario layout of ``FrequencyTable.values``, setting axes first and the
+outcome axis last, refused in any other shape when a table is built:
 
 1. ancilla-assisted Pauli:  shape (3^2k, 2^2k), [setting, outcome]
 2. direct Pauli:            shape (3^k, 3^k, 2^k, 2^k), [a, b, q, p] with
@@ -106,7 +107,8 @@ class SamplingPlan:
 class FrequencyTable:
     """Observed frequencies for one scenario: the multinomial counts of
     each setting divided by nu (``sample``), or exact Born probabilities with
-    scheme ``"exact"`` and nu = nan (``exact_table``)."""
+    scheme ``"exact"`` and nu = nan (``exact_table``).  Construction checks
+    the layout of ``values``; the other fields record the draw."""
 
     scenario: int
     dim: int                 # system dimension d
@@ -116,26 +118,32 @@ class FrequencyTable:
     scheme: Scheme
     seed: Optional[int] = None
 
+    def __post_init__(self):
+        shape = _table_shape(self.scenario, self.dim)
+        if np.shape(self.values) != shape:
+            raise ValueError(f"scenario {self.scenario} at d = {self.dim} needs a "
+                             f"{shape} table, got {np.shape(self.values)}")
+
     @property
     def k(self) -> int:
         """Qubit count for the Pauli scenarios (d = 2^k)."""
         return qubit_count(self.dim)
 
 
-def setting_count(scenario: int, d: int) -> int:
-    """Number of distinct setting/input combinations cycled in each scenario
-    at system dimension d (d = 2^k in the Pauli scenarios)."""
+def _table_shape(scenario: int, d: int) -> tuple:
+    """The table layout of a scenario at system dimension d (module docstring)."""
     if scenario in (1, 2):
         k = qubit_count(d)
-    if scenario == 1:
-        return 3 ** (2 * k)
-    if scenario == 2:
-        return 3 ** (2 * k) * 2**k
-    if scenario == 3:
-        return 1
-    if scenario == 4:
-        return d * (d + 1)
+        return (9**k, 4**k) if scenario == 1 else (3**k, 3**k, 2**k, 2**k)
+    if scenario in (3, 4):
+        return (d * d * (d * d + 1),) if scenario == 3 else (d * (d + 1),) * 2
     raise ValueError(f"unknown scenario {scenario}")
+
+
+def setting_count(scenario: int, d: int) -> int:
+    """Number of distinct setting/input combinations cycled in each scenario
+    at system dimension d: the cells of the table's setting axes."""
+    return math.prod(_table_shape(scenario, d)[:-1])
 
 
 def pauli_joint_probabilities(phi: np.ndarray, n: int) -> np.ndarray:
@@ -247,23 +255,21 @@ def probability_array(choi: ChoiMatrix, scenario: int) -> np.ndarray:
     """
     d = choi.dim
     phi = choi.matrix
-    if scenario == 1:
-        k = qubit_count(d)
-        return _clamp_rows(pauli_joint_probabilities(phi, 2 * k))
-    if scenario == 2:
-        k = qubit_count(d)
-        # the kernel's [b, a, p, q] order written through a view of the
-        # table's [a, b, q, p], each label split into its k qubits
-        table = np.empty((3,) * (2 * k) + (2,) * (2 * k))
-        a, b, q, p = (list(range(i * k, (i + 1) * k)) for i in range(4))
-        _pauli_born(phi, 2 * k, table.transpose(b + a + p + q))
-        table *= d
-        return _clamp_rows(table.reshape(3**k, 3**k, 2**k, 2**k))
+    shape = _table_shape(scenario, d)  # refuses an unknown scenario
     if scenario == 3:
         return _clamp_rows(_mub_outcome_probabilities(phi, d))
     if scenario == 4:
         return _clamp_rows(_mub_direct_probabilities(phi, d))
-    raise ValueError(f"unknown scenario {scenario}")
+    k = qubit_count(d)
+    if scenario == 1:
+        return _clamp_rows(pauli_joint_probabilities(phi, 2 * k))
+    # scenario 2: the kernel's [b, a, p, q] order written through a view of
+    # the table's [a, b, q, p], each label split into its k qubits
+    table = np.empty((3,) * (2 * k) + (2,) * (2 * k))
+    a, b, q, p = (list(range(i * k, (i + 1) * k)) for i in range(4))
+    _pauli_born(phi, 2 * k, table.transpose(b + a + p + q))
+    table *= d
+    return _clamp_rows(table.reshape(shape))
 
 
 def exact_table(choi: ChoiMatrix, scenario: int) -> FrequencyTable:

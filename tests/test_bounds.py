@@ -166,6 +166,42 @@ class TestConfidenceRegion:
         with pytest.raises(ValueError, match="n_shots"):
             confidence_region([1, 0, 0, 0], ErrorBudget(scenario=1, k=1, n_shots=0))
 
+    @pytest.mark.parametrize("spectrum", [
+        [math.nan, 0.5, 0.5], [math.inf, 0.5, 0.5], [1.0, 0.0, -math.inf],
+        [math.inf, -math.inf, 1.0]])
+    def test_rejects_non_finite_spectrum(self, spectrum):
+        with pytest.raises(ValueError, match="finite trace-one PSD"):
+            confidence_region(spectrum, ErrorBudget(scenario=1, k=1, n_shots=100))
+
+
+class TestBudgetInputs:
+    @pytest.mark.parametrize("field,value,match", [
+        ("scenario", True, "scenario must be 1..4"),
+        ("scenario", 5, "scenario must be 1..4"),
+        ("n_shots", True, "n_shots must be an integer"),
+        ("n_shots", 100.0, "n_shots must be an integer"),
+        ("n_shots", -1, "n_shots must be an integer >= 0"),
+        ("rank", 2.5, "rank must be an integer"),
+        ("rank", False, "rank must be an integer"),
+        ("rank", 0, "rank must be an integer >= 1"),
+        ("k", math.nan, "k must be finite"),
+        ("k", "2", "k must be a number"),
+        ("delta", math.nan, "delta must be finite"),
+        ("delta", math.inf, "delta must be finite"),
+        ("delta", -0.1, "delta must be >= 0"),
+        ("eta", math.nan, "eta must be finite"),
+        ("eta", True, "eta must be a number"),
+        ("epsilon", math.inf, "epsilon must be finite"),
+        ("epsilon", "0.1", "epsilon must be a number"),
+    ])
+    def test_bad_input_refused_by_name(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            ErrorBudget(**{"scenario": 1, "k": 1, "n_shots": 100, field: value})
+
+    def test_fractional_k_and_large_counts_accepted(self):
+        budget = ErrorBudget(scenario=4, k=math.log2(3), n_shots=10**18, rank=2)
+        assert budget.g == pytest.approx(0.25 / 9)
+
 
 class TestDirectProjection:
     def test_crossover_matches_two_step_at_d2_over_32(self):

@@ -299,6 +299,22 @@ class TestPhysicalRules:
             cls(make(outside))
         cls(make(inside))
 
+    @pytest.mark.parametrize("cls", [DensityMatrix, ChoiMatrix, LsEstimate])
+    @pytest.mark.parametrize("entry,value", [
+        (None, np.nan), ((0, 0), np.inf), ((0, 1), np.nan), ((2, 1), -np.inf)])
+    def test_non_finite_refused_before_decomposition(self, cls, entry, value,
+                                                     monkeypatch):
+        def no_eig(*args, **kwargs):
+            raise AssertionError("decomposed a non-finite matrix")
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eig)
+        m = np.eye(4, dtype=complex) / 4
+        if entry is None:
+            m[:] = value
+        else:
+            m[entry] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            cls(m)
+
     @pytest.mark.parametrize("cls", [DensityMatrix, ChoiMatrix])
     def test_non_square(self, cls):
         with pytest.raises(ValueError, match="square"):
@@ -321,7 +337,7 @@ class TestPhysicalRules:
     ], ids=["hermiticity", "trace"])
     def test_raw_estimate_rule(self, make, outside, inside, match):
         def estimate(m):
-            return LsEstimate(m, scenario=1, n_shots=1, nu=1.0)
+            return LsEstimate(m)
         with pytest.raises(ValueError, match=match):
             estimate(make(outside))
         assert estimate(make(inside)).dim == 2

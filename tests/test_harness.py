@@ -204,6 +204,10 @@ class TestConfig:
         ({"methods": ["AP"]}, "single_run does not read methods"),
         ({"experiment": "rank_sweep", "ranks": [1, 2], "methods": ["AP"]},
          "rank_sweep does not read methods"),
+        ({"experiment": "algo_comparison", "repetitions": 5},
+         "algo_comparison does not read repetitions"),
+        ({"experiment": "algo_comparison", "repetitions": 1, "method": "AP"},
+         "algo_comparison does not read method"),
     ])
     def test_bad_config_fails_before_work_or_output(self, tmp_path, monkeypatch,
                                                     overrides, match):
@@ -259,6 +263,9 @@ class TestConfig:
          "max_outer_iterations must be an integer"),
         ({"epsilon": "1e-7"}, ValueError, "epsilon must be a number"),
         ({"epsilon": True}, ValueError, "epsilon must be a number"),
+        ({"epsilon": float("nan")}, ValueError, "epsilon must be finite"),
+        ({"epsilon": float("inf")}, ValueError, "epsilon must be finite"),
+        ({"epsilon": float("-inf")}, ValueError, "epsilon must be finite"),
     ])
     def test_bad_projection_rejected_at_construction(self, projection, error, match):
         with pytest.raises(error, match=match):
@@ -376,7 +383,7 @@ class TestRun:
         assert [rec.point["n_shots"] for rec in records] == [90, 810]
 
     def test_algo_comparison_trace(self, tmp_path):
-        cfg = _mini_config(experiment="algo_comparison",
+        cfg = _mini_config(experiment="algo_comparison", repetitions=1,
                            methods=["HIPswitch", "AP", "dual"],
                            projection={"max_outer_iterations": 300})
         _, reports = run(cfg, out_dir=tmp_path)
@@ -443,7 +450,7 @@ class TestHarnessSeams:
 
     def test_algo_comparison(self, tmp_path, monkeypatch):
         calls = self._spy(monkeypatch)
-        cfg = _mini_config(experiment="algo_comparison",
+        cfg = _mini_config(experiment="algo_comparison", repetitions=1,
                            methods=["HIPswitch", "AP", "dual"],
                            projection={"max_outer_iterations": 300})
         run(cfg, out_dir=tmp_path)
@@ -533,6 +540,22 @@ class TestCli:
             f"final lambda_min {r.final_lambda_min:.3e}, converged {r.converged}"
             for m, r in reports.items()]
         assert len(lines) == 6
+
+    def test_algo_comparison_refuses_method_override(self, tmp_path, capsys):
+        # one estimate, every method in ``methods`` once: --method has no reader
+        cfg_path = tmp_path / "algo.yaml"
+        cfg_path.write_text(textwrap.dedent("""\
+            experiment: algo_comparison
+            scenario: 1
+            k: 1
+            channel: {kind: noisy_qft, measure_prob: 0.25}
+            n_shots: 900
+        """))
+        out_dir = tmp_path / "never"
+        assert cli.main(["run", str(cfg_path), "--method", "AP",
+                         "--out-dir", str(out_dir)]) == 1
+        assert "algo_comparison does not read method" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_run_overrides(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)

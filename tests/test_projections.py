@@ -193,6 +193,17 @@ class TestProjCp1Thresholded:
         with pytest.raises(ValueError):
             proj_cp1_thresholded(np.eye(3, dtype=complex) / 3, -0.1)
 
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_threshold_by_name(self, tau):
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            proj_cp1_thresholded(np.eye(4, dtype=complex) / 4, tau)
+
+    def test_rejects_non_finite_input(self):
+        x = np.eye(4, dtype=complex) / 4
+        x[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            proj_cp1_thresholded(x)
+
 
 class TestCp1Threshold:
     """With no tau given, proj_cp1_thresholded takes the first-stage

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,38 @@ class TestSampling:
     def test_setting_counts(self, scenario):
         expected = {1: 9, 2: 18, 3: 1, 4: 6}[scenario]
         assert setting_count(scenario, 2) == expected
+
+
+class TestTableLayout:
+    @pytest.mark.parametrize("scenario,shape,bad", [
+        (1, (9, 4), (9, 3)),
+        (1, (9, 4), (36,)),
+        (2, (3, 3, 2, 2), (9, 2, 2)),
+        (2, (3, 3, 2, 2), (3, 3, 2, 3)),
+        (3, (20,), (4, 5)),
+        (3, (20,), (21,)),
+        (4, (6, 6), (36,)),
+        (4, (6, 6), (6, 5)),
+    ])
+    def test_wrong_shape_refused_at_construction(self, scenario, shape, bad):
+        def table(values):
+            return FrequencyTable(scenario=scenario, dim=2, values=values,
+                                  nu=1.0, total_shots=1, scheme="fixed")
+        assert table(np.zeros(shape)).values.shape == shape
+        msg = f"scenario {scenario} at d = 2 needs a {shape} table, got {bad}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            table(np.zeros(bad))
+
+    def test_pauli_layout_needs_power_of_two(self):
+        with pytest.raises(ValueError, match="power-of-two"):
+            FrequencyTable(scenario=1, dim=3, values=np.zeros((9, 4)), nu=1.0,
+                           total_shots=1, scheme="fixed")
+
+    @pytest.mark.parametrize("scenario", [0, 5])
+    def test_unknown_scenario_refused(self, scenario):
+        with pytest.raises(ValueError, match=f"unknown scenario {scenario}"):
+            FrequencyTable(scenario=scenario, dim=2, values=np.zeros(20), nu=1.0,
+                           total_shots=1, scheme="fixed")
 
 
 class TestExactTable:
