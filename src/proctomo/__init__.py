@@ -7,9 +7,8 @@ and evaluate concentration bounds and confidence regions.
 """
 
 from .channels import (ChannelSpec, ChoiMatrix, DensityMatrix, KrausSet,
-                       apply_kraus, apply_via_choi, choi_from_kraus, choi_rank,
-                       distance, fidelity, kraus_factor, kraus_rank, make_channel,
-                       maximally_entangled_state, partial_trace, qft_unitary)
+                       choi_from_kraus, distance, fidelity, kraus_factor,
+                       kraus_rank, make_channel, partial_trace, qft_unitary)
 from .designs import MubFamily, mub_family, near_isotropy_defect
 from .simulate import FrequencyTable, SamplingPlan, exact_table, sample
 from .estimators import (LsEstimate, ls_estimate, ls_scenario1, ls_scenario2,

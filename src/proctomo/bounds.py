@@ -58,15 +58,14 @@ class ErrorBudget:
     """Inputs of the bound evaluators.
 
     k is the qubit count, d = 2^k; for MUB scenarios with non-qubit d pass
-    k = log2(d).  epsilon is the accuracy, eta the failure probability,
-    rank the rank hypothesis and delta the almost-rank slack.
+    k = log2(d).  epsilon is the accuracy, eta the failure probability and
+    rank the rank hypothesis.
     """
 
     scenario: int
     k: float
     n_shots: int
     rank: int = 1
-    delta: float = 0.0
     eta: float = 0.05
     epsilon: float = 0.1
 
@@ -75,10 +74,8 @@ class ErrorBudget:
             raise ValueError(f"scenario must be 1..4, got {self.scenario!r}")
         _check_int("n_shots", self.n_shots, low=0)
         _check_int("rank", self.rank, low=1)
-        for name in ("k", "delta", "eta", "epsilon"):
+        for name in ("k", "eta", "epsilon"):
             _check_real(name, getattr(self, name))
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
 

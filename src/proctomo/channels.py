@@ -33,7 +33,8 @@ HERMITICITY_TOL = 1e-12      # max ||A - A^dag||_inf of a validated Hermitian in
 TRACE_TOL = 1e-12            # max |Tr A - 1| of a validated state
 PSD_TOL = 1e-10              # least eigenvalue of a validated state is >= -this
 TP_TOL = 1e-9                # max ||Tr_s Phi - 1/d||_inf of a trace-preserving Choi matrix
-RAW_HERMITICITY_TOL = 1e-10  # max ||A - A^dag||_inf of a raw estimate or proj_cp input
+RAW_HERMITICITY_TOL = 1e-10  # max ||A - A^dag||_inf of a raw estimate or a projection input
+                             # (proj_cp, proj_cp1_thresholded, project_to_cptp)
 RAW_TRACE_TOL = 1e-8         # max |Tr A - 1| of a raw estimate or first-stage input
 RANK_CUT = 1e-9              # eigenvalues above this count towards the numerical rank
 
@@ -42,11 +43,8 @@ __all__ = [
     "KrausSet",
     "ChoiMatrix",
     "ChannelSpec",
-    "maximally_entangled_state",
     "kraus_factor",
     "choi_from_kraus",
-    "apply_via_choi",
-    "apply_kraus",
     "partial_trace",
     "system_dim",
     "qubit_count",
@@ -59,7 +57,6 @@ __all__ = [
     "pauli_string",
     "numerical_rank",
     "kraus_rank",
-    "choi_rank",
 ]
 
 
@@ -160,6 +157,7 @@ class KrausSet:
         for k in ops:
             if k.shape != (d, d):
                 raise ValueError("Kraus operators must share one square shape")
+            _check_finite(k)
         object.__setattr__(self, "operators", ops)
         acc = sum(k.conj().T @ k for k in ops)
         if np.abs(acc - np.eye(d)).max() > 1e-10:
@@ -226,15 +224,6 @@ class ChannelSpec:
         return self.kind
 
 
-def maximally_entangled_state(d: int) -> DensityMatrix:
-    """Rank-one projector onto (1/sqrt(d)) sum_q |q> (x) |q>."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    omega = np.zeros(d * d, dtype=complex)
-    omega[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
-    return DensityMatrix(np.outer(omega, omega.conj()))
-
-
 def kraus_factor(kraus: KrausSet) -> np.ndarray:
     """The n x r factor W of the Choi matrix W W^dag: column i is
     (K_i (x) 1)|omega> = vec(K_i)/sqrt(d), vec the row-major flattening."""
@@ -247,24 +236,6 @@ def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
     Kraus set, W its ``kraus_factor``."""
     w = kraus_factor(kraus)
     return ChoiMatrix(_hermitize(w @ w.conj().T))
-
-
-def apply_kraus(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
-    """Direct channel action sum_i K_i rho K_i^dag."""
-    if kraus.dim != rho.matrix.shape[0]:
-        raise ValueError("dimension mismatch")
-    out = sum(k @ rho.matrix @ k.conj().T for k in kraus.operators)
-    return DensityMatrix(_hermitize(out))
-
-
-def apply_via_choi(choi: ChoiMatrix, rho: DensityMatrix) -> DensityMatrix:
-    """Channel action through the Choi matrix: C(rho) = d Tr_a(Phi (1 (x) rho^T))."""
-    d = choi.dim
-    if rho.matrix.shape[0] != d:
-        raise ValueError("dimension mismatch")
-    prod = choi.matrix @ np.kron(np.eye(d), rho.matrix.T)
-    out = d * partial_trace(prod, "ancilla")
-    return DensityMatrix(_hermitize(out))
 
 
 def partial_trace(mat: np.ndarray, which: Literal["system", "ancilla"]) -> np.ndarray:
@@ -303,7 +274,12 @@ def fidelity(w: np.ndarray, b: np.ndarray) -> float:
     """F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2 for PSD a = W W^dag, W n x r,
     and PSD b: the nonzero eigenvalues mu of sqrt(a) b sqrt(a) are those of
     the r x r W^dag b W, so F = (sum sqrt(max(mu, 0)))^2."""
-    mu = np.linalg.eigvalsh(_hermitize(w.conj().T @ np.asarray(b) @ w))
+    w = np.asarray(w)
+    b = np.asarray(b)
+    if w.ndim != 2 or b.shape != (w.shape[0],) * 2:
+        raise ValueError(f"fidelity needs an n x r factor and an n x n matrix, "
+                         f"got shapes {w.shape} and {b.shape}")
+    mu = np.linalg.eigvalsh(_hermitize(w.conj().T @ b @ w))
     return float(np.sqrt(np.clip(mu, 0.0, None)).sum() ** 2)
 
 
@@ -398,8 +374,3 @@ def kraus_rank(kraus: KrausSet) -> int:
     W^dag W (the nonzero ones of the Choi matrix W W^dag) above ``RANK_CUT``."""
     w = kraus_factor(kraus)
     return numerical_rank(np.linalg.eigvalsh(_hermitize(w.conj().T @ w)))
-
-
-def choi_rank(choi: ChoiMatrix) -> int:
-    """Numerical rank of the Choi matrix (eigenvalues above ``RANK_CUT``)."""
-    return numerical_rank(np.linalg.eigvalsh(_hermitize(choi.matrix)))

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import _check_int
+
 AXES = ("x", "y", "z")
 
 # columns are |0,s> and |1,s>
@@ -278,14 +280,17 @@ def _mub_power_of_two(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 1j ** np.arange(4), trgr_t[idx], 2 * tr_t[idx]
 
 
-@functools.lru_cache(maxsize=None)
+# typed: a float or bool dim misses the cache and reaches the check
+@functools.lru_cache(maxsize=None, typed=True)
 def mub_family(dim: int) -> MubFamily:
     """Maximal family of dim+1 mutually unbiased bases in C^dim.
 
     Supported dimensions: odd primes and powers of two.  Other dimensions
-    raise NotImplementedError.  Each family is built and validated once per
-    process; later calls return the same read-only instance.
+    raise NotImplementedError, and a dim that is not a plain int raises
+    ValueError.  Each family is built and validated once per process; later
+    calls return the same read-only instance.
     """
+    _check_int("dim", dim)
     if dim >= 2 and dim & (dim - 1) == 0:
         return MubFamily(dim, *_mub_power_of_two(dim.bit_length() - 1))
     if dim > 2 and _is_prime(dim):

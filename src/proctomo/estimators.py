@@ -13,6 +13,7 @@ table is made.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -94,8 +95,11 @@ def _assemble_fold(f: np.ndarray, last: tuple, ops: np.ndarray) -> np.ndarray:
     return t
 
 
-def _check(table: FrequencyTable, scenario: int) -> None:
-    if table.scenario != scenario:
+def _check(table: FrequencyTable, scenario: Optional[int] = None) -> None:
+    """Refuse anything but a FrequencyTable, or a table of another scenario."""
+    if not isinstance(table, FrequencyTable):
+        raise TypeError(f"estimator needs a FrequencyTable, got {type(table).__name__}")
+    if scenario is not None and table.scenario != scenario:
         raise ValueError(f"table is for scenario {table.scenario}, not {scenario}")
 
 
@@ -176,5 +180,6 @@ def ls_scenario4(table: FrequencyTable) -> LsEstimate:
 def ls_estimate(table: FrequencyTable) -> LsEstimate:
     """Dispatch to the closed-form estimator for the table's scenario, which
     the table checked to be 1..4 when it was built."""
+    _check(table)
     estimators = (ls_scenario1, ls_scenario2, ls_scenario3, ls_scenario4)
     return estimators[table.scenario - 1](table)

@@ -205,10 +205,15 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
     trace-one PSD set.
 
     Returns (matrix, spectrum): the spectrum is the corrected eigenvalues in
-    descending order, which is the spectrum of the returned matrix.
+    descending order, which is the spectrum of the returned matrix.  Like
+    ``proj_cp``, it refuses x farther than ``RAW_HERMITICITY_TOL`` from
+    Hermitian, and any tau that is not a finite nonnegative number.
     """
-    if tau is not None and not 0 <= tau < math.inf:
-        raise ValueError(f"threshold must be finite and nonnegative, got {tau!r}")
+    _check_hermitian(x, RAW_HERMITICITY_TOL)
+    if tau is not None:
+        _check_real("threshold", tau)
+        if tau < 0:
+            raise ValueError(f"threshold must be finite and nonnegative, got {tau!r}")
     _check_trace_one(x, RAW_TRACE_TOL)
     lam, v = eigh_iterate(x)
     if tau is None:
@@ -362,14 +367,16 @@ def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
     AP/HIP family (each one is a projection onto a convex superset of the
     physical set, so distances to physical points are nonincreasing along
     the hooked sequence); Dykstra's iterates are not, and dual has none, so
-    a hook with either raises ``ValueError``.
+    a hook with either raises ``ValueError``.  Like ``proj_cp``, it refuses
+    phi0 farther than ``RAW_HERMITICITY_TOL`` from Hermitian.
     """
+    phi0 = np.asarray(phi0, dtype=complex)
+    _check_hermitian(phi0, RAW_HERMITICITY_TOL)
     cfg = cfg or ProjectionConfig()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if iterate_hook is not None and method in ("Dykstra", "dual"):
         raise ValueError(f"iterate_hook needs an AP/HIP method, not {method}")
-    phi0 = np.asarray(phi0, dtype=complex)
     report = ProjectionReport(method=method)
     phi, lam_min, converged = (_dual_project(phi0, report) if method == "dual" else
                                _run_iterates(phi0, method, cfg, report, iterate_hook))

@@ -58,7 +58,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .channels import ChoiMatrix, _check_int, qubit_count
+from .channels import ChoiMatrix, _check_int, _check_real, qubit_count
 from .designs import PAULI_VECTORS, mub_family
 
 logger = logging.getLogger(__name__)
@@ -108,7 +108,7 @@ class FrequencyTable:
     """Observed frequencies for one scenario: the multinomial counts of
     each setting divided by nu (``sample``), or exact Born probabilities with
     scheme ``"exact"`` and nu = nan (``exact_table``).  Construction checks
-    the layout of ``values``; the other fields record the draw."""
+    the layout of ``values`` and the record of the draw in the other fields."""
 
     scenario: int
     dim: int                 # system dimension d
@@ -119,6 +119,20 @@ class FrequencyTable:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        _check_int("scenario", self.scenario)
+        _check_int("dim", self.dim, low=2)
+        _check_int("total_shots", self.total_shots, low=0)
+        if self.seed is not None:
+            _check_int("seed", self.seed, "None or a nonnegative integer", low=0)
+        if self.scheme not in ("fixed", "random", "exact"):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme == "exact":
+            if not (isinstance(self.nu, float) and math.isnan(self.nu)):
+                raise ValueError(f"nu must be nan for an exact table, got {self.nu!r}")
+        else:
+            _check_real("nu", self.nu)
+            if self.nu <= 0:
+                raise ValueError(f"nu must be positive, got {self.nu!r}")
         shape = _table_shape(self.scenario, self.dim)
         if np.shape(self.values) != shape:
             raise ValueError(f"scenario {self.scenario} at d = {self.dim} needs a "

@@ -1,5 +1,11 @@
 """Reference forms the library's fast kernels are tested against.
 
+``maximally_entangled_state``, ``apply_kraus`` and ``apply_via_choi`` state
+the Choi convention directly: the maximally entangled pair |omega><omega|,
+the channel action sum_i K_i rho K_i^dag, and the same action read back
+from the Choi matrix.  The library never applies a channel to a state, so
+these serve the convention tests and the Born spot checks.
+
 ``proctomo.simulate`` and ``proctomo.estimators`` run the Pauli contractions
 in chunks and the sampling path in place; ``proctomo.projections`` adds the
 trace-preserving correction through a reshape view.  The functions here are
@@ -37,10 +43,37 @@ import itertools
 
 import numpy as np
 
-from proctomo.channels import partial_trace
+from proctomo.channels import DensityMatrix, _hermitize, partial_trace
 from proctomo import simulate
 from proctomo.designs import AXES, PAULI_VECTORS, mub_family, pauli_operator_stack
 from proctomo.simulate import FrequencyTable, _stream, setting_count
+
+
+def maximally_entangled_state(d):
+    """Rank-one projector onto (1/sqrt(d)) sum_q |q> (x) |q>."""
+    if d < 2:
+        raise ValueError("dimension must be >= 2")
+    omega = np.zeros(d * d, dtype=complex)
+    omega[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
+    return DensityMatrix(np.outer(omega, omega.conj()))
+
+
+def apply_kraus(kraus, rho):
+    """Direct channel action sum_i K_i rho K_i^dag."""
+    if kraus.dim != rho.matrix.shape[0]:
+        raise ValueError("dimension mismatch")
+    out = sum(k @ rho.matrix @ k.conj().T for k in kraus.operators)
+    return DensityMatrix(_hermitize(out))
+
+
+def apply_via_choi(choi, rho):
+    """Channel action through the Choi matrix: C(rho) = d Tr_a(Phi (1 (x) rho^T))."""
+    d = choi.dim
+    if rho.matrix.shape[0] != d:
+        raise ValueError("dimension mismatch")
+    prod = choi.matrix @ np.kron(np.eye(d), rho.matrix.T)
+    out = d * partial_trace(prod, "ancilla")
+    return DensityMatrix(_hermitize(out))
 
 
 def pauli_projector(setting, outcome):

@@ -186,9 +186,6 @@ class TestBudgetInputs:
         ("rank", 0, "rank must be an integer >= 1"),
         ("k", math.nan, "k must be finite"),
         ("k", "2", "k must be a number"),
-        ("delta", math.nan, "delta must be finite"),
-        ("delta", math.inf, "delta must be finite"),
-        ("delta", -0.1, "delta must be >= 0"),
         ("eta", math.nan, "eta must be finite"),
         ("eta", True, "eta must be a number"),
         ("epsilon", math.inf, "epsilon must be finite"),

@@ -21,3 +21,47 @@ def test_exports_resolve(name):
     imported = [a.name for node in _INIT.body if isinstance(node, ast.ImportFrom)
                 and node.module == name for a in node.names]
     assert [a for a in imported if a not in exported] == []
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+# the paper's stated bounds, kept as its results though no run path reads them
+_UNREACHED_BY_DESIGN = {"ls_failure_prob", "sample_complexity", "direct_projection_bound"}
+
+
+def _reached_names() -> set:
+    """Names that code in the package (outside ``__init__``), ``scripts/*.py``
+    or ``perfbench/*.py`` reads as a ``Name`` or ``Attribute``; in
+    ``perfbench`` also string constants, since its tracer patches by name.
+    A top-level definition in the package does not reach its own name."""
+    pkg = Path(proctomo.__file__).parent
+    sources = ([p for p in pkg.glob("*.py") if p.name != "__init__.py"]
+               + sorted((_ROOT / "scripts").glob("*.py"))
+               + sorted((_ROOT / "perfbench").glob("*.py")))
+    reached = set()
+    for path in sources:
+        by_string = path.parent.name == "perfbench"
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None) if path.parent == pkg else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif by_string and isinstance(node, ast.Constant) and isinstance(
+                        node.value, str):
+                    name = node.value
+                else:
+                    continue
+                if name != own:
+                    reached.add(name)
+    return reached
+
+
+def test_every_export_is_reached():
+    """A public name that only the tests call belongs in the tests' oracles."""
+    reached = _reached_names()
+    unreached = sorted(
+        f"{m.name}.{a}" for m in pkgutil.iter_modules(proctomo.__path__)
+        for a in getattr(importlib.import_module(f"proctomo.{m.name}"), "__all__", [])
+        if a not in reached and a not in _UNREACHED_BY_DESIGN)
+    assert unreached == []

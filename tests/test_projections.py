@@ -13,8 +13,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
 from proctomo.channels import (ChannelSpec, ChoiMatrix, choi_from_kraus,
-                               haar_unitary, make_channel,
-                               maximally_entangled_state, partial_trace)
+                               haar_unitary, make_channel, partial_trace)
 import proctomo
 from proctomo import projections
 from proctomo.estimators import ls_estimate
@@ -27,6 +26,7 @@ from proctomo.projections import (DUAL_GRAD_TOL, MAX_HALFSPACES, HalfSpace,
 from proctomo.simulate import SamplingPlan, sample
 
 import oracles
+from oracles import maximally_entangled_state
 from conftest import (random_density, random_hermitian, random_unitary,
                       transient_peak)
 
@@ -193,9 +193,14 @@ class TestProjCp1Thresholded:
         with pytest.raises(ValueError):
             proj_cp1_thresholded(np.eye(3, dtype=complex) / 3, -0.1)
 
-    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
-    def test_rejects_bad_threshold_by_name(self, tau):
-        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+    @pytest.mark.parametrize("tau,message", [
+        pytest.param(-1.0, "threshold must be finite and nonnegative, got -1.0", id="-1.0"),
+        pytest.param(math.nan, "threshold must be finite, got nan", id="nan"),
+        pytest.param(math.inf, "threshold must be finite, got inf", id="inf"),
+        pytest.param(True, "threshold must be a number, got True", id="True"),
+    ])
+    def test_rejects_bad_threshold_by_name(self, tau, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             proj_cp1_thresholded(np.eye(4, dtype=complex) / 4, tau)
 
     def test_rejects_non_finite_input(self):

@@ -7,15 +7,15 @@ from numpy.testing import assert_allclose
 
 from proctomo import simulate
 from proctomo.channels import (ChannelSpec, ChoiMatrix, DensityMatrix,
-                               KrausSet, apply_kraus, choi_from_kraus,
-                               make_channel, maximally_entangled_state)
+                               KrausSet, choi_from_kraus, make_channel)
 from proctomo.designs import mub_family
 from proctomo.simulate import (FrequencyTable, SamplingPlan, exact_table,
                                pauli_joint_probabilities,
                                probability_array, sample, setting_count)
 
 import oracles
-from oracles import all_settings, born_probabilities, pauli_projector, setting_index
+from oracles import (all_settings, apply_kraus, born_probabilities,
+                     maximally_entangled_state, pauli_projector, setting_index)
 from conftest import (pauli_channels, pauli_plans, random_density,
                       random_kraus_ops, transient_peak)
 
