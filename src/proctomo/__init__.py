@@ -11,8 +11,7 @@ from .channels import (ChannelSpec, ChoiMatrix, DensityMatrix, KrausSet,
                        kraus_rank, make_channel, partial_trace, qft_unitary)
 from .designs import MubFamily, mub_family, near_isotropy_defect
 from .simulate import FrequencyTable, SamplingPlan, exact_table, sample
-from .estimators import (LsEstimate, ls_estimate, ls_scenario1, ls_scenario2,
-                         ls_scenario3, ls_scenario4)
+from .estimators import LsEstimate, ls_estimate
 from .projections import (HalfSpace, ProjectionConfig, ProjectionReport,
                           depolarizing_finalize, hip_inner, pls_pipeline,
                           proj_cp, proj_cp1_thresholded, proj_tp,

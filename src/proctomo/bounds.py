@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .channels import _check_int, _check_real
+from .channels import _check_int, _check_real, _check_scenario
 
 __all__ = [
     "ErrorBudget",
@@ -37,15 +37,12 @@ __all__ = [
 
 def g_factor(scenario: int, k: float) -> float:
     """Measurement-scenario factor entering every concentration exponent."""
+    _check_scenario(scenario)
     if k < 1 and scenario in (1, 2):
         raise ValueError("k must be >= 1")
     if scenario in (1, 2):
         return 3.0 ** (-2 * k)
-    if scenario == 3:
-        return 0.5 * 2.0 ** (-2 * k)
-    if scenario == 4:
-        return 0.25 * 2.0 ** (-2 * k)
-    raise ValueError(f"unknown scenario {scenario}")
+    return (0.5 if scenario == 3 else 0.25) * 2.0 ** (-2 * k)
 
 
 def f_factor(scenario: int, k: float) -> float:
@@ -70,8 +67,7 @@ class ErrorBudget:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.scenario not in (1, 2, 3, 4) or type(self.scenario) is not int:
-            raise ValueError(f"scenario must be 1..4, got {self.scenario!r}")
+        _check_scenario(self.scenario)
         _check_int("n_shots", self.n_shots, low=0)
         _check_int("rank", self.rank, low=1)
         for name in ("k", "eta", "epsilon"):

@@ -99,6 +99,12 @@ def _check_real(name: str, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_scenario(value):
+    """Refuse anything but the plain ints 1..4 (so bool and float too)."""
+    if type(value) is not int or not 1 <= value <= 4:
+        raise ValueError(f"scenario must be 1..4, got {value!r}")
+
+
 def system_dim(n: int) -> int:
     """d for an operator on C^d (x) C^d of size n = d^2."""
     d = round(n ** 0.5)

@@ -1,5 +1,7 @@
 """Closed-form least-squares Choi estimators for the four scenarios.
 
+``ls_estimate(table)`` is the one entry point: it takes any ``FrequencyTable``
+(sampled, exact or lab data) and runs the estimator of the table's scenario.
 Each estimator is linear in the frequencies and unbiased: feeding exact Born
 probabilities reproduces the true Choi matrix.  The Pauli scenarios are
 assembled by folding frequency tensors against the single-qubit operators
@@ -13,7 +15,6 @@ table is made.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,10 +26,6 @@ from .simulate import FrequencyTable, _mub_rows
 __all__ = [
     "LsEstimate",
     "pauli_assemble",
-    "ls_scenario1",
-    "ls_scenario2",
-    "ls_scenario3",
-    "ls_scenario4",
     "ls_estimate",
 ]
 
@@ -95,24 +92,15 @@ def _assemble_fold(f: np.ndarray, last: tuple, ops: np.ndarray) -> np.ndarray:
     return t
 
 
-def _check(table: FrequencyTable, scenario: Optional[int] = None) -> None:
-    """Refuse anything but a FrequencyTable, or a table of another scenario."""
-    if not isinstance(table, FrequencyTable):
-        raise TypeError(f"estimator needs a FrequencyTable, got {type(table).__name__}")
-    if scenario is not None and table.scenario != scenario:
-        raise ValueError(f"table is for scenario {table.scenario}, not {scenario}")
-
-
-def ls_scenario1(table: FrequencyTable) -> LsEstimate:
+def _ls_scenario1(table: FrequencyTable) -> LsEstimate:
     """Ancilla-assisted Pauli estimator:
     (1/3^2k) sum f^s_o (x)_i (3 |o_i,s_i><o_i,s_i| - 1)."""
-    _check(table, 1)
     k = table.k
     mat = pauli_assemble(table.values, 2 * k) / 3 ** (2 * k)
     return LsEstimate(_hermitize(mat))
 
 
-def ls_scenario2(table: FrequencyTable) -> LsEstimate:
+def _ls_scenario2(table: FrequencyTable) -> LsEstimate:
     """Direct Pauli estimator:
     (1/(3^2k d)) sum f^ab_qp M^b_p (x) M^a_q with M = 3|.><.| - 1.
 
@@ -120,7 +108,6 @@ def ls_scenario2(table: FrequencyTable) -> LsEstimate:
     the system factor and the input labels (a, q) on the ancilla factor, as
     fixed by the probability map p^ab_qp = d Tr(Phi P^b_p (x) P^a_q).
     """
-    _check(table, 2)
     k = table.k
     d = 2**k
     joint = table.values.transpose(1, 0, 3, 2)  # [b, a, p, q], a strided view
@@ -128,14 +115,13 @@ def ls_scenario2(table: FrequencyTable) -> LsEstimate:
     return LsEstimate(_hermitize(mat))
 
 
-def ls_scenario3(table: FrequencyTable) -> LsEstimate:
+def _ls_scenario3(table: FrequencyTable) -> LsEstimate:
     """Ancilla-assisted MUB estimator: (d^2+1) sum_i f_i |v_i><v_i| - 1.
 
     The sum runs one basis B_a at a time, as (B_a^T * f_a) @ conj(B_a),
     each basis built from the family's phase tables, so its transients are a
     few D x D blocks and the (D+1) x D x D stack is never held.
     """
-    _check(table, 3)
     d = table.dim
     fam = mub_family(d * d)
     n = fam.dim
@@ -148,7 +134,7 @@ def ls_scenario3(table: FrequencyTable) -> LsEstimate:
     return LsEstimate(_hermitize(mat))
 
 
-def ls_scenario4(table: FrequencyTable) -> LsEstimate:
+def _ls_scenario4(table: FrequencyTable) -> LsEstimate:
     """Direct MUB estimator (inputs (|v_k><v_k|)^T, MUB measurements v_l):
 
     (d+1)/d sum f^k_l P_l (x) P_k
@@ -162,7 +148,6 @@ def ls_scenario4(table: FrequencyTable) -> LsEstimate:
     first sum is P^T (f^T P) realigned from (s, s', a, a') to (s, a, s', a'),
     and the marginal sums are colsum(f) P and rowsum(f) P.
     """
-    _check(table, 4)
     d = table.dim
     projs = _mub_rows(d).conj()
     f = table.values  # [input k, outcome l]
@@ -178,8 +163,9 @@ def ls_scenario4(table: FrequencyTable) -> LsEstimate:
 
 
 def ls_estimate(table: FrequencyTable) -> LsEstimate:
-    """Dispatch to the closed-form estimator for the table's scenario, which
-    the table checked to be 1..4 when it was built."""
-    _check(table)
-    estimators = (ls_scenario1, ls_scenario2, ls_scenario3, ls_scenario4)
+    """Least-squares estimate from a frequency table: the closed-form
+    estimator of the table's scenario, which the table checked to be 1..4."""
+    if not isinstance(table, FrequencyTable):
+        raise TypeError(f"estimator needs a FrequencyTable, got {type(table).__name__}")
+    estimators = (_ls_scenario1, _ls_scenario2, _ls_scenario3, _ls_scenario4)
     return estimators[table.scenario - 1](table)

@@ -44,9 +44,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import (ChannelSpec, ChoiMatrix, _check_int, choi_from_kraus,
-                       distance, fidelity, haar_unitary, kraus_factor, kraus_rank,
-                       make_channel, numerical_rank, qft_unitary)
+from .channels import (ChannelSpec, ChoiMatrix, _check_int, _check_scenario,
+                       choi_from_kraus, distance, fidelity, haar_unitary, kraus_factor,
+                       kraus_rank, make_channel, numerical_rank, qft_unitary)
 from .designs import mub_family
 from .estimators import ls_estimate
 from .projections import (METHODS, ProjectionConfig, proj_cp1_thresholded,
@@ -98,8 +98,7 @@ class ExperimentConfig:
             raise ValueError(f"unsupported format_version {self.format_version!r}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.scenario not in (1, 2, 3, 4) or type(self.scenario) is not int:
-            raise ValueError(f"scenario must be 1..4, got {self.scenario!r}")
+        _check_scenario(self.scenario)
         for name in ("channel", "projection"):
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} must be a mapping, got {getattr(self, name)!r}")

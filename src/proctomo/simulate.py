@@ -1,7 +1,7 @@
 """Born probabilities and multinomial sampling for the four scenarios.
 
-Scenario layout of ``FrequencyTable.values``, setting axes first and the
-outcome axis last, refused in any other shape when a table is built:
+Layout of ``FrequencyTable(scenario, d, values).values``, setting axes first
+and the outcome axis last, refused in any other shape when a table is built:
 
 1. ancilla-assisted Pauli:  shape (3^2k, 2^2k), [setting, outcome]
 2. direct Pauli:            shape (3^k, 3^k, 2^k, 2^k), [a, b, q, p] with
@@ -19,8 +19,9 @@ outcome l has probability <v_l| C((|v_k><v_k|)^T) |v_l> / (d+1); one MUB
 family of C^d, basis-major, serves as inputs and measurement.
 
 Frequencies are counts divided by nu, the (mean) number of repetitions per
-setting.  In the fixed scheme every setting receives exactly nu shots and
-each per-setting row sums to one; in the random scheme settings are drawn
+setting, ``SamplingPlan.shots_per_setting``; the plan is the record of the
+draw.  In the fixed scheme every setting receives exactly nu shots and each
+per-setting row sums to one; in the random scheme settings are drawn
 uniformly and only the expectation of each row sum is one.
 
 Sampling is reproducible: a table is drawn from one Philox stream keyed by
@@ -54,16 +55,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal
 
 import numpy as np
 
-from .channels import ChoiMatrix, _check_int, _check_real, qubit_count
+from .channels import PSD_TOL, ChoiMatrix, _check_int, _check_scenario, qubit_count
 from .designs import PAULI_VECTORS, mub_family
 
 logger = logging.getLogger(__name__)
-
-Scheme = Literal["fixed", "random", "exact"]
 
 SAMPLE_BLOCKS = 16       # sample: the Born rows are drawn in this many blocks
 
@@ -105,34 +104,18 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Observed frequencies for one scenario: the multinomial counts of
-    each setting divided by nu (``sample``), or exact Born probabilities with
-    scheme ``"exact"`` and nu = nan (``exact_table``).  Construction checks
-    the layout of ``values`` and the record of the draw in the other fields."""
+    """Frequencies of one scenario at system dimension d: the multinomial
+    counts of each setting divided by nu (``sample``), exact Born
+    probabilities (``exact_table``) or lab data.  Construction takes
+    ``values`` as a float array (a float64 array as is) and checks its layout."""
 
     scenario: int
     dim: int                 # system dimension d
     values: np.ndarray
-    nu: float
-    total_shots: int
-    scheme: Scheme
-    seed: Optional[int] = None
 
     def __post_init__(self):
-        _check_int("scenario", self.scenario)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         _check_int("dim", self.dim, low=2)
-        _check_int("total_shots", self.total_shots, low=0)
-        if self.seed is not None:
-            _check_int("seed", self.seed, "None or a nonnegative integer", low=0)
-        if self.scheme not in ("fixed", "random", "exact"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "exact":
-            if not (isinstance(self.nu, float) and math.isnan(self.nu)):
-                raise ValueError(f"nu must be nan for an exact table, got {self.nu!r}")
-        else:
-            _check_real("nu", self.nu)
-            if self.nu <= 0:
-                raise ValueError(f"nu must be positive, got {self.nu!r}")
         shape = _table_shape(self.scenario, self.dim)
         if np.shape(self.values) != shape:
             raise ValueError(f"scenario {self.scenario} at d = {self.dim} needs a "
@@ -145,13 +128,13 @@ class FrequencyTable:
 
 
 def _table_shape(scenario: int, d: int) -> tuple:
-    """The table layout of a scenario at system dimension d (module docstring)."""
+    """The table layout of a scenario at system dimension d (module docstring);
+    the table, ``setting_count`` and ``probability_array`` check the scenario here."""
+    _check_scenario(scenario)
     if scenario in (1, 2):
         k = qubit_count(d)
         return (9**k, 4**k) if scenario == 1 else (3**k, 3**k, 2**k, 2**k)
-    if scenario in (3, 4):
-        return (d * d * (d * d + 1),) if scenario == 3 else (d * (d + 1),) * 2
-    raise ValueError(f"unknown scenario {scenario}")
+    return (d * d * (d * d + 1),) if scenario == 3 else (d * (d + 1),) * 2
 
 
 def setting_count(scenario: int, d: int) -> int:
@@ -246,12 +229,13 @@ def _mub_direct_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
     return amp.real * d / (d + 1)
 
 
-def _clamp_rows(p: np.ndarray) -> np.ndarray:
-    """Clamp tiny negative probabilities and renormalize each distribution.
-
-    Works in place on ``p``, which is always a freshly computed table.
-    """
-    if p.min() < -1e-12:
+def _clamp_rows(p: np.ndarray, d: int) -> np.ndarray:
+    """Clamp tiny negative probabilities and renormalize each distribution,
+    in place on ``p``, a freshly computed table.  A ``ChoiMatrix`` may have
+    eigenvalues down to -``PSD_TOL``, and a Born probability is at least
+    c lambda_min with c = 1, d, 1/(d^2+1), d/(d+1) <= d in scenarios 1-4, so
+    only a value below -d ``PSD_TOL`` is refused."""
+    if p.min() < -d * PSD_TOL:
         raise ValueError(f"probability {p.min():.3e} too negative; Choi not physical?")
     np.clip(p, 0.0, None, out=p)
     sums = p.sum(axis=-1, keepdims=True)
@@ -269,28 +253,26 @@ def probability_array(choi: ChoiMatrix, scenario: int) -> np.ndarray:
     """
     d = choi.dim
     phi = choi.matrix
-    shape = _table_shape(scenario, d)  # refuses an unknown scenario
+    shape = _table_shape(scenario, d)  # refuses a bad scenario first
     if scenario == 3:
-        return _clamp_rows(_mub_outcome_probabilities(phi, d))
+        return _clamp_rows(_mub_outcome_probabilities(phi, d), d)
     if scenario == 4:
-        return _clamp_rows(_mub_direct_probabilities(phi, d))
+        return _clamp_rows(_mub_direct_probabilities(phi, d), d)
     k = qubit_count(d)
     if scenario == 1:
-        return _clamp_rows(pauli_joint_probabilities(phi, 2 * k))
+        return _clamp_rows(pauli_joint_probabilities(phi, 2 * k), d)
     # scenario 2: the kernel's [b, a, p, q] order written through a view of
     # the table's [a, b, q, p], each label split into its k qubits
     table = np.empty((3,) * (2 * k) + (2,) * (2 * k))
     a, b, q, p = (list(range(i * k, (i + 1) * k)) for i in range(4))
     _pauli_born(phi, 2 * k, table.transpose(b + a + p + q))
     table *= d
-    return _clamp_rows(table.reshape(shape))
+    return _clamp_rows(table.reshape(shape), d)
 
 
 def exact_table(choi: ChoiMatrix, scenario: int) -> FrequencyTable:
     """Frequency table holding exact Born probabilities (the N -> inf limit)."""
-    values = probability_array(choi, scenario)
-    return FrequencyTable(scenario=scenario, dim=choi.dim, values=values,
-                          nu=math.nan, total_shots=0, scheme="exact")
+    return FrequencyTable(scenario, choi.dim, probability_array(choi, scenario))
 
 
 def _stream(seed: int, scenario: int, idx: int) -> np.random.Generator:
@@ -325,7 +307,4 @@ def sample(choi: ChoiMatrix, scenario: int, plan: SamplingPlan) -> FrequencyTabl
     for lo in range(0, n_settings, step):
         blk = slice(lo, lo + step)
         np.divide(rng.multinomial(shots[blk], rows[blk]), nu, out=rows[blk])
-
-    return FrequencyTable(scenario=scenario, dim=choi.dim, values=probs,
-                          nu=float(nu), total_shots=plan.n_shots,
-                          scheme=plan.scheme, seed=plan.seed)
+    return FrequencyTable(scenario, choi.dim, probs)

@@ -163,10 +163,7 @@ def sample(choi, scenario, plan):
     else:
         shots = rng.multinomial(plan.n_shots, np.full(n_settings, 1 / n_settings))
     counts = rng.multinomial(shots, rows)
-    return FrequencyTable(scenario=scenario, dim=d,
-                          values=counts.reshape(probs.shape) / nu, nu=float(nu),
-                          total_shots=plan.n_shots, scheme=plan.scheme,
-                          seed=plan.seed)
+    return FrequencyTable(scenario, d, counts.reshape(probs.shape) / nu)
 
 
 def _pauli_cell_operators(n):

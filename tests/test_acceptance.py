@@ -5,8 +5,6 @@ and prints a single PASS/FAIL line with the measured values (visible with
 ``pytest -s`` or on failure).  The same checks back ``proctomo verify``.
 """
 
-import pytest
-
 from proctomo.verification import run_suite
 
 

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from proctomo.bounds import (ConfidenceRegion, ErrorBudget, confidence_region,
-                             direct_projection_bound, f_factor, g_factor,
-                             ls_failure_prob, pls_failure_prob,
+from proctomo.bounds import (ErrorBudget, confidence_region, direct_projection_bound,
+                             f_factor, g_factor, ls_failure_prob, pls_failure_prob,
                              sample_complexity)
 
 

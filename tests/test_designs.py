@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from proctomo.designs import (_GF2_POLYS, AXES, PAULI_VECTORS, UNBIASED_TOL,
                               MubFamily, mub_family, near_isotropy_defect)
 
-from conftest import random_hermitian, transient_peak
+from conftest import transient_peak
 from oracles import (_gf2_mul, _gr_mul, _hensel_lift, all_settings,
                      pairwise_unbiasedness_defect, pauli_projector,
                      setting_index)

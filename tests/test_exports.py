@@ -65,3 +65,33 @@ def test_every_export_is_reached():
         for a in getattr(importlib.import_module(f"proctomo.{m.name}"), "__all__", [])
         if a not in reached and a not in _UNREACHED_BY_DESIGN)
     assert unreached == []
+
+
+def _unused_imports(path: Path) -> list:
+    """Top-level imports of a module that it never reads: a name counts as
+    used when it appears as a ``Name`` (so as the root of an ``Attribute``)
+    or as a string in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant)}
+    return [f"{path.relative_to(_ROOT)}: {name}"
+            for name in imported if name not in used]
+
+
+def test_no_unused_imports():
+    """Every top-level import of the package (outside ``__init__``), the
+    scripts and the tests is read."""
+    pkg = Path(proctomo.__file__).parent
+    sources = ([p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+               + sorted((_ROOT / "scripts").glob("*.py"))
+               + sorted((_ROOT / "tests").glob("*.py")))
+    assert [u for path in sources for u in _unused_imports(path)] == []

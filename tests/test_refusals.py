@@ -2,29 +2,30 @@
 
 Each row is (call, parameter, bad value, exception type, message fragment).
 Refusals pinned elsewhere (``SamplingPlan``, ``ErrorBudget``'s fields, the
-table layout, nan matrices, a bad ``threshold``) stay in their own modules.
+table layout, nan matrices, a bad ``threshold``) stay in their own modules;
+the one scenario rule is pinned here over every call that takes a scenario.
 """
 
-import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proctomo.bounds import ErrorBudget
+from proctomo import simulate
+from proctomo.bounds import ErrorBudget, g_factor
 from proctomo.channels import RAW_HERMITICITY_TOL, ChoiMatrix, KrausSet, fidelity
 from proctomo.designs import mub_family
-from proctomo.estimators import (ls_estimate, ls_scenario1, ls_scenario2, ls_scenario3,
-                                 ls_scenario4)
+from proctomo.estimators import ls_estimate
+from proctomo.harness import ExperimentConfig
 from proctomo.projections import (METHODS, pls_pipeline, proj_cp1_thresholded,
                                   project_to_cptp)
-from proctomo.simulate import FrequencyTable
+from proctomo.simulate import (FrequencyTable, SamplingPlan, exact_table,
+                               probability_array, sample, setting_count)
 
 
 def _table(**fields):
-    kwargs = dict(scenario=1, dim=2, values=np.full((9, 4), 0.25), nu=1.0,
-                  total_shots=9, scheme="fixed")
+    kwargs = dict(scenario=1, dim=2, values=np.full((9, 4), 0.25))
     return FrequencyTable(**{**kwargs, **fields})
 
 
@@ -33,35 +34,13 @@ _NOT_HERMITIAN = "matrix is not Hermitian (deviation 2.500e-01 > 1.0e-10)"
 
 ROWS = [
     ("FrequencyTable", lambda v: _table(scenario=v), "scenario", True, ValueError,
-     "scenario must be an integer, got True"),
+     "scenario must be 1..4, got True"),
     ("FrequencyTable", lambda v: _table(scenario=v), "scenario", 1.0, ValueError,
-     "scenario must be an integer, got 1.0"),
+     "scenario must be 1..4, got 1.0"),
     ("FrequencyTable", lambda v: _table(dim=v), "dim", 2.0, ValueError,
      "dim must be an integer >= 2, got 2.0"),
     ("FrequencyTable", lambda v: _table(scenario=3, dim=v, values=np.zeros(2)), "dim",
      1, ValueError, "dim must be an integer >= 2, got 1"),
-    ("FrequencyTable", lambda v: _table(total_shots=v), "total_shots", -9, ValueError,
-     "total_shots must be an integer >= 0, got -9"),
-    ("FrequencyTable", lambda v: _table(total_shots=v), "total_shots", 9.0, ValueError,
-     "total_shots must be an integer >= 0, got 9.0"),
-    ("FrequencyTable", lambda v: _table(seed=v), "seed", 1.5, ValueError,
-     "seed must be None or a nonnegative integer, got 1.5"),
-    ("FrequencyTable", lambda v: _table(seed=v), "seed", -1, ValueError,
-     "seed must be None or a nonnegative integer, got -1"),
-    ("FrequencyTable", lambda v: _table(scheme=v), "scheme", "bogus", ValueError,
-     "unknown scheme 'bogus'"),
-    ("FrequencyTable", lambda v: _table(nu=v), "nu", -3.0, ValueError,
-     "nu must be positive, got -3.0"),
-    ("FrequencyTable", lambda v: _table(nu=v), "nu", 0, ValueError,
-     "nu must be positive, got 0"),
-    ("FrequencyTable", lambda v: _table(nu=v), "nu", math.nan, ValueError,
-     "nu must be finite, got nan"),
-    ("FrequencyTable", lambda v: _table(nu=v), "nu", math.inf, ValueError,
-     "nu must be finite, got inf"),
-    ("FrequencyTable", lambda v: _table(nu=v), "nu", "1", ValueError,
-     "nu must be a number, got '1'"),
-    ("FrequencyTable", lambda v: _table(nu=v, scheme="exact"), "nu", 1.0, ValueError,
-     "nu must be nan for an exact table, got 1.0"),
     ("proj_cp1_thresholded", proj_cp1_thresholded, "x", _OFF_HERMITIAN, ValueError,
      _NOT_HERMITIAN),
     ("project_to_cptp", project_to_cptp, "phi0", _OFF_HERMITIAN, ValueError,
@@ -72,9 +51,8 @@ ROWS = [
      ValueError, "matrix has non-finite entries"),
     ("mub_family", mub_family, "dim", 2.0, ValueError, "dim must be an integer, got 2.0"),
     ("mub_family", mub_family, "dim", True, ValueError, "dim must be an integer, got True"),
-    *[(f.__name__, f, "table", None, TypeError,
-       "estimator needs a FrequencyTable, got NoneType")
-      for f in (ls_estimate, ls_scenario1, ls_scenario2, ls_scenario3, ls_scenario4)],
+    ("ls_estimate", ls_estimate, "table", None, TypeError,
+     "estimator needs a FrequencyTable, got NoneType"),
     ("fidelity", lambda v: fidelity(v, np.eye(4) / 4), "w", np.ones((3, 1)), ValueError,
      "got shapes (3, 1) and (4, 4)"),
     ("ErrorBudget", lambda v: ErrorBudget(scenario=1, k=1, n_shots=100, delta=v), "delta",
@@ -89,6 +67,35 @@ ROWS = [
 def test_refused_by_name(call, value, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call(value)
+
+
+_DEPOLARIZING = ChoiMatrix(np.eye(4) / 4)
+
+SCENARIO_CALLS = {
+    "ExperimentConfig": lambda s: ExperimentConfig(
+        experiment="single_run", scenario=s, k=1, n_shots=900,
+        channel={"kind": "noisy_qft", "measure_prob": 0.25}),
+    "ErrorBudget": lambda s: ErrorBudget(scenario=s, k=1, n_shots=100),
+    "FrequencyTable": lambda s: FrequencyTable(s, 2, np.full((9, 4), 0.25)),
+    "setting_count": lambda s: setting_count(s, 2),
+    "probability_array": lambda s: probability_array(_DEPOLARIZING, s),
+    "sample": lambda s: sample(_DEPOLARIZING, s, SamplingPlan("random", 900, 0)),
+    "exact_table": lambda s: exact_table(_DEPOLARIZING, s),
+    "g_factor": lambda s: g_factor(s, 1),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 0, 5])
+@pytest.mark.parametrize("name", sorted(SCENARIO_CALLS))
+def test_one_scenario_rule(name, value, monkeypatch):
+    """Every call that takes a scenario refuses anything but the ints 1..4
+    with one message, and the sampling calls do so before any Born work."""
+    def born(*args):
+        raise AssertionError("the Born kernel ran before the scenario check")
+    monkeypatch.setattr(simulate, "_pauli_born", born)
+    message = f"scenario must be 1..4, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SCENARIO_CALLS[name](value)
 
 
 def _hermitian_trace_one(rng):

@@ -6,9 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from proctomo import simulate
-from proctomo.channels import (ChannelSpec, ChoiMatrix, DensityMatrix,
+from proctomo.channels import (PSD_TOL, ChannelSpec, ChoiMatrix, DensityMatrix,
                                KrausSet, choi_from_kraus, make_channel)
 from proctomo.designs import mub_family
+from proctomo.projections import proj_tp_linear
 from proctomo.simulate import (FrequencyTable, SamplingPlan, exact_table,
                                pauli_joint_probabilities,
                                probability_array, sample, setting_count)
@@ -101,12 +102,56 @@ class TestBornProbabilities:
             ChoiMatrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
 
 
+def _barely_negative_choi(d, seed):
+    """The identity channel's Choi matrix plus a trace-preserving Hermitian
+    perturbation scaled to lambda_min = -PSD_TOL / 2, which ``ChoiMatrix``
+    accepts.  Phi's kernel K is degenerate, so lambda_min(Phi + t H) is
+    t lambda_min(K^dag H K) to first order in the tiny t."""
+    phi = choi_from_kraus(make_channel(ChannelSpec("identity", d))).matrix
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2)
+    h = proj_tp_linear(0.5 * (g + g.conj().T))
+    lam, vecs = np.linalg.eigh(phi)
+    kernel = vecs[:, lam < 0.5]
+    mu = np.linalg.eigvalsh(kernel.conj().T @ h @ kernel).min()
+    choi = ChoiMatrix(phi - 0.5 * PSD_TOL / mu * h)
+    assert -PSD_TOL < np.linalg.eigvalsh(choi.matrix).min() < -0.4 * PSD_TOL
+    return choi
+
+
+class TestClampFloor:
+    """A Born probability is at least c lambda_min with c <= d, so a Choi
+    matrix that passes ``ChoiMatrix`` (lambda_min >= -PSD_TOL) is sampled,
+    and only a probability below -d PSD_TOL is refused."""
+
+    @pytest.mark.parametrize("scenario,d", [(1, 2), (1, 4), (2, 2), (2, 4),
+                                            (3, 2), (4, 2), (4, 4)])
+    def test_barely_negative_choi_sampled(self, scenario, d):
+        for seed in range(3):
+            choi = _barely_negative_choi(d, seed)
+            table = sample(choi, scenario, SamplingPlan("random", 10**4, seed))
+            assert table.values.min() >= 0.0
+            assert np.isfinite(table.values).all()
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_floor_is_d_psd_tol(self, d):
+        def row(p_min):
+            return np.array([[p_min, 0.5 - p_min, 0.5]])
+        clamped = simulate._clamp_rows(row(-0.5 * d * PSD_TOL), d)
+        assert clamped.min() == 0.0
+        assert clamped.sum() == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError, match="too negative"):
+            simulate._clamp_rows(row(-3 * d * PSD_TOL), d)
+
+
 class TestSampling:
     def test_fixed_cycle_exact_counts(self, noisy2):
-        table = sample(noisy2, 1, SamplingPlan("fixed", 9 * 50, seed=3))
-        assert table.nu == 50
+        plan = SamplingPlan("fixed", 9 * 50, seed=3)
+        table = sample(noisy2, 1, plan)
+        nu = plan.shots_per_setting(9)
+        assert nu == 50
         assert_allclose(table.values.sum(axis=1), np.ones(9), atol=1e-12)
-        counts = table.values * table.nu
+        counts = table.values * nu
         assert_allclose(counts, np.round(counts), atol=1e-9)
 
     def test_fixed_needs_divisible_shots(self, noisy2):
@@ -149,8 +194,10 @@ class TestSampling:
 
     def test_random_scheme_total_mass(self, noisy2):
         n = 12345
-        table = sample(noisy2, 4, SamplingPlan("random", n, seed=5))
-        assert table.values.sum() * table.nu == pytest.approx(n, abs=1e-6)
+        plan = SamplingPlan("random", n, seed=5)
+        table = sample(noisy2, 4, plan)
+        nu = plan.shots_per_setting(6)  # n / 6
+        assert table.values.sum() * nu == pytest.approx(n, abs=1e-6)
 
     def test_determinism(self, noisy2):
         a = sample(noisy2, 2, SamplingPlan("random", 10**4, seed=21))
@@ -191,8 +238,7 @@ class TestTableLayout:
     ])
     def test_wrong_shape_refused_at_construction(self, scenario, shape, bad):
         def table(values):
-            return FrequencyTable(scenario=scenario, dim=2, values=values,
-                                  nu=1.0, total_shots=1, scheme="fixed")
+            return FrequencyTable(scenario=scenario, dim=2, values=values)
         assert table(np.zeros(shape)).values.shape == shape
         msg = f"scenario {scenario} at d = 2 needs a {shape} table, got {bad}"
         with pytest.raises(ValueError, match=re.escape(msg)):
@@ -200,21 +246,20 @@ class TestTableLayout:
 
     def test_pauli_layout_needs_power_of_two(self):
         with pytest.raises(ValueError, match="power-of-two"):
-            FrequencyTable(scenario=1, dim=3, values=np.zeros((9, 4)), nu=1.0,
-                           total_shots=1, scheme="fixed")
+            FrequencyTable(scenario=1, dim=3, values=np.zeros((9, 4)))
 
     @pytest.mark.parametrize("scenario", [0, 5])
     def test_unknown_scenario_refused(self, scenario):
-        with pytest.raises(ValueError, match=f"unknown scenario {scenario}"):
-            FrequencyTable(scenario=scenario, dim=2, values=np.zeros(20), nu=1.0,
-                           total_shots=1, scheme="fixed")
+        with pytest.raises(ValueError, match=f"scenario must be 1..4, got {scenario}"):
+            FrequencyTable(scenario=scenario, dim=2, values=np.zeros(20))
 
 
 class TestExactTable:
     def test_matches_probability_array(self, noisy2):
         table = exact_table(noisy2, 3)
-        assert table.scheme == "exact"
+        assert (table.scenario, table.dim) == (3, 2)
         assert_allclose(table.values, probability_array(noisy2, 3), atol=0)
+
 
 class TestChunkedPauliKernels:
     """The chunked Born kernel and the in-place sampling path give the same
