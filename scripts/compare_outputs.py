@@ -6,7 +6,10 @@
 For every config subdirectory under either root, byte-compares
 ``errors.csv`` and ``lambda_trace.csv``, and compares the ``records`` of
 ``run_records.json`` with their ``wall_times_ms`` left out (its ``config``
-holds the output directory, so it is not compared).  A file that exists
+holds the output directory, so it is not compared).  A ``verify_report.json``
+in a subdirectory, as ``proctomo verify all --out-dir ROOT/verify`` writes
+it, is compared by its top-level ``passed`` and each check's ``name``,
+``passed`` and ``details``, with ``seconds`` left out.  A file that exists
 under one root only counts as a difference.  Exits 0 when everything
 matches; otherwise prints the first difference, then one line per differing
 file, and exits 1.  For a CSV that line gives the number of differing rows
@@ -17,7 +20,9 @@ differing rows, with the same two figures: per (stage, metric) for
 ``run_records.json`` it gives the number of differing records and the
 dotted paths of the fields that differ in any of them, e.g.
 ``40 records differ: errors.CP1.fidelity, errors.PLS.fidelity``; a list
-such as ``projection.cp1_spectrum`` counts as one field.
+such as ``projection.cp1_spectrum`` counts as one field.  For a verify report
+it gives the dotted paths that differ, keyed by check name, e.g.
+``verify report differs: checks.two-design.details.worst_defect``.
 """
 
 import argparse
@@ -28,7 +33,8 @@ import sys
 from pathlib import Path
 
 RECORDS = "run_records.json"
-FILES = ("errors.csv", "lambda_trace.csv", RECORDS)
+REPORT = "verify_report.json"
+FILES = ("errors.csv", "lambda_trace.csv", RECORDS, REPORT)
 NUMERIC = ("value", "lambda_min")
 GROUP_BY = ("stage", "metric", "method")
 
@@ -80,6 +86,21 @@ def records_difference(old: Path, new: Path):
         return None
     fields = f": {', '.join(sorted(paths))}" if paths else ""
     return f"{new}: {differing} records differ{fields}"
+
+
+def report_difference(old: Path, new: Path):
+    """None if the two verify reports agree once each check's ``seconds`` is
+    dropped, else a one-line list of the paths that differ."""
+    if not old.exists() or not new.exists():
+        return f"{new if old.exists() else old}: missing"
+    views = []
+    for path in (old, new):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        checks = {c["name"]: {"passed": c["passed"], "details": c["details"]}
+                  for c in payload["checks"]}
+        views.append({"passed": payload["passed"], "checks": checks})
+    moved = differing_paths(*views)
+    return f"{new}: verify report differs: {', '.join(moved)}" if moved else None
 
 
 def relative_change(x: list, y: list, col) -> float:
@@ -139,6 +160,7 @@ def main(argv=None) -> int:
         print(f"no {' or '.join(FILES)} under {args.old_root} or {args.new_root}",
               file=sys.stderr)
         return 1
+    compare = {RECORDS: records_difference, REPORT: report_difference}
     compared = 0
     differing = []
     for config in configs:
@@ -147,7 +169,7 @@ def main(argv=None) -> int:
             new = args.new_root / config / name
             if not old.exists() and not new.exists():
                 continue
-            reason = (records_difference if name == RECORDS else first_difference)(old, new)
+            reason = compare.get(name, first_difference)(old, new)
             if reason:
                 if not differing:
                     print(f"DIFFER {reason}")
@@ -155,7 +177,7 @@ def main(argv=None) -> int:
             compared += 1
     if differing:
         for old, new, reason in differing:
-            rows = old.name != RECORDS and old.exists() and new.exists()
+            rows = old.suffix == ".csv" and old.exists() and new.exists()
             for line in row_changes(old, new) if rows else [reason]:
                 print(f"  {line}")
         return 1

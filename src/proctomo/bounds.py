@@ -38,7 +38,7 @@ __all__ = [
 def g_factor(scenario: int, k: float) -> float:
     """Measurement-scenario factor entering every concentration exponent."""
     _check_scenario(scenario)
-    if k < 1 and scenario in (1, 2):
+    if k < 1:
         raise ValueError("k must be >= 1")
     if scenario in (1, 2):
         return 3.0 ** (-2 * k)
@@ -54,9 +54,9 @@ def f_factor(scenario: int, k: float) -> float:
 class ErrorBudget:
     """Inputs of the bound evaluators.
 
-    k is the qubit count, d = 2^k; for MUB scenarios with non-qubit d pass
-    k = log2(d).  epsilon is the accuracy, eta the failure probability and
-    rank the rank hypothesis.
+    k is the qubit count, d = 2^k, and k < 1 is refused in every scenario; for
+    MUB scenarios with non-qubit d pass k = log2(d).  epsilon is the accuracy,
+    eta the failure probability and rank the rank hypothesis.
     """
 
     scenario: int
@@ -67,13 +67,13 @@ class ErrorBudget:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        _check_scenario(self.scenario)
         _check_int("n_shots", self.n_shots, low=0)
         _check_int("rank", self.rank, low=1)
         for name in ("k", "eta", "epsilon"):
             _check_real(name, getattr(self, name))
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
+        g_factor(self.scenario, self.k)  # refuses a bad scenario and k < 1
 
     @property
     def g(self) -> float:

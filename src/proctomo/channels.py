@@ -124,12 +124,12 @@ def qubit_count(d: int) -> int:
 def tp_deviation(m: np.ndarray) -> float:
     """max |Tr_s(m) - 1/d|: how far m is from the trace-preserving plane."""
     d = system_dim(m.shape[0])
-    return float(np.abs(partial_trace(m, "system") - np.eye(d) / d).max())
+    return float(np.abs(partial_trace(m) - np.eye(d) / d).max())
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A positive, trace-one operator on C^dim."""
+    """A positive, trace-one operator, held as an n x n ``matrix``."""
 
     matrix: np.ndarray
 
@@ -143,10 +143,6 @@ class DensityMatrix:
         lam_min = np.linalg.eigvalsh(_hermitize(m)).min()
         if lam_min < -PSD_TOL:
             raise ValueError(f"negative eigenvalue {lam_min:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -200,7 +196,10 @@ class ChannelSpec:
       * ``noisy_qft`` -- QFT followed by a z measurement of the first qubit
         with probability ``measure_prob``; requires dim a power of two
       * ``mixed_unitary`` -- uniform mixture of ``rank`` orthogonal unitaries
-        W S_i with S_i Hilbert-Schmidt-orthogonal unitary strings
+        W S_i with S_i Hilbert-Schmidt-orthogonal unitary strings, W =
+        ``unitary`` or the identity
+
+    Construction refuses any other kind and a ``unitary`` that is not dim x dim.
     """
 
     kind: Literal["identity", "unitary", "noisy_qft", "mixed_unitary"]
@@ -210,6 +209,8 @@ class ChannelSpec:
     rank: int = 1
 
     def __post_init__(self):
+        if self.kind not in ("identity", "unitary", "noisy_qft", "mixed_unitary"):
+            raise ValueError(f"unknown channel kind {self.kind!r}")
         _check_int("dim", self.dim, low=2)
         _check_int("rank", self.rank)
         _check_real("measure_prob", self.measure_prob)
@@ -221,6 +222,9 @@ class ChannelSpec:
             raise ValueError(f"rank must lie in [1, d^2], got {self.rank}")
         if self.kind == "unitary" and self.unitary is None:
             raise ValueError("kind 'unitary' requires a unitary matrix")
+        if self.unitary is not None and np.shape(self.unitary) != (self.dim, self.dim):
+            raise ValueError(f"unitary must be {self.dim} x {self.dim}, "
+                             f"got shape {np.shape(self.unitary)}")
 
     def label(self) -> str:
         if self.kind == "noisy_qft":
@@ -244,22 +248,15 @@ def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(_hermitize(w @ w.conj().T))
 
 
-def partial_trace(mat: np.ndarray, which: Literal["system", "ancilla"]) -> np.ndarray:
-    """Partial trace of a matrix on C^d (x) C^d over one factor, d inferred.
-
-    ``which='system'`` contracts the first factor, ``'ancilla'`` the second.
-    """
+def partial_trace(mat: np.ndarray) -> np.ndarray:
+    """Tr_s: the partial trace of a matrix on C^d (x) C^d over its first
+    (system) factor, d inferred; a d x d matrix on the ancilla."""
     mat = np.asarray(mat)
     n = mat.shape[0]
     if mat.ndim != 2 or mat.shape[1] != n:
         raise ValueError("partial_trace expects a square matrix")
     d = system_dim(n)
-    t = mat.reshape(d, d, d, d)
-    if which == "system":
-        return np.einsum("iaib->ab", t)
-    if which == "ancilla":
-        return np.einsum("iaja->ij", t)
-    raise ValueError(f"unknown factor {which!r}")
+    return np.einsum("iaib->ab", mat.reshape(d, d, d, d))
 
 
 def distance(a: np.ndarray, b: np.ndarray) -> dict:
@@ -352,10 +349,7 @@ def make_channel(spec: ChannelSpec) -> KrausSet:
     if spec.kind == "identity":
         return KrausSet((np.eye(d),))
     if spec.kind == "unitary":
-        u = np.asarray(spec.unitary, dtype=complex)
-        if u.shape != (d, d):
-            raise ValueError("unitary has wrong shape")
-        return KrausSet((u,))
+        return KrausSet((np.asarray(spec.unitary, dtype=complex),))
     if spec.kind == "noisy_qft":
         q = spec.measure_prob
         u = qft_unitary(d)
@@ -363,11 +357,9 @@ def make_channel(spec: ChannelSpec) -> KrausSet:
         p1 = np.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(d // 2))
         ops = [np.sqrt(1 - q) * u, np.sqrt(q) * (p0 @ u), np.sqrt(q) * (p1 @ u)]
         return KrausSet(tuple(op for op in ops if np.abs(op).max() > 0))
-    if spec.kind == "mixed_unitary":
-        w = np.eye(d) if spec.unitary is None else np.asarray(spec.unitary, dtype=complex)
-        strings = _orthogonal_unitary_strings(d, spec.rank)
-        return KrausSet(tuple(w @ s / np.sqrt(spec.rank) for s in strings))
-    raise ValueError(f"unknown channel kind {spec.kind!r}")
+    w = np.eye(d) if spec.unitary is None else np.asarray(spec.unitary, dtype=complex)
+    strings = _orthogonal_unitary_strings(d, spec.rank)
+    return KrausSet(tuple(w @ s / np.sqrt(spec.rank) for s in strings))
 
 
 def numerical_rank(eigenvalues: np.ndarray) -> int:

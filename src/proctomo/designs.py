@@ -91,11 +91,11 @@ class MubFamily:
     ``roots[(f[a] + c[t]) % q] / sqrt(D)`` with q = len(``roots``): the
     fill of the module docstring.  ``basis(b)`` builds one D x D basis from
     the tables, so a caller that reads one basis at a time never holds the
-    (D+1) x D x D stack; ``bases`` and ``vectors()`` build the whole stack
-    on each access.  The family keeps read-only copies of the tables and
-    hands out read-only arrays, so one family can be shared between callers
-    and threads, and a caller's array is never shared; ``f`` and ``c`` are
-    kept reduced mod q, which leaves every basis as it is.
+    (D+1) x D x D stack; ``vectors()`` builds the whole stack on each call.
+    The family keeps read-only copies of the tables and hands out read-only
+    arrays, so one family can be shared between callers and threads, and a
+    caller's array is never shared; ``f`` and ``c`` are kept reduced mod q,
+    which leaves every basis as it is.
 
     Checked, within ``EXACT_TOL`` per entry and ``UNBIASED_TOL`` per squared
     overlap: ``f`` and ``c`` are D x D integer tables; the roots have
@@ -173,19 +173,15 @@ class MubFamily:
         out.setflags(write=False)
         return out
 
-    @property
-    def bases(self) -> np.ndarray:
-        """All D+1 bases as a read-only (D+1, D, D) array, built on access."""
+    def vectors(self) -> np.ndarray:
+        """All (D+1)*D vectors as a read-only (D+1)*D x D array, basis-major
+        (row b*D + t is vector t of basis b), built on each call."""
         d = self.dim
         out = np.empty((d + 1, d, d), dtype=complex)
         for b in range(d + 1):
             out[b] = self.basis(b)
         out.setflags(write=False)
-        return out
-
-    def vectors(self) -> np.ndarray:
-        """All (D+1)*D vectors stacked, basis-major, built on access."""
-        return self.bases.reshape(-1, self.dim)
+        return out.reshape(-1, d)
 
 
 def _read_only_copy(arr, dtype) -> np.ndarray:
@@ -301,31 +297,31 @@ def mub_family(dim: int) -> MubFamily:
     )
 
 
-def _default_probes(dim: int, n_random: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
+def _default_probes(dim: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(7)
     probes = [np.eye(dim, dtype=complex)]
     proj0 = np.zeros((dim, dim), dtype=complex)
     proj0[0, 0] = 1.0
     probes.append(proj0)
-    for _ in range(n_random):
+    for _ in range(20):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         probes.append(0.5 * (g + g.conj().T))
     return probes
 
 
-def near_isotropy_defect(family, n_random: int = 20, seed: int = 7) -> float:
+def near_isotropy_defect(family) -> float:
     """Largest operator-norm violation of the 2-design identity.
 
     For a maximal MUB family, sum_v |v><v| Tr(|v><v| A) = A + Tr(A) 1 for
-    every Hermitian A; the defect is the worst deviation over a probe set of
-    the identity, |0><0| and ``n_random`` seeded random Hermitian matrices.
+    every Hermitian A; the defect is the worst deviation over one fixed probe
+    set: the identity, |0><0| and 20 random Hermitian matrices from seed 7.
     Accepts a family or a raw (n_vectors, D) stack, so incomplete designs
     can be probed too.
     """
     vecs = family.vectors() if isinstance(family, MubFamily) else np.asarray(family)
     dim = vecs.shape[1]
     worst = 0.0
-    for a in _default_probes(dim, n_random, seed):
+    for a in _default_probes(dim):
         coeff = np.einsum("vi,ij,vj->v", vecs.conj(), a, vecs)
         lhs = (vecs.T * coeff) @ vecs.conj()
         rhs = a + np.trace(a) * np.eye(dim)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, _check_hermitian,
-                       _check_trace_one, _hermitize, system_dim)
+                       _check_trace_one, _hermitize)
 from .designs import mub_family, pauli_operator_stack
 from .simulate import FrequencyTable, _mub_rows
 
@@ -41,10 +41,6 @@ class LsEstimate:
         object.__setattr__(self, "matrix", m)
         _check_hermitian(m, RAW_HERMITICITY_TOL)
         _check_trace_one(m, RAW_TRACE_TOL)
-
-    @property
-    def dim(self) -> int:
-        return system_dim(self.matrix.shape[0])
 
 
 def pauli_assemble(freqs: np.ndarray, n: int) -> np.ndarray:

@@ -47,7 +47,6 @@ import numpy as np
 from .channels import (ChannelSpec, ChoiMatrix, _check_int, _check_scenario,
                        choi_from_kraus, distance, fidelity, haar_unitary, kraus_factor,
                        kraus_rank, make_channel, numerical_rank, qft_unitary)
-from .designs import mub_family
 from .estimators import ls_estimate
 from .projections import (METHODS, ProjectionConfig, proj_cp1_thresholded,
                           project_to_cptp)
@@ -266,11 +265,10 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple:
         if pt["d"] is None and pt["k"] is None:
             raise ValueError("config must set k or d")
         dim = pt["d"] if pt["d"] is not None else 2 ** pt["k"]
-        # setting_count refuses a Pauli dimension that is not 2^k
+        # setting_count refuses a Pauli dimension that is not 2^k and a
+        # MUB dimension with no family
         plan = SamplingPlan(cfg.scheme, pt["n_shots"], cfg.seed)
         plan.shots_per_setting(setting_count(cfg.scenario, dim))
-        if cfg.scenario > 2:
-            mub_family(dim * dim if cfg.scenario == 3 else dim)
         points.append(SweepPoint(pt["k"], dim, pt["n_shots"],
                                  _build_channel(pt["channel"], dim, cfg.seed)))
     return tuple(points)

@@ -39,8 +39,7 @@ import numpy as np
 
 from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, TP_TOL, ChoiMatrix,
                        _check_hermitian, _check_int, _check_real, _check_trace_one,
-                       _hermitize, numerical_rank, partial_trace, system_dim,
-                       tp_deviation)
+                       _hermitize, partial_trace, system_dim, tp_deviation)
 
 logger = logging.getLogger(__name__)
 
@@ -104,7 +103,7 @@ class ProjectionReport:
     decomposition of the accepted iterate is free bookkeeping).  For
     ``dual``, ``iterations`` counts Newton steps and ``proj_cp_calls`` every
     decomposition, line-search trials included.  ``pls_pipeline`` fills
-    ``cp1_rank`` and ``cp1_spectrum`` when it runs the first stage.
+    ``cp1_spectrum`` (rank: ``numerical_rank`` of it) in its first stage.
     """
 
     method: str
@@ -115,7 +114,6 @@ class ProjectionReport:
     final_lambda_min: float = 0.0
     converged: bool = True
     dual_grad_norm: Optional[float] = None
-    cp1_rank: Optional[int] = None
     cp1_spectrum: Optional[np.ndarray] = None
 
 
@@ -136,7 +134,7 @@ class HalfSpace:
         nrm = np.linalg.norm(self.normal, "fro")
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError("half-space normal must have unit Frobenius norm")
-        object.__setattr__(self, "tr_normal", partial_trace(self.normal, "system"))
+        object.__setattr__(self, "tr_normal", partial_trace(self.normal))
 
 
 def eigh_iterate(x: np.ndarray):
@@ -156,13 +154,13 @@ def _plus_eye_kron(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 def proj_tp(x: np.ndarray) -> np.ndarray:
     """Frobenius projection onto {X : Tr_s(X) = 1/d}."""
     d = system_dim(x.shape[0])
-    return _plus_eye_kron(x, (np.eye(d) / d - partial_trace(x, "system")) / d)
+    return _plus_eye_kron(x, (np.eye(d) / d - partial_trace(x)) / d)
 
 
 def proj_tp_linear(x: np.ndarray) -> np.ndarray:
     """Linear part of proj_tp: projection onto {X : Tr_s(X) = 0}."""
     d = system_dim(x.shape[0])
-    return _plus_eye_kron(x, -partial_trace(x, "system") / d)
+    return _plus_eye_kron(x, -partial_trace(x) / d)
 
 
 def proj_cp(x: np.ndarray) -> np.ndarray:
@@ -545,13 +543,12 @@ def pls_pipeline(estimate, cfg: Optional[ProjectionConfig] = None,
 
     Step one is ``proj_cp1_thresholded`` at its default threshold tau =
     max(0, -lambda_min); step two runs ``project_to_cptp``.  Returns
-    (ChoiMatrix, ProjectionReport); the report records the spectrum and rank
-    after step one.  The one-step alternative is ``project_to_cptp`` on the
+    (ChoiMatrix, ProjectionReport); the report records the spectrum after
+    step one.  The one-step alternative is ``project_to_cptp`` on the
     raw estimate's matrix.
     """
     mat = np.asarray(getattr(estimate, "matrix", estimate), dtype=complex)
     phi_cp1, spectrum = proj_cp1_thresholded(mat)
     choi, report = project_to_cptp(phi_cp1, method, cfg)
     report.cp1_spectrum = spectrum
-    report.cp1_rank = numerical_rank(spectrum)
     return choi, report

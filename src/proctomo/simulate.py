@@ -129,11 +129,13 @@ class FrequencyTable:
 
 def _table_shape(scenario: int, d: int) -> tuple:
     """The table layout of a scenario at system dimension d (module docstring);
-    the table, ``setting_count`` and ``probability_array`` check the scenario here."""
+    the table, ``setting_count`` and ``probability_array`` check the scenario
+    here, and d: 2^k for 1-2, a (cached) MUB family of C^(d^2) or C^d for 3-4."""
     _check_scenario(scenario)
     if scenario in (1, 2):
         k = qubit_count(d)
         return (9**k, 4**k) if scenario == 1 else (3**k, 3**k, 2**k, 2**k)
+    mub_family(d * d if scenario == 3 else d)
     return (d * d * (d * d + 1),) if scenario == 3 else (d * (d + 1),) * 2
 
 

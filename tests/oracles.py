@@ -3,8 +3,10 @@
 ``maximally_entangled_state``, ``apply_kraus`` and ``apply_via_choi`` state
 the Choi convention directly: the maximally entangled pair |omega><omega|,
 the channel action sum_i K_i rho K_i^dag, and the same action read back
-from the Choi matrix.  The library never applies a channel to a state, so
-these serve the convention tests and the Born spot checks.
+from the Choi matrix through ``tr_ancilla``, the partial trace over the
+second factor (the library's ``partial_trace`` is Tr_s only).  The library
+never applies a channel to a state, so these serve the convention tests and
+the Born spot checks.
 
 ``proctomo.simulate`` and ``proctomo.estimators`` run the Pauli contractions
 in chunks and the sampling path in place; ``proctomo.projections`` adds the
@@ -43,7 +45,7 @@ import itertools
 
 import numpy as np
 
-from proctomo.channels import DensityMatrix, _hermitize, partial_trace
+from proctomo.channels import DensityMatrix, _hermitize, partial_trace, system_dim
 from proctomo import simulate
 from proctomo.designs import AXES, PAULI_VECTORS, mub_family, pauli_operator_stack
 from proctomo.simulate import FrequencyTable, _stream, setting_count
@@ -66,13 +68,19 @@ def apply_kraus(kraus, rho):
     return DensityMatrix(_hermitize(out))
 
 
+def tr_ancilla(mat):
+    """Tr_a: partial trace of a matrix on C^d (x) C^d over its second factor."""
+    d = system_dim(mat.shape[0])
+    return np.einsum("iaja->ij", np.asarray(mat).reshape(d, d, d, d))
+
+
 def apply_via_choi(choi, rho):
     """Channel action through the Choi matrix: C(rho) = d Tr_a(Phi (1 (x) rho^T))."""
     d = choi.dim
     if rho.matrix.shape[0] != d:
         raise ValueError("dimension mismatch")
     prod = choi.matrix @ np.kron(np.eye(d), rho.matrix.T)
-    out = d * partial_trace(prod, "ancilla")
+    out = d * tr_ancilla(prod)
     return DensityMatrix(_hermitize(out))
 
 
@@ -267,8 +275,8 @@ def mub_outcome_probabilities(phi, d):
 def mub_outcome_probabilities_by_basis(phi, d):
     """The scenario-3 Born table as a loop over the whole (D+1) x D x D
     stack, one D x D product per basis: the library's per-basis arithmetic
-    on bases read from ``MubFamily.bases``."""
-    bases = mub_family(d * d).bases
+    on bases read from ``MubFamily.vectors``."""
+    bases = mub_family(d * d).vectors().reshape(d * d + 1, d * d, d * d)
     p = np.empty(bases.shape[:2])
     for a, basis in enumerate(bases):
         p[a] = np.einsum("ti,ti->t", basis.conj() @ phi, basis).real
@@ -297,7 +305,7 @@ def ls_scenario3_by_basis(table):
     the library's per-basis arithmetic including the final Hermitian
     symmetrization."""
     d = table.dim
-    bases = mub_family(d * d).bases
+    bases = mub_family(d * d).vectors().reshape(d * d + 1, d * d, d * d)
     mat = np.zeros((d * d, d * d), dtype=complex)
     for basis, f in zip(bases, table.values.reshape(bases.shape[:2])):
         mat += (basis.T * f) @ basis.conj()
@@ -327,14 +335,14 @@ def ls_scenario4_matrix(table):
 def proj_tp(x):
     """Frobenius projection onto {X : Tr_s(X) = 1/d}, through np.kron."""
     d = round(x.shape[0] ** 0.5)
-    corr = np.eye(d) / d - partial_trace(x, "system")
+    corr = np.eye(d) / d - partial_trace(x)
     return x + np.kron(np.eye(d), corr) / d
 
 
 def proj_tp_linear(x):
     """Projection onto {X : Tr_s(X) = 0}, through np.kron."""
     d = round(x.shape[0] ** 0.5)
-    return x - np.kron(np.eye(d), partial_trace(x, "system")) / d
+    return x - np.kron(np.eye(d), partial_trace(x)) / d
 
 
 # -- GF(2^m) helpers (elements as ints, coefficient of x^j at bit j) --------

@@ -63,22 +63,23 @@ def test_setting_enumeration_round_trip():
 class TestMubFamilies:
     def test_qubit_family_is_pauli(self):
         fam = mub_family(2)
-        assert fam.bases.shape == (3, 2, 2)
-        assert_allclose(fam.bases[0], np.eye(2), atol=1e-15)
+        assert fam.vectors().shape == (6, 2)
+        bases = fam.vectors().reshape(3, 2, 2)
+        assert_allclose(bases[0], np.eye(2), atol=1e-15)
         # remaining bases are the x and y eigenbases up to phases
         for b, axis in ((1, "x"), (2, "y")):
             u = 2 * AXES.index(axis)
-            overlap = np.abs(fam.bases[b] @ PAULI_VECTORS[:, u:u + 2].conj()) ** 2
+            overlap = np.abs(bases[b] @ PAULI_VECTORS[:, u:u + 2].conj()) ** 2
             assert_allclose(np.sort(overlap, axis=1), [[0, 1], [0, 1]], atol=1e-12)
 
     def test_odd_prime_phases(self):
-        fam = mub_family(3)
+        bases = mub_family(3).vectors().reshape(4, 3, 3)
         omega = np.exp(2j * np.pi / 3)
         l = np.arange(3)
         for j in range(3):
             for t in range(3):
                 expected = omega ** ((j * l**2 + t * l) % 3) / np.sqrt(3)
-                assert_allclose(fam.bases[j + 1, t], expected, atol=1e-12)
+                assert_allclose(bases[j + 1, t], expected, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 16, 32, 64, 128])
     def test_projector_resolution(self, dim):
@@ -145,13 +146,15 @@ def _pairwise_mub_power_of_two(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_power_of_two_matches_pairwise_oracle(m):
-    assert np.array_equal(mub_family(2**m).bases, _pairwise_mub_power_of_two(m))
+    d = 2**m
+    assert np.array_equal(mub_family(d).vectors().reshape(d + 1, d, d),
+                          _pairwise_mub_power_of_two(m))
 
 
 def test_power_of_two_bytes_pinned_at_256():
     # sha256 of the D = 256 family as built by (1j ** phase) / sqrt(D) on the
     # whole D^3 phase array, before the table lookup replaced it
-    digest = hashlib.sha256(mub_family(256).bases.tobytes()).hexdigest()
+    digest = hashlib.sha256(mub_family(256).vectors().tobytes()).hexdigest()
     assert digest == ("20e19d00aa2b08c33dd5e720b573fcb0"
                       "6917ef81f7e1d7e7a9eba40d32cbd854")
 
@@ -163,13 +166,13 @@ def test_power_of_two_bytes_pinned_at_256():
 def test_odd_prime_bytes_pinned(p, digest):
     # sha256 of the family as built by omega ** (j l^2 + t l mod p) / sqrt(p),
     # one complex power per entry, before both builders shared one fill
-    assert hashlib.sha256(mub_family(p).bases.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(mub_family(p).vectors().tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 16, 64])
 def test_basis_matches_stack(dim):
     fam = mub_family(dim)
-    bases = fam.bases
+    bases = fam.vectors().reshape(dim + 1, dim, dim)
     for a in range(dim + 1):
         basis = fam.basis(a)
         assert basis.tobytes() == bases[a].tobytes()
@@ -190,7 +193,7 @@ class TestMubValidation:
     def test_supported_family_passes_pairwise_oracle(self, dim):
         fam = mub_family(dim)
         MubFamily(dim, fam.roots, fam.f, fam.c)
-        bases = fam.bases
+        bases = fam.vectors().reshape(dim + 1, dim, dim)
         for basis in bases:
             assert_allclose(basis @ basis.conj().T, np.eye(dim), atol=1e-12)
         assert pairwise_unbiasedness_defect(bases) <= UNBIASED_TOL
@@ -250,7 +253,7 @@ class TestMubCache:
 
     def test_arrays_read_only(self):
         fam = mub_family(4)
-        for arr in (fam.bases, fam.vectors(), fam.basis(2), fam.roots, fam.f, fam.c):
+        for arr in (fam.vectors(), fam.basis(2), fam.roots, fam.f, fam.c):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 0
@@ -259,13 +262,13 @@ class TestMubCache:
         src = mub_family(4)
         tables = [np.array(src.roots), np.array(src.f), np.array(src.c)]
         fam = MubFamily(4, *tables)
-        before = fam.bases
+        before = fam.vectors()
         for arr, kept in zip(tables, (fam.roots, fam.f, fam.c)):
             assert arr.flags.writeable
             assert not kept.flags.writeable
             assert not np.shares_memory(arr, kept)
             arr[...] = 0
-        assert np.array_equal(fam.bases, before)
+        assert np.array_equal(fam.vectors(), before)
 
     def test_compared_by_identity(self):
         fam = mub_family(4)
@@ -292,9 +295,9 @@ class TestNearIsotropy:
 
     def test_broken_family_detected(self):
         fam = mub_family(4)
-        truncated = fam.bases[:-1].reshape(-1, 4)  # drop one basis
+        truncated = fam.vectors()[:-4]  # drop one basis
         assert near_isotropy_defect(truncated) > 0.5
 
     def test_random_probe_determinism(self):
         fam = mub_family(5)
-        assert near_isotropy_defect(fam, seed=3) == near_isotropy_defect(fam, seed=3)
+        assert near_isotropy_defect(fam) == near_isotropy_defect(fam)

@@ -672,6 +672,26 @@ class TestCli:
         moved = (f"{records}: 1 records differ: "
                  "errors.PLS.fidelity, projection.iterations")
         assert differ.stdout.splitlines() == [f"DIFFER {moved}", f"  {moved}"]
+        # verify reports compare without seconds; a moved detail names its check
+        records.write_bytes((tmp_path / "old" / "cfg" / "run_records.json").read_bytes())
+        for root, seconds in (("old", 1.5), ("new", 2.5)):
+            results = [verification.CheckResult("two-design", True,
+                                                 {"worst_defect": 1e-15}, seconds),
+                       verification.CheckResult("determinism", True, {}, seconds)]
+            (tmp_path / root / "verify").mkdir()
+            verification.write_report(
+                results, tmp_path / root / "verify" / "verify_report.json")
+        same = compare()
+        assert same.returncode == 0, same.stdout + same.stderr
+        assert same.stdout == "identical: 3 files in 2 configs\n"
+        report = tmp_path / "new" / "verify" / "verify_report.json"
+        payload = json.loads(report.read_text())
+        payload["checks"][0]["details"]["worst_defect"] = 2e-15
+        report.write_text(json.dumps(payload))
+        differ = compare()
+        assert differ.returncode == 1
+        moved = f"{report}: verify report differs: checks.two-design.details.worst_defect"
+        assert differ.stdout.splitlines() == [f"DIFFER {moved}", f"  {moved}"]
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg_path = self._write_cfg(tmp_path)

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from proctomo import simulate
 from proctomo.bounds import ErrorBudget, g_factor
-from proctomo.channels import RAW_HERMITICITY_TOL, ChoiMatrix, KrausSet, fidelity
+from proctomo.channels import (RAW_HERMITICITY_TOL, ChannelSpec, ChoiMatrix, KrausSet,
+                               fidelity)
 from proctomo.designs import mub_family
 from proctomo.estimators import ls_estimate
 from proctomo.harness import ExperimentConfig
@@ -41,6 +42,17 @@ ROWS = [
      "dim must be an integer >= 2, got 2.0"),
     ("FrequencyTable", lambda v: _table(scenario=3, dim=v, values=np.zeros(2)), "dim",
      1, ValueError, "dim must be an integer >= 2, got 1"),
+    # d = 6 has no MUB family: the table refuses it, not only the estimator
+    ("FrequencyTable-s3", lambda v: _table(scenario=3, dim=v, values=np.zeros(1332)),
+     "dim", 6, NotImplementedError, "MUB family for dimension 36 not implemented"),
+    ("FrequencyTable-s4", lambda v: _table(scenario=4, dim=v, values=np.zeros((42, 42))),
+     "dim", 6, NotImplementedError, "MUB family for dimension 6 not implemented"),
+    ("ChannelSpec", lambda v: ChannelSpec(v, 2), "kind", "bogus", ValueError,
+     "unknown channel kind 'bogus'"),
+    ("ChannelSpec-unitary", lambda v: ChannelSpec("unitary", 2, unitary=v), "unitary",
+     np.eye(3), ValueError, "unitary must be 2 x 2, got shape (3, 3)"),
+    ("ChannelSpec-mixed_unitary", lambda v: ChannelSpec("mixed_unitary", 2, unitary=v),
+     "unitary", np.eye(3), ValueError, "unitary must be 2 x 2, got shape (3, 3)"),
     ("proj_cp1_thresholded", proj_cp1_thresholded, "x", _OFF_HERMITIAN, ValueError,
      _NOT_HERMITIAN),
     ("project_to_cptp", project_to_cptp, "phi0", _OFF_HERMITIAN, ValueError,
@@ -57,6 +69,14 @@ ROWS = [
      "got shapes (3, 1) and (4, 4)"),
     ("ErrorBudget", lambda v: ErrorBudget(scenario=1, k=1, n_shots=100, delta=v), "delta",
      0.05, TypeError, "unexpected keyword argument 'delta'"),
+] + [
+    # the MUB bounds need d >= 2 too, that is k = log2 d >= 1
+    (name, call, "k", k, ValueError, "k must be >= 1")
+    for scenario in (3, 4) for k in (0.5, -1.0)
+    for name, call in (
+        (f"g_factor-s{scenario}", lambda v, s=scenario: g_factor(s, v)),
+        (f"ErrorBudget-s{scenario}",
+         lambda v, s=scenario: ErrorBudget(scenario=s, k=v, n_shots=1000)))
 ]
 
 
