@@ -13,9 +13,8 @@ from .designs import MubFamily, mub_family, near_isotropy_defect
 from .simulate import FrequencyTable, SamplingPlan, exact_table, sample
 from .estimators import LsEstimate, ls_estimate
 from .projections import (HalfSpace, ProjectionConfig, ProjectionReport,
-                          depolarizing_finalize, hip_inner, pls_pipeline,
-                          proj_cp, proj_cp1_thresholded, proj_tp,
-                          project_to_cptp)
+                          depolarizing_finalize, hip_inner, proj_cp,
+                          proj_cp1_thresholded, proj_tp, project_to_cptp)
 from .bounds import (ConfidenceRegion, ErrorBudget, confidence_region,
                      direct_projection_bound, f_factor, g_factor,
                      ls_failure_prob, pls_failure_prob, sample_complexity)

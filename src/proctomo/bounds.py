@@ -9,7 +9,10 @@ the evaluators raise instead of extrapolating.
 The scenario factor g halves are:  scenarios 1-2: 3^(-2k); scenario 3:
 2^(-2k)/2; scenario 4: 2^(-2k)/4, with d = 2^k the system dimension (k may
 be fractional for non-qubit dimensions in the MUB scenarios).  The direct
-projection factor is f = g / 2^(2k).
+projection factor is f = g / 2^(2k).  k lies in [1, 64] (``_K_MAX``):
+``g_factor``, so ``ErrorBudget`` at construction, refuses any other k by
+name.  Up to 64 every evaluator is finite; far above it 2^(2k) overflows
+and g and f underflow to zero.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .channels import _check_int, _check_real, _check_scenario
+
+_K_MAX = 64  # largest qubit count k the evaluators accept
 
 __all__ = [
     "ErrorBudget",
@@ -38,8 +43,8 @@ __all__ = [
 def g_factor(scenario: int, k: float) -> float:
     """Measurement-scenario factor entering every concentration exponent."""
     _check_scenario(scenario)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= _K_MAX:
+        raise ValueError(f"k must be >= 1 and <= {_K_MAX}, got {k!r}")
     if scenario in (1, 2):
         return 3.0 ** (-2 * k)
     return (0.5 if scenario == 3 else 0.25) * 2.0 ** (-2 * k)
@@ -54,9 +59,9 @@ def f_factor(scenario: int, k: float) -> float:
 class ErrorBudget:
     """Inputs of the bound evaluators.
 
-    k is the qubit count, d = 2^k, and k < 1 is refused in every scenario; for
-    MUB scenarios with non-qubit d pass k = log2(d).  epsilon is the accuracy,
-    eta the failure probability and rank the rank hypothesis.
+    k is the qubit count, d = 2^k, and k outside [1, 64] is refused in every
+    scenario; for MUB scenarios with non-qubit d pass k = log2(d).  epsilon
+    is the accuracy, eta the failure probability and rank the rank hypothesis.
     """
 
     scenario: int
@@ -73,7 +78,7 @@ class ErrorBudget:
             _check_real(name, getattr(self, name))
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
-        g_factor(self.scenario, self.k)  # refuses a bad scenario and k < 1
+        g_factor(self.scenario, self.k)  # refuses a bad scenario or k
 
     @property
     def g(self) -> float:

@@ -33,6 +33,8 @@ HERMITICITY_TOL = 1e-12      # max ||A - A^dag||_inf of a validated Hermitian in
 TRACE_TOL = 1e-12            # max |Tr A - 1| of a validated state
 PSD_TOL = 1e-10              # least eigenvalue of a validated state is >= -this
 TP_TOL = 1e-9                # max ||Tr_s Phi - 1/d||_inf of a trace-preserving Choi matrix
+KRAUS_TP_TOL = 1e-10         # max ||sum K^dag K - 1||_inf of a Kraus set, so also
+                             # max ||U^dag U - 1||_inf of a ChannelSpec's unitary
 RAW_HERMITICITY_TOL = 1e-10  # max ||A - A^dag||_inf of a raw estimate or a projection input
                              # (proj_cp, proj_cp1_thresholded, project_to_cptp)
 RAW_TRACE_TOL = 1e-8         # max |Tr A - 1| of a raw estimate or first-stage input
@@ -162,7 +164,7 @@ class KrausSet:
             _check_finite(k)
         object.__setattr__(self, "operators", ops)
         acc = sum(k.conj().T @ k for k in ops)
-        if np.abs(acc - np.eye(d)).max() > 1e-10:
+        if np.abs(acc - np.eye(d)).max() > KRAUS_TP_TOL:
             raise ValueError("Kraus set is not trace preserving")
 
     @property
@@ -199,7 +201,8 @@ class ChannelSpec:
         W S_i with S_i Hilbert-Schmidt-orthogonal unitary strings, W =
         ``unitary`` or the identity
 
-    Construction refuses any other kind and a ``unitary`` that is not dim x dim.
+    Construction refuses any other kind, and a ``unitary`` on a kind that
+    does not read it or that is not a dim x dim unitary to ``KRAUS_TP_TOL``.
     """
 
     kind: Literal["identity", "unitary", "noisy_qft", "mixed_unitary"]
@@ -222,9 +225,18 @@ class ChannelSpec:
             raise ValueError(f"rank must lie in [1, d^2], got {self.rank}")
         if self.kind == "unitary" and self.unitary is None:
             raise ValueError("kind 'unitary' requires a unitary matrix")
-        if self.unitary is not None and np.shape(self.unitary) != (self.dim, self.dim):
+        if self.unitary is None:
+            return
+        if self.kind not in ("unitary", "mixed_unitary"):
+            raise ValueError(f"kind {self.kind!r} takes no unitary")
+        if np.shape(self.unitary) != (self.dim, self.dim):
             raise ValueError(f"unitary must be {self.dim} x {self.dim}, "
                              f"got shape {np.shape(self.unitary)}")
+        u = np.asarray(self.unitary, dtype=complex)
+        dev = np.abs(u.conj().T @ u - np.eye(self.dim)).max()
+        if not dev <= KRAUS_TP_TOL:  # nan too
+            raise ValueError(f"unitary is not unitary (max |U^dag U - 1| {dev:.3e} "
+                             f"> {KRAUS_TP_TOL:.1e})")
 
     def label(self) -> str:
         if self.kind == "noisy_qft":

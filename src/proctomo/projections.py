@@ -58,7 +58,6 @@ __all__ = [
     "hip_inner",
     "project_to_cptp",
     "depolarizing_finalize",
-    "pls_pipeline",
 ]
 
 
@@ -92,21 +91,20 @@ class ProjectionConfig:
 
 @dataclass
 class ProjectionReport:
-    """Trace of one projection run.
+    """Trace of one ``project_to_cptp`` run, built and completed there.
 
-    Built and completed by ``project_to_cptp``.  ``trace`` holds one
-    (lambda_min, mode, cumulative proj_cp_calls) row per checked iterate.
-    ``final_lambda_min`` is the least eigenvalue of the iterate handed to
-    depolarizing mixing (after a cap, the best one seen); ``mixing_p`` solves
-    (1-p) lambda_min + p/d^2 = 0 for that value.  ``proj_cp_calls`` counts
-    eigendecompositions that produced a PSD projection (the check-only
-    decomposition of the accepted iterate is free bookkeeping).  For
-    ``dual``, ``iterations`` counts Newton steps and ``proj_cp_calls`` every
-    decomposition, line-search trials included.  ``pls_pipeline`` fills
-    ``cp1_spectrum`` (rank: ``numerical_rank`` of it) in its first stage.
+    It covers that stage only: the first stage, ``proj_cp1_thresholded``,
+    returns its spectrum with its matrix and keeps no report.  ``trace``
+    holds one (lambda_min, mode, cumulative proj_cp_calls) row per checked
+    iterate.  ``final_lambda_min`` is the least eigenvalue of the iterate
+    handed to depolarizing mixing (after a cap, the best one seen);
+    ``mixing_p`` solves (1-p) lambda_min + p/d^2 = 0 for that value.
+    ``proj_cp_calls`` counts eigendecompositions that produced a PSD
+    projection (the check-only decomposition of the accepted iterate is free
+    bookkeeping).  For ``dual``, ``iterations`` counts Newton steps and
+    ``proj_cp_calls`` every decomposition, line-search trials included.
     """
 
-    method: str
     iterations: int = 0
     proj_cp_calls: int = 0
     trace: list = field(default_factory=list)
@@ -114,7 +112,6 @@ class ProjectionReport:
     final_lambda_min: float = 0.0
     converged: bool = True
     dual_grad_norm: Optional[float] = None
-    cp1_spectrum: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -375,7 +372,7 @@ def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if iterate_hook is not None and method in ("Dykstra", "dual"):
         raise ValueError(f"iterate_hook needs an AP/HIP method, not {method}")
-    report = ProjectionReport(method=method)
+    report = ProjectionReport()
     phi, lam_min, converged = (_dual_project(phi0, report) if method == "dual" else
                                _run_iterates(phi0, method, cfg, report, iterate_hook))
     report.final_lambda_min = lam_min
@@ -535,20 +532,3 @@ def _dual_project(phi0: np.ndarray, report: ProjectionReport):
     lam_min = float(np.linalg.eigvalsh(_hermitize(phi_tp)).min())
     report.trace.append((lam_min, "dual", report.proj_cp_calls))
     return phi_tp, lam_min, report.dual_grad_norm <= DUAL_GRAD_TOL
-
-
-def pls_pipeline(estimate, cfg: Optional[ProjectionConfig] = None,
-                 method: str = "HIPswitch"):
-    """Two-step physical projection of a least-squares estimate.
-
-    Step one is ``proj_cp1_thresholded`` at its default threshold tau =
-    max(0, -lambda_min); step two runs ``project_to_cptp``.  Returns
-    (ChoiMatrix, ProjectionReport); the report records the spectrum after
-    step one.  The one-step alternative is ``project_to_cptp`` on the
-    raw estimate's matrix.
-    """
-    mat = np.asarray(getattr(estimate, "matrix", estimate), dtype=complex)
-    phi_cp1, spectrum = proj_cp1_thresholded(mat)
-    choi, report = project_to_cptp(phi_cp1, method, cfg)
-    report.cp1_spectrum = spectrum
-    return choi, report

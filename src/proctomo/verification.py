@@ -28,8 +28,8 @@ from .channels import (ChannelSpec, choi_from_kraus, distance, haar_unitary,
 from .designs import mub_family, near_isotropy_defect
 from .estimators import ls_estimate
 from .harness import ExperimentConfig, run
-from .projections import (ProjectionConfig, pls_pipeline, proj_cp,
-                          proj_cp1_thresholded, proj_tp, project_to_cptp)
+from .projections import (ProjectionConfig, proj_cp, proj_cp1_thresholded,
+                          proj_tp, project_to_cptp)
 from .simulate import SamplingPlan, exact_table, sample
 
 __all__ = ["CheckResult", "CHECKS", "SUITES", "run_suite", "write_report"]
@@ -317,7 +317,8 @@ def check_hip_superiority() -> CheckResult:
 def check_cross_method() -> CheckResult:
     """HIPswitch, uncapped Dykstra and the semismooth-Newton dual land pairwise
     within 1e-4 on ten random two-qubit instances; the dual certificate (its
-    gradient norm) holds at 1e-8."""
+    gradient norm) holds at 1e-8.  The three methods share each instance's
+    first-stage iterate, as the harness's algorithm comparison does."""
     tight = ProjectionConfig(epsilon=1e-10, max_outer_iterations=50000)
     worst_pair = 0.0
     worst_grad = 0.0
@@ -326,10 +327,10 @@ def check_cross_method() -> CheckResult:
                            unitary=haar_unitary(4, 100 + seed), rank=2)
         truth = choi_from_kraus(make_channel(spec))
         table = sample(truth, 1, SamplingPlan("random", 10**7, seed))
-        est = ls_estimate(table)
+        cp1, _ = proj_cp1_thresholded(ls_estimate(table).matrix)
         outs = {}
         for method in ("HIPswitch", "Dykstra", "dual"):
-            choi, report = pls_pipeline(est, tight, method)
+            choi, report = project_to_cptp(cp1, method, tight)
             outs[method] = choi.matrix
             if method == "dual":
                 worst_grad = max(worst_grad, report.dual_grad_norm)
@@ -367,10 +368,11 @@ def check_bound_validity() -> CheckResult:
         covered = 0
         for seed in range(n_runs):
             table = sample(truth, scenario, SamplingPlan("random", n_shots, seed))
-            choi, report = pls_pipeline(ls_estimate(table))
+            cp1, spectrum = proj_cp1_thresholded(ls_estimate(table).matrix)
+            choi, _ = project_to_cptp(cp1)
             err = distance(choi.matrix, truth.matrix)["frobenius"]
             errs.append(err)
-            region = confidence_region(report.cp1_spectrum, ErrorBudget(
+            region = confidence_region(spectrum, ErrorBudget(
                 scenario=scenario, k=1, n_shots=n_shots, eta=eta))
             covered += err <= region.frobenius_radius
         errs = np.asarray(errs)

@@ -5,6 +5,7 @@ and prints a single PASS/FAIL line with the measured values (visible with
 ``pytest -s`` or on failure).  The same checks back ``proctomo verify``.
 """
 
+from proctomo import verification
 from proctomo.verification import run_suite
 
 
@@ -68,6 +69,19 @@ def test_criterion_09_cross_method_agreement():
     res = _assert_check("cross-method")
     assert res.details["worst_pairwise"] <= 1e-4
     assert res.details["worst_dual_grad"] <= 1e-8
+
+
+def test_cross_method_decomposes_cp1_once_per_seed(monkeypatch):
+    """The three methods share each seed's first-stage iterate: ten seeds make
+    ten first-stage and thirty second-stage calls."""
+    calls = {"proj_cp1_thresholded": 0, "project_to_cptp": 0}
+    for name in calls:
+        def spy(*args, _name=name, _original=getattr(verification, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(verification, name, spy)
+    assert verification.check_cross_method().passed
+    assert calls == {"proj_cp1_thresholded": 10, "project_to_cptp": 30}
 
 
 def test_criterion_10_bound_validity():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from proctomo.bounds import (ErrorBudget, confidence_region, direct_projection_bound,
-                             f_factor, g_factor, ls_failure_prob, pls_failure_prob,
-                             sample_complexity)
+from proctomo.bounds import (_K_MAX, ErrorBudget, confidence_region,
+                             direct_projection_bound, f_factor, g_factor,
+                             ls_failure_prob, pls_failure_prob, sample_complexity)
 
 
 class TestFactors:
@@ -230,3 +230,24 @@ class TestDirectProjection:
         with pytest.raises(ValueError):
             direct_projection_bound(ErrorBudget(scenario=1, k=1, n_shots=10,
                                                 epsilon=2.0))
+
+
+class TestQubitCountDomain:
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+    def test_every_evaluator_finite_at_the_maximum(self, scenario):
+        budget = ErrorBudget(scenario=scenario, k=_K_MAX, n_shots=10**6)
+        region = confidence_region([1.0, 0.0], budget)
+        values = [budget.g, budget.f, sample_complexity(budget),
+                  *direct_projection_bound(budget), region.frobenius_radius,
+                  region.trace_radius]
+        values += [pls_failure_prob(budget, norm) for norm in ("frobenius", "trace")]
+        values += [ls_failure_prob(budget, norm) for norm in ("operator", "frobenius")]
+        assert all(math.isfinite(v) and v > 0 for v in values)
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+    def test_one_step_above_refused_by_name(self, scenario):
+        message = f"k must be >= 1 and <= {_K_MAX}, got {_K_MAX + 1}"
+        with pytest.raises(ValueError, match=message):
+            g_factor(scenario, _K_MAX + 1)
+        with pytest.raises(ValueError, match=message):
+            ErrorBudget(scenario=scenario, k=_K_MAX + 1, n_shots=10**6)

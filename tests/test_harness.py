@@ -457,6 +457,44 @@ class TestHarnessSeams:
         assert calls == ["proj_cp1_thresholded"] + ["project_to_cptp"] * 3
 
 
+class TestTracedSeams:
+    """The benchmark's tracer (``perfbench/tracing.py``) patches functions by
+    name; a run under it must reach every patched name and write the bytes
+    of an untraced run, so a renamed or bypassed seam fails here."""
+
+    TRACED = {
+        "simulate.sample", "estimators.ls_estimate",
+        "projections.proj_cp1_thresholded", "projections.project_to_cptp",
+        "channels.distance", "channels.fidelity", "channels.make_channel",
+        "channels.choi_from_kraus", "channels.kraus_rank",
+        "projections.hip_inner", "projections.proj_tp",
+        "projections.depolarizing_finalize", "designs.mub_family",
+        "linalg.eigh", "linalg.eigvalsh"}
+
+    def test_every_traced_name_reached_with_untraced_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import tracing
+
+        configs = [
+            _mini_config(repetitions=1),
+            _mini_config(experiment="algo_comparison", repetitions=1,
+                         methods=["HIPswitch", "pureHIP", "dual"],
+                         projection={"max_outer_iterations": 300}),
+            _mini_config(scenario=3, k=None, d=2, repetitions=1),
+        ]
+        tracer = tracing.Tracer()
+        for i, cfg in enumerate(configs):
+            plain, traced = tmp_path / f"plain{i}", tmp_path / f"traced{i}"
+            run(cfg, out_dir=plain)
+            with tracer.installed():
+                run(cfg, out_dir=traced)
+            written = sorted(plain.glob("*.csv"))
+            assert written
+            for csv_path in written:
+                assert (traced / csv_path.name).read_bytes() == csv_path.read_bytes()
+        assert {span[0] for span in tracer.spans} == self.TRACED
+
+
 class TestMetrics:
     def test_physical_stage_decompositions(self, monkeypatch):
         # one eigvalsh of the n x n difference and one of the r x r W^dag b W;

@@ -20,9 +20,9 @@ from proctomo.estimators import ls_estimate
 from proctomo.projections import (DUAL_GRAD_TOL, MAX_HALFSPACES, HalfSpace,
                                   ProjectionConfig, _forward_solve,
                                   _make_halfspace, _waterfill,
-                                  depolarizing_finalize, hip_inner, pls_pipeline,
-                                  proj_cp, proj_cp1_thresholded, proj_tp,
-                                  proj_tp_linear, project_to_cptp)
+                                  depolarizing_finalize, hip_inner, proj_cp,
+                                  proj_cp1_thresholded, proj_tp, proj_tp_linear,
+                                  project_to_cptp)
 from proctomo.simulate import SamplingPlan, sample
 
 import oracles
@@ -501,7 +501,8 @@ class TestProjectToCptp:
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 2000, seed=4)))
-        choi, report = pls_pipeline(est, method=method)
+        cp1, _ = proj_cp1_thresholded(est.matrix)
+        choi, report = project_to_cptp(cp1, method)
         ChoiMatrix(choi.matrix)  # validates PSD / trace / partial trace
         assert report.final_lambda_min >= -ProjectionConfig().epsilon
 
@@ -689,7 +690,8 @@ class TestDualNewton:
             run(cfg, {str(tmp_path)!r})
             truth = choi_from_kraus(make_channel(ChannelSpec("noisy_qft", 4)))
             est = ls_estimate(sample(truth, 1, SamplingPlan("random", 1000, seed=1)))
-            projections.pls_pipeline(est, method="dual")
+            projections.project_to_cptp(
+                projections.proj_cp1_thresholded(est.matrix)[0], "dual")
             assert calls, "HIPswitch never reached hip_inner"
             print(sorted(m for m in sys.modules if m.startswith("scipy")))
         """)
@@ -749,7 +751,7 @@ class TestPipeline:
         truth = choi_from_kraus(make_channel(ChannelSpec("identity", 2)))
         from proctomo.simulate import exact_table
         est = ls_estimate(exact_table(truth, 1))
-        choi, report = pls_pipeline(est)
+        choi, report = project_to_cptp(proj_cp1_thresholded(est.matrix)[0])
         assert np.abs(choi.matrix - truth.matrix).max() < 1e-9
         assert report.mixing_p == 0.0
 
@@ -761,30 +763,22 @@ class TestPipeline:
             for kind, rank in (("unitary", 1), ("mixed_unitary", 2)):
                 spec = ChannelSpec(kind, 2, unitary=haar_unitary(2, seed), rank=rank)
                 truth = choi_from_kraus(make_channel(spec))
-                choi, _ = pls_pipeline(ls_estimate(exact_table(truth, scenario)))
+                est = ls_estimate(exact_table(truth, scenario))
+                choi, _ = project_to_cptp(proj_cp1_thresholded(est.matrix)[0])
                 assert np.abs(choi.matrix - truth.matrix).max() < 1e-9, (kind, seed)
-
-    def test_report_records_both_stages(self, rng):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 2000, seed=12)))
-        _, report = pls_pipeline(est)
-        assert np.array_equal(report.cp1_spectrum, proj_cp1_thresholded(est.matrix)[1])
-        assert report.cp1_spectrum.shape == (4,)
 
     def test_direct_variant(self, rng):
         truth = choi_from_kraus(make_channel(
             ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
         est = ls_estimate(sample(truth, 1, SamplingPlan("random", 2000, seed=12)))
-        choi, report = project_to_cptp(est.matrix, "Dykstra")
+        choi, _ = project_to_cptp(est.matrix, "Dykstra")
         ChoiMatrix(choi.matrix)
-        assert report.cp1_spectrum is None
 
 
 class TestCountBudget:
     """Decomposition counts repeat exactly at a fixed seed; pin them so a
     count regression fails here rather than only in the benchmark.  Every
-    numpy eigendecomposition of one pls_pipeline run is counted, so a
+    numpy eigendecomposition of one run of the two stages is counted, so a
     second decomposition of a stage-boundary matrix fails here too."""
 
     @pytest.fixture(scope="class")
@@ -812,7 +806,8 @@ class TestCountBudget:
             return inner(window, phi)
 
         monkeypatch.setattr(projections, "hip_inner", spy)
-        _, report = pls_pipeline(estimate, method="HIPswitch")
+        cp1, _ = proj_cp1_thresholded(estimate.matrix)
+        _, report = project_to_cptp(cp1, "HIPswitch")
         assert report.converged
         assert report.proj_cp_calls == 33
         assert len(calls) == 27
@@ -820,7 +815,8 @@ class TestCountBudget:
         assert linalg_calls == {"eigh": 35, "eigvalsh": 1}
 
     def test_dual(self, estimate, linalg_calls):
-        _, report = pls_pipeline(estimate, method="dual")
+        cp1, _ = proj_cp1_thresholded(estimate.matrix)
+        _, report = project_to_cptp(cp1, "dual")
         assert report.converged
         assert report.proj_cp_calls == 7
         # CP1 + 7 Newton decompositions; final plane iterate, ChoiMatrix

@@ -19,8 +19,7 @@ from proctomo.channels import (RAW_HERMITICITY_TOL, ChannelSpec, ChoiMatrix, Kra
 from proctomo.designs import mub_family
 from proctomo.estimators import ls_estimate
 from proctomo.harness import ExperimentConfig
-from proctomo.projections import (METHODS, pls_pipeline, proj_cp1_thresholded,
-                                  project_to_cptp)
+from proctomo.projections import METHODS, proj_cp1_thresholded, project_to_cptp
 from proctomo.simulate import (FrequencyTable, SamplingPlan, exact_table,
                                probability_array, sample, setting_count)
 
@@ -53,11 +52,20 @@ ROWS = [
      np.eye(3), ValueError, "unitary must be 2 x 2, got shape (3, 3)"),
     ("ChannelSpec-mixed_unitary", lambda v: ChannelSpec("mixed_unitary", 2, unitary=v),
      "unitary", np.eye(3), ValueError, "unitary must be 2 x 2, got shape (3, 3)"),
+    # a unitary is refused unless it is one, and on a kind that does not read it
+    ("ChannelSpec-unitary-scaled", lambda v: ChannelSpec("unitary", 2, unitary=v),
+     "unitary", 2 * np.eye(2), ValueError,
+     "unitary is not unitary (max |U^dag U - 1| 3.000e+00 > 1.0e-10)"),
+    ("ChannelSpec-mixed_unitary-scaled",
+     lambda v: ChannelSpec("mixed_unitary", 2, unitary=v), "unitary", 2 * np.eye(2),
+     ValueError, "unitary is not unitary (max |U^dag U - 1| 3.000e+00 > 1.0e-10)"),
+    ("ChannelSpec-identity", lambda v: ChannelSpec("identity", 2, unitary=v), "unitary",
+     5 * np.eye(2), ValueError, "kind 'identity' takes no unitary"),
+    ("ChannelSpec-noisy_qft", lambda v: ChannelSpec("noisy_qft", 2, unitary=v),
+     "unitary", 5 * np.eye(2), ValueError, "kind 'noisy_qft' takes no unitary"),
     ("proj_cp1_thresholded", proj_cp1_thresholded, "x", _OFF_HERMITIAN, ValueError,
      _NOT_HERMITIAN),
     ("project_to_cptp", project_to_cptp, "phi0", _OFF_HERMITIAN, ValueError,
-     _NOT_HERMITIAN),
-    ("pls_pipeline", pls_pipeline, "estimate", _OFF_HERMITIAN, ValueError,
      _NOT_HERMITIAN),
     ("KrausSet", lambda v: KrausSet((v,)), "operators", np.full((2, 2), np.nan),
      ValueError, "matrix has non-finite entries"),
