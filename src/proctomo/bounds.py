@@ -9,10 +9,11 @@ the evaluators raise instead of extrapolating.
 The scenario factor g halves are:  scenarios 1-2: 3^(-2k); scenario 3:
 2^(-2k)/2; scenario 4: 2^(-2k)/4, with d = 2^k the system dimension (k may
 be fractional for non-qubit dimensions in the MUB scenarios).  The direct
-projection factor is f = g / 2^(2k).  k lies in [1, 64] (``_K_MAX``):
-``g_factor``, so ``ErrorBudget`` at construction, refuses any other k by
-name.  Up to 64 every evaluator is finite; far above it 2^(2k) overflows
-and g and f underflow to zero.
+projection factor is f = g / 2^(2k).  k is a real number in [1, 64]
+(``_K_MAX``): ``g_factor``, so ``f_factor``, every evaluator and
+``ErrorBudget`` at construction, refuses any other k by name.  Up to 64
+every evaluator is finite; far above it 2^(2k) overflows and g and f
+underflow to zero.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
 def g_factor(scenario: int, k: float) -> float:
     """Measurement-scenario factor entering every concentration exponent."""
     _check_scenario(scenario)
+    _check_real("k", k)
     if not 1 <= k <= _K_MAX:
         raise ValueError(f"k must be >= 1 and <= {_K_MAX}, got {k!r}")
     if scenario in (1, 2):
@@ -74,7 +76,7 @@ class ErrorBudget:
     def __post_init__(self):
         _check_int("n_shots", self.n_shots, low=0)
         _check_int("rank", self.rank, low=1)
-        for name in ("k", "eta", "epsilon"):
+        for name in ("eta", "epsilon"):
             _check_real(name, getattr(self, name))
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")

@@ -188,6 +188,12 @@ class ChoiMatrix(DensityMatrix):
         return system_dim(self.matrix.shape[0])
 
 
+# the optional ChannelSpec fields each kind reads, with the value of a missing one
+_SPEC_FIELDS = {"identity": {}, "unitary": {"unitary": None},
+                "noisy_qft": {"measure_prob": 0.0},
+                "mixed_unitary": {"unitary": None, "rank": 1}}
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Declarative description of a ground-truth channel.
@@ -196,27 +202,38 @@ class ChannelSpec:
       * ``identity``
       * ``unitary`` -- requires ``unitary``
       * ``noisy_qft`` -- QFT followed by a z measurement of the first qubit
-        with probability ``measure_prob``; requires dim a power of two
-      * ``mixed_unitary`` -- uniform mixture of ``rank`` orthogonal unitaries
-        W S_i with S_i Hilbert-Schmidt-orthogonal unitary strings, W =
-        ``unitary`` or the identity
+        with probability ``measure_prob`` (0 if not given); requires dim a
+        power of two
+      * ``mixed_unitary`` -- uniform mixture of ``rank`` (1 if not given)
+        orthogonal unitaries W S_i with S_i Hilbert-Schmidt-orthogonal
+        unitary strings, W = ``unitary`` or the identity
 
-    Construction refuses any other kind, and a ``unitary`` on a kind that
-    does not read it or that is not a dim x dim unitary to ``KRAUS_TP_TOL``.
+    Construction refuses any other kind, any of ``unitary``, ``measure_prob``
+    and ``rank`` given to a kind that does not read it, by name, and a
+    ``unitary`` that is not a dim x dim unitary to ``KRAUS_TP_TOL``.  A field
+    left at None is not given; one the kind reads is then set to its default.
     """
 
     kind: Literal["identity", "unitary", "noisy_qft", "mixed_unitary"]
     dim: int
     unitary: Optional[np.ndarray] = None
-    measure_prob: float = 0.0
-    rank: int = 1
+    measure_prob: Optional[float] = None
+    rank: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "unitary", "noisy_qft", "mixed_unitary"):
+        if self.kind not in _SPEC_FIELDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         _check_int("dim", self.dim, low=2)
-        _check_int("rank", self.rank)
-        _check_real("measure_prob", self.measure_prob)
+        if self.rank is not None:
+            _check_int("rank", self.rank)
+        if self.measure_prob is not None:
+            _check_real("measure_prob", self.measure_prob)
+        reads = _SPEC_FIELDS[self.kind]
+        for name in ("unitary", "measure_prob", "rank"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, reads.get(name))
+            elif name not in reads:
+                raise ValueError(f"kind {self.kind!r} takes no {name}")
         if self.kind == "noisy_qft":
             if not (0.0 <= self.measure_prob <= 1.0):
                 raise ValueError("measure_prob must lie in [0, 1]")
@@ -227,8 +244,6 @@ class ChannelSpec:
             raise ValueError("kind 'unitary' requires a unitary matrix")
         if self.unitary is None:
             return
-        if self.kind not in ("unitary", "mixed_unitary"):
-            raise ValueError(f"kind {self.kind!r} takes no unitary")
         if np.shape(self.unitary) != (self.dim, self.dim):
             raise ValueError(f"unitary must be {self.dim} x {self.dim}, "
                              f"got shape {np.shape(self.unitary)}")

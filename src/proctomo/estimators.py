@@ -3,13 +3,9 @@
 ``ls_estimate(table)`` is the one entry point: it takes any ``FrequencyTable``
 (sampled, exact or lab data) and runs the estimator of the table's scenario.
 Each estimator is linear in the frequencies and unbiased: feeding exact Born
-probabilities reproduces the true Choi matrix.  The Pauli scenarios are
-assembled by folding frequency tensors against the single-qubit operators
-3|o,s><o,s| - 1 one qubit at a time, so no d^4 x (outcome count) design
-matrix is ever materialized.  The fold runs in 36 chunks read straight from
-the real table (scenario 2 through a transposed view), so its transients are
-about a third of a table's worth of float64 and no complex copy of the whole
-table is made.
+probabilities reproduces the true Choi matrix.  The Pauli scenarios fold the
+table against the single-qubit operators 3|o,s><o,s| - 1 (``_pauli_fold``),
+so no d^4 x (outcome count) design matrix is ever materialized.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ import numpy as np
 from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, _check_hermitian,
                        _check_trace_one, _hermitize)
 from .designs import mub_family, pauli_operator_stack
-from .simulate import FrequencyTable, _mub_rows
+from .simulate import FrequencyTable, _mub_rows, _pauli_fold, _pauli_view
 
 __all__ = [
     "LsEstimate",
@@ -44,80 +40,29 @@ class LsEstimate:
 
 
 def pauli_assemble(freqs: np.ndarray, n: int) -> np.ndarray:
-    """sum_{s,o} f[s,o] (x)_i (3 |o_i,s_i><o_i,s_i| - 1) over n qubits.
-
-    ``freqs`` is real and reshapes to [s_0..s_{n-1}, o_0..o_{n-1}]: a
-    (3^n, 2^n) table, or a strided view such as the transposed scenario-2
-    table; it is never copied whole.  The contraction folds one qubit per
-    step for an O(n 6^n) total cost.
-
-    The work runs in 36 chunks, one per value of the last two folded indices
-    (u_{n-2}, u_{n-1}), u_i = (s_i, o_i).  Each chunk is sliced from the real
-    table, interleaved to per-qubit axes, cast to complex and folded over
-    u_0..u_{n-3}; for each u_{n-1} the six 4^(n-2) partial results are
-    stacked and folded over u_{n-2}, and the six 4^(n-1) results of that
-    are stacked and folded over u_{n-1}.  The transients are a few
-    hundredths of a table each, and the per-element arithmetic is that of
-    the fold on the whole tensor, so the result is bitwise equal to it.
-    """
+    """sum_{s,o} f[s,o] (x)_i (3 |o_i,s_i><o_i,s_i| - 1) over n qubits:
+    ``_pauli_fold`` in its shrinking direction.  ``freqs`` is real and
+    reshapes to [s_0..s_{n-1}, o_0..o_{n-1}]: a (3^n, 2^n) table, or a
+    strided view such as ``_pauli_view`` of a scenario-2 table."""
     f = np.reshape(freqs, (3,) * n + (2,) * n)
-    t = _assemble_fold(f, (), pauli_operator_stack())  # axes r_0, c_0, r_1, c_1, ...
-    rows = list(range(0, 2 * n, 2))
-    cols = list(range(1, 2 * n, 2))
-    return np.ascontiguousarray(t.transpose(rows + cols)).reshape(2**n, 2**n)
+    return _pauli_fold(f, pauli_operator_stack().reshape(3, 2, 2, 2)).reshape(2**n, 2**n)
 
 
-def _assemble_fold(f: np.ndarray, last: tuple, ops: np.ndarray) -> np.ndarray:
-    """Fold the chunks of f whose u_{n-m}..u_{n-1} are the m values in
-    ``last``; returns axes u_{n-m}..u_{n-1} (one value each), r_0, c_0, ..."""
-    n = f.ndim // 2
-    # a chunk with one row left would reach BLAS as a vector product, whose
-    # rounding differs, so the first two qubits are never chunked
-    split = max(0, min(2, n - 2))
-    if len(last) < split:
-        t = np.concatenate([_assemble_fold(f, (u,) + last, ops) for u in range(6)])
-        return np.tensordot(t, ops, axes=([0], [0]))
-    free = (slice(None),) * (n - split)
-    s = tuple(slice(u // 2, u // 2 + 1) for u in last)
-    o = tuple(slice(u % 2, u % 2 + 1) for u in last)
-    perm = [ax for i in range(n) for ax in (i, n + i)]
-    t = f[free + s + free + o].transpose(perm).astype(complex, order="C")
-    t = t.reshape((6,) * (n - split) + (1,) * split)
-    for _ in range(n - split):
-        t = np.tensordot(t, ops, axes=([0], [0]))
-    return t
-
-
-def _ls_scenario1(table: FrequencyTable) -> LsEstimate:
-    """Ancilla-assisted Pauli estimator:
-    (1/3^2k) sum f^s_o (x)_i (3 |o_i,s_i><o_i,s_i| - 1)."""
+def _ls_pauli(table: FrequencyTable) -> LsEstimate:
+    """Pauli estimators, scenario 1 ancilla-assisted and 2 direct:
+    (1/3^2k) sum f^s_o (x)_i (3 |o_i,s_i><o_i,s_i| - 1) over the joint labels
+    (s, o) of the 2k Choi qubits that ``_pauli_view`` reads, divided by d in
+    scenario 2, whose table holds d times the Born probabilities."""
     k = table.k
-    mat = pauli_assemble(table.values, 2 * k) / 3 ** (2 * k)
-    return LsEstimate(_hermitize(mat))
-
-
-def _ls_scenario2(table: FrequencyTable) -> LsEstimate:
-    """Direct Pauli estimator:
-    (1/(3^2k d)) sum f^ab_qp M^b_p (x) M^a_q with M = 3|.><.| - 1.
-
-    The frequency array is [a, b, q, p]; the measurement labels (b, p) sit on
-    the system factor and the input labels (a, q) on the ancilla factor, as
-    fixed by the probability map p^ab_qp = d Tr(Phi P^b_p (x) P^a_q).
-    """
-    k = table.k
-    d = 2**k
-    joint = table.values.transpose(1, 0, 3, 2)  # [b, a, p, q], a strided view
-    mat = pauli_assemble(joint, 2 * k) / (3 ** (2 * k) * d)
+    scale = 3 ** (2 * k) * (table.dim if table.scenario == 2 else 1)
+    mat = pauli_assemble(_pauli_view(table.values, table.scenario, k), 2 * k) / scale
     return LsEstimate(_hermitize(mat))
 
 
 def _ls_scenario3(table: FrequencyTable) -> LsEstimate:
-    """Ancilla-assisted MUB estimator: (d^2+1) sum_i f_i |v_i><v_i| - 1.
-
-    The sum runs one basis B_a at a time, as (B_a^T * f_a) @ conj(B_a),
-    each basis built from the family's phase tables, so its transients are a
-    few D x D blocks and the (D+1) x D x D stack is never held.
-    """
+    """Ancilla-assisted MUB estimator: (d^2+1) sum_i f_i |v_i><v_i| - 1, run
+    one basis B_a at a time as (B_a^T * f_a) @ conj(B_a), as the Born table
+    is (``simulate`` module docstring: the stack is never held)."""
     d = table.dim
     fam = mub_family(d * d)
     n = fam.dim
@@ -163,5 +108,5 @@ def ls_estimate(table: FrequencyTable) -> LsEstimate:
     estimator of the table's scenario, which the table checked to be 1..4."""
     if not isinstance(table, FrequencyTable):
         raise TypeError(f"estimator needs a FrequencyTable, got {type(table).__name__}")
-    estimators = (_ls_scenario1, _ls_scenario2, _ls_scenario3, _ls_scenario4)
+    estimators = (_ls_pauli, _ls_pauli, _ls_scenario3, _ls_scenario4)
     return estimators[table.scenario - 1](table)

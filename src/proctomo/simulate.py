@@ -30,24 +30,23 @@ setting (fixed, or one multinomial draw over uniform settings), then each
 setting's counts as one multinomial draw over its row of the Born table.
 
 Memory: the Pauli tables have 3^2k 2^2k cells (13.4 MB of float64 at k=4,
-483 MB at k=5).  The Born kernel runs in 36 slices and writes real parts
-straight into the table (scenario 2 through a transposed view of it), and
-``sample`` draws the counts in ``SAMPLE_BLOCKS`` blocks of rows and stores
-the frequencies in that same buffer, so a Pauli ``sample`` peaks at about
-1.3 tables.  The sliced, blocked and in-place steps do the same arithmetic
-and draws as the whole-array forms, so the tables are bitwise equal to
-theirs.
+483 MB at k=5).  The Born map writes real parts straight into the table,
+block by block (``_pauli_fold``), and ``sample`` draws the counts in
+``SAMPLE_BLOCKS`` blocks of rows and stores the frequencies in that same
+buffer, so a Pauli ``sample`` peaks at about 1.25 tables.  The blocked and
+in-place steps do the arithmetic and draws of the whole-array forms, so the
+tables are bitwise equal to theirs.
 
 The MUB kernels take one basis at a time.  The scenario-3 Born table is
-filled row by row, one D x D product conj(B_a) phi per basis B_a of C^D
+filled, and its LS sum taken, with one D x D product per basis B_a of C^D
 (D = d^2), each basis built from the family's phase tables when it is
-needed, so its transients are a few D x D blocks (about 3.5 MB at d = 16),
-where the whole (D+1) x D x D stack would be 270 MB.  Scenario 4
-works on d(d+1) x d^2 arrays (about 17 MB at d = 32), and its Born kernel
-and LS estimator share one: the rows conj(v_i) v_a of ``_mub_rows``.  These
-kernels sum in another order than a single ``einsum`` over the stack would,
-so their tables agree with it to rounding (about 1e-15 of the table's
-maximum), not bitwise.
+needed, so their transients are a few D x D blocks (about 3.5 MB at d = 16)
+where the whole (D+1) x D x D stack would be 270 MB.  Scenario 4 works on
+d(d+1) x d^2 arrays (about 17 MB at d = 32), and its Born kernel and LS
+estimator share one: the rows conj(v_i) v_a of ``_mub_rows``.  These kernels
+sum in another order than a single ``einsum`` over the stack would, so their
+tables agree with it to rounding (about 1e-15 of the table's maximum), not
+bitwise.
 """
 
 from __future__ import annotations
@@ -129,8 +128,8 @@ class FrequencyTable:
 
 def _table_shape(scenario: int, d: int) -> tuple:
     """The table layout of a scenario at system dimension d (module docstring);
-    the table, ``setting_count`` and ``probability_array`` check the scenario
-    here, and d: 2^k for 1-2, a (cached) MUB family of C^(d^2) or C^d for 3-4."""
+    the table, ``setting_count`` and ``_born`` check the scenario here, and
+    d: 2^k for 1-2, a (cached) MUB family of C^(d^2) or C^d for 3-4."""
     _check_scenario(scenario)
     if scenario in (1, 2):
         k = qubit_count(d)
@@ -145,55 +144,82 @@ def setting_count(scenario: int, d: int) -> int:
     return math.prod(_table_shape(scenario, d)[:-1])
 
 
-def pauli_joint_probabilities(phi: np.ndarray, n: int) -> np.ndarray:
-    """Tr(Phi P^s_o) for every setting s in {x,y,z}^n and outcome o in {0,1}^n.
+def _pauli_fold(x: np.ndarray, ops: np.ndarray, out=None) -> np.ndarray:
+    """out[b] = sum_a x[a] prod_i ops[a_i, a'_i, b_i, b'_i] over n qubits, x
+    indexed [a_0..a_{n-1}, a'_0..a'_{n-1}] and out likewise: one ``tensordot``
+    per qubit from qubit 0, O(n 6^n).  The Born map grows 4 cells per qubit
+    to 6 (``_BORN_OPS``) and writes the real part into ``out``; the Pauli LS
+    estimate shrinks 6 to 4 (3|o,s><o,s| - 1) and returns the complex sum.
 
-    Returns a (3^n, 2^n) array; the contraction processes one qubit at a
-    time, so the cost is O(n 6^n) instead of O(18^n) for projector loops.
-    """
-    out = np.empty((3**n, 2**n))
-    _pauli_born(phi, n, out.reshape((3,) * n + (2,) * n))
-    return out
-
-
-def _pauli_born(phi: np.ndarray, n: int, blocks: np.ndarray) -> None:
-    """Write Tr(Phi P^s_o) into ``blocks``, a possibly strided view indexed
-    [s_0..s_{n-1}, o_0..o_{n-1}].
-
-    Qubit 0 is contracted on the whole Choi matrix, which leaves a small
-    6 x 4^(n-1) tensor over u_0 = (s_0, o_0).  Qubit 1 is then contracted
-    one u_0 slice at a time, and the remaining qubits one (u_0, u_1) slice
-    at a time; the real part of each of the 36 slices is written straight
-    into its [s_0, s_1, :, o_0, o_1, :] block.  A slice's complex
-    intermediates hold an eighteenth of the table's bytes, so the kernel
-    peaks at about 1.3 tables (n = 8).  Every element goes through the same
-    ``tensordot`` arithmetic as on the whole tensor, so the result is
+    Chunking: the side with 6^n cells is visited in 6 x 6 blocks over two
+    qubits.  Growing folds qubit 0 on all of x, then in each of its 6 blocks
+    qubit 1, then in each of those the other qubits whole, and writes that
+    block of ``out``.  Shrinking casts each block of qubits n-2 and n-1 to
+    complex and folds its qubits 0..n-3 whole, then stacks 6 results and
+    folds qubit n-2, and stacks 6 of those and folds qubit n-1.  A block is
+    at most 1/18 of the table, so no complex copy of a whole table is made.
+    A block with one row left would reach BLAS as a vector product, whose
+    rounding differs, so two qubits always fold whole; every element goes
+    through the arithmetic of the whole-tensor fold, so the result is
     bitwise equal to it.
     """
-    w = np.einsum("ru,cu->urc", PAULI_VECTORS.conj(), PAULI_VECTORS)
-    _born_fold(np.asarray(phi, dtype=complex).reshape((2,) * (2 * n)), (), w, blocks)
+    n = x.ndim // 2
+    grow = ops.shape[2] * ops.shape[3] > ops.shape[0] * ops.shape[1]
+    split = max(0, min(2, n - 2))  # qubits visited in blocks
+    pairs = [ax for i in range(n) for ax in (i, n + i)]  # [a_0, a'_0, a_1, ...]
+
+    def fold(t):
+        """Fold the qubit on t's first two axes; its (b, b') go last."""
+        return np.tensordot(np.ascontiguousarray(t, dtype=complex), ops, ([0, 1], [0, 1]))
+
+    def block(i, s, o):
+        return (slice(None),) * (2 * i) + (slice(s, s + 1), slice(o, o + 1))
+
+    def visit(t, level, dest):
+        if level == split:
+            for _ in range(n - split):
+                t = fold(t)
+            if not grow:
+                return t
+            dest[...] = t.real
+        elif grow:
+            t = fold(t)
+            for s, o in np.ndindex(3, 2):
+                visit(t[..., s:s + 1, o:o + 1], level + 1, dest[block(level, s, o)])
+        else:
+            q = n - 1 - level
+            parts = [visit(t[block(q, s, o)], level + 1, None) for s, o in np.ndindex(3, 2)]
+            return fold(np.concatenate(parts).reshape((3, 2) + parts[0].shape[2:]))
+
+    if grow:
+        visit(x.transpose(pairs), 0, out.transpose(pairs))
+        return out
+    return visit(x.transpose(pairs), 0, None).transpose(np.argsort(pairs))
 
 
-def _born_fold(c: np.ndarray, lead: tuple, w: np.ndarray, blocks: np.ndarray) -> None:
-    """Contract qubits i = len(lead) .. n-1 of c, axes [u_0..u_{i-1}, r_i..,
-    c_i..] with u_j sliced to the value lead[j], and write the real part."""
-    n = blocks.ndim // 2
-    # a slice with one row left would reach BLAS as a vector product, whose
-    # rounding differs, so the last two qubits are never sliced
-    split = max(0, min(2, n - 2))
-    i = len(lead)
-    stop = i + 1 if i < split else n  # qubit i, or at the last level all the rest
-    for j in range(i, stop):
-        c = np.moveaxis(np.tensordot(c, w, axes=([j, n], [1, 2])), -1, j)
-    if i < split:
-        for u in range(6):
-            _born_fold(c[(slice(None),) * i + (slice(u, u + 1),)], lead + (u,), w, blocks)
-        return
-    m = n - split
-    free = (slice(None),) * m
-    index = tuple(u // 2 for u in lead) + free + tuple(u % 2 for u in lead) + free
-    perm = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
-    blocks[index] = c.real.reshape((3, 2) * m).transpose(perm)
+# ops[r, c, s, o] = conj(v_r) v_c over the six Pauli eigenvectors v = |o, s>
+_BORN_OPS = np.einsum("ru,cu->rcu", PAULI_VECTORS.conj(), PAULI_VECTORS).reshape(2, 2, 3, 2)
+_BORN_OPS.setflags(write=False)
+
+
+def pauli_joint_probabilities(phi: np.ndarray, n: int) -> np.ndarray:
+    """Tr(Phi P^s_o) for every setting s in {x,y,z}^n and outcome o in {0,1}^n,
+    as a (3^n, 2^n) array: ``_pauli_fold`` in its growing direction."""
+    out = np.empty((3,) * n + (2,) * n)
+    _pauli_fold(np.reshape(phi, (2,) * (2 * n)), _BORN_OPS, out)
+    return out.reshape(3**n, 2**n)
+
+
+def _pauli_view(values: np.ndarray, scenario: int, k: int) -> np.ndarray:
+    """A scenario-1 or 2 table as a view [s_0..s_{2k-1}, o_0..o_{2k-1}] over
+    the 2k Choi qubits, system first, which the Born map writes and the LS
+    estimator reads: scenario 2's [a, b, q, p] reads as [b, a, p, q], since
+    p^ab_qp = d Tr(Phi P^b_p (x) P^a_q) puts measurement (b, p) on the system."""
+    joint = np.reshape(values, (3,) * (2 * k) + (2,) * (2 * k))
+    if scenario == 1:
+        return joint
+    a, b, q, p = (list(range(i * k, (i + 1) * k)) for i in range(4))
+    return joint.transpose(b + a + p + q)
 
 
 def _mub_outcome_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
@@ -247,29 +273,28 @@ def _clamp_rows(p: np.ndarray, d: int) -> np.ndarray:
     return p
 
 
-def probability_array(choi: ChoiMatrix, scenario: int) -> np.ndarray:
-    """Exact Born frequencies for a physical Choi matrix, in table layout.
-
-    Every per-setting distribution is normalized; for scenario 2 the entries
-    are the conditional outcome probabilities d * Tr(Phi (P^b_p (x) P^a_q)).
-    """
-    d = choi.dim
-    phi = choi.matrix
-    shape = _table_shape(scenario, d)  # refuses a bad scenario first
+def _born(phi: np.ndarray, scenario: int, d: int) -> np.ndarray:
+    """Born table of a Hermitian phi in table layout, before any clamping:
+    linear in phi, and the measurement map the LS estimators invert.  The
+    scenario is checked before any work."""
+    shape = _table_shape(scenario, d)
     if scenario == 3:
-        return _clamp_rows(_mub_outcome_probabilities(phi, d), d)
+        return _mub_outcome_probabilities(phi, d)
     if scenario == 4:
-        return _clamp_rows(_mub_direct_probabilities(phi, d), d)
+        return _mub_direct_probabilities(phi, d)
     k = qubit_count(d)
     if scenario == 1:
-        return _clamp_rows(pauli_joint_probabilities(phi, 2 * k), d)
-    # scenario 2: the kernel's [b, a, p, q] order written through a view of
-    # the table's [a, b, q, p], each label split into its k qubits
-    table = np.empty((3,) * (2 * k) + (2,) * (2 * k))
-    a, b, q, p = (list(range(i * k, (i + 1) * k)) for i in range(4))
-    _pauli_born(phi, 2 * k, table.transpose(b + a + p + q))
+        return pauli_joint_probabilities(phi, 2 * k)
+    table = np.empty(shape)
+    _pauli_fold(np.reshape(phi, (2,) * (4 * k)), _BORN_OPS, _pauli_view(table, 2, k))
     table *= d
-    return _clamp_rows(table.reshape(shape), d)
+    return table
+
+
+def probability_array(choi: ChoiMatrix, scenario: int) -> np.ndarray:
+    """Exact Born frequencies for a physical Choi matrix, in table layout:
+    ``_born``, clamped, with every per-setting distribution normalized."""
+    return _clamp_rows(_born(choi.matrix, scenario, choi.dim), choi.dim)
 
 
 def exact_table(choi: ChoiMatrix, scenario: int) -> FrequencyTable:

@@ -188,12 +188,20 @@ class TestMakeChannel:
         ({"dim": 2.0}, r"dim must be an integer >= 2, got 2\.0"),
         ({"dim": 1}, "dim must be an integer >= 2, got 1"),
         ({"measure_prob": "0.3"}, "measure_prob must be a number"),
-        ({"measure_prob": None}, "measure_prob must be a number"),
+        ({"measure_prob": [0.25]}, "measure_prob must be a number"),
     ])
     def test_spec_refuses_bad_values_by_name(self, kwargs, match):
         kwargs = {"kind": "mixed_unitary", "dim": 2, **kwargs}
         with pytest.raises(ValueError, match=match):
             ChannelSpec(**kwargs)
+
+    def test_missing_fields_read_as_their_defaults(self):
+        # None is "not given": a noisy QFT reads q = 0 and a mixed unitary r = 1
+        for kind, field, label in (("noisy_qft", "measure_prob", "noisy_qft(q=0)"),
+                                   ("mixed_unitary", "rank", "mixed_unitary(r=1)")):
+            spec = ChannelSpec(kind, 2, **{field: None})
+            assert spec == ChannelSpec(kind, 2)
+            assert spec.label() == label
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_constructions_are_physical(self, d):

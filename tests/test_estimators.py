@@ -8,11 +8,12 @@ from numpy.testing import assert_allclose
 from proctomo.channels import ChannelSpec, KrausSet, choi_from_kraus, make_channel
 from proctomo.designs import mub_family
 from proctomo.estimators import ls_estimate, pauli_assemble
-from proctomo.simulate import FrequencyTable, SamplingPlan, exact_table, sample
+from proctomo.simulate import (FrequencyTable, SamplingPlan, _born, _table_shape,
+                               exact_table, sample, setting_count)
 
 import oracles
 from oracles import all_settings, pauli_projector
-from conftest import (pauli_channels, pauli_plans, random_kraus_ops,
+from conftest import (pauli_channels, pauli_plans, random_hermitian, random_kraus_ops,
                       random_unitary, transient_peak)
 
 
@@ -183,6 +184,27 @@ class TestLinearity:
         combo = (alpha * ls_estimate(make(va)).matrix
                  + (1 - alpha) * ls_estimate(make(vb)).matrix)
         assert_allclose(mixed, combo, atol=1e-12)
+
+
+class TestLeastSquares:
+    """``ls_estimate`` solves each scenario's least-squares problem: the
+    residual f - Born(LS(f)) is orthogonal to the range of the Born map, for
+    a random table f whose per-setting rows sum to one (in scenario 3 the
+    whole table).  A transpose or a dropped ``conj`` in either kernel breaks
+    it at any d, including d = 2 in scenario 4."""
+
+    @pytest.mark.parametrize("scenario,d", [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2),
+                                            (3, 4), (4, 2), (4, 3), (4, 4)])
+    def test_residual_orthogonal_to_born_range(self, scenario, d, rng):
+        f = rng.random(_table_shape(scenario, d))
+        rows = f.reshape(setting_count(scenario, d), -1)
+        rows /= rows.sum(axis=1, keepdims=True)
+        est = ls_estimate(FrequencyTable(scenario, d, f))
+        residual = f - _born(est.matrix, scenario, d)
+        for _ in range(3):
+            born_y = _born(random_hermitian(d * d, rng), scenario, d)
+            bound = 1e-12 * np.linalg.norm(born_y) * np.linalg.norm(f)
+            assert abs(np.sum(residual * born_y)) <= bound
 
 
 class TestStatisticalUnbiasedness:

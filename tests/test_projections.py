@@ -760,8 +760,8 @@ class TestPipeline:
         # exact LS estimates of low-rank channels are PSD only up to rounding
         from proctomo.simulate import exact_table
         for seed in range(10):
-            for kind, rank in (("unitary", 1), ("mixed_unitary", 2)):
-                spec = ChannelSpec(kind, 2, unitary=haar_unitary(2, seed), rank=rank)
+            for kind, fields in (("unitary", {}), ("mixed_unitary", {"rank": 2})):
+                spec = ChannelSpec(kind, 2, unitary=haar_unitary(2, seed), **fields)
                 truth = choi_from_kraus(make_channel(spec))
                 est = ls_estimate(exact_table(truth, scenario))
                 choi, _ = project_to_cptp(proj_cp1_thresholded(est.matrix)[0])

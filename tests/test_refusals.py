@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proctomo import simulate
-from proctomo.bounds import ErrorBudget, g_factor
+from proctomo.bounds import ErrorBudget, f_factor, g_factor
 from proctomo.channels import (RAW_HERMITICITY_TOL, ChannelSpec, ChoiMatrix, KrausSet,
                                fidelity)
 from proctomo.designs import mub_family
@@ -63,6 +63,20 @@ ROWS = [
      5 * np.eye(2), ValueError, "kind 'identity' takes no unitary"),
     ("ChannelSpec-noisy_qft", lambda v: ChannelSpec("noisy_qft", 2, unitary=v),
      "unitary", 5 * np.eye(2), ValueError, "kind 'noisy_qft' takes no unitary"),
+    # so is a measure_prob or a rank, on every kind that does not read it
+    ("ChannelSpec-identity", lambda v: ChannelSpec("identity", 2, rank=v), "rank", -5,
+     ValueError, "kind 'identity' takes no rank"),
+    ("ChannelSpec-identity", lambda v: ChannelSpec("identity", 2, measure_prob=v),
+     "measure_prob", 0.7, ValueError, "kind 'identity' takes no measure_prob"),
+    ("ChannelSpec-unitary", lambda v: ChannelSpec("unitary", 2, unitary=np.eye(2), rank=v),
+     "rank", 4, ValueError, "kind 'unitary' takes no rank"),
+    ("ChannelSpec-unitary",
+     lambda v: ChannelSpec("unitary", 2, unitary=np.eye(2), measure_prob=v),
+     "measure_prob", 0.5, ValueError, "kind 'unitary' takes no measure_prob"),
+    ("ChannelSpec-noisy_qft", lambda v: ChannelSpec("noisy_qft", 2, rank=v), "rank", 2,
+     ValueError, "kind 'noisy_qft' takes no rank"),
+    ("ChannelSpec-mixed_unitary", lambda v: ChannelSpec("mixed_unitary", 2, measure_prob=v),
+     "measure_prob", 0.9, ValueError, "kind 'mixed_unitary' takes no measure_prob"),
     ("proj_cp1_thresholded", proj_cp1_thresholded, "x", _OFF_HERMITIAN, ValueError,
      _NOT_HERMITIAN),
     ("project_to_cptp", project_to_cptp, "phi0", _OFF_HERMITIAN, ValueError,
@@ -85,6 +99,12 @@ ROWS = [
         (f"g_factor-s{scenario}", lambda v, s=scenario: g_factor(s, v)),
         (f"ErrorBudget-s{scenario}",
          lambda v, s=scenario: ErrorBudget(scenario=s, k=v, n_shots=1000)))
+] + [
+    # k is a real number at the bound evaluators too, not only in ErrorBudget
+    (name, call, "k", k, ValueError, f"k must be a number, got {k!r}")
+    for k in (True, "2")
+    for name, call in (("g_factor", lambda v: g_factor(1, v)),
+                       ("f_factor", lambda v: f_factor(1, v)))
 ]
 
 
@@ -120,7 +140,7 @@ def test_one_scenario_rule(name, value, monkeypatch):
     with one message, and the sampling calls do so before any Born work."""
     def born(*args):
         raise AssertionError("the Born kernel ran before the scenario check")
-    monkeypatch.setattr(simulate, "_pauli_born", born)
+    monkeypatch.setattr(simulate, "_pauli_fold", born)
     message = f"scenario must be 1..4, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         SCENARIO_CALLS[name](value)
