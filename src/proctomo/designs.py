@@ -2,7 +2,7 @@
 
 Pauli conventions: |0,s> / |1,s> are the +1 / -1 eigenvectors of sigma_s, so
 |0,z> = |0>, |0,x> = |+>, |0,y> = (|0> + i|1>)/sqrt(2).  ``PAULI_VECTORS``
-is the one table of all six, read by the Born and estimator kernels.  A
+is the one table of all six, read by the Pauli kernels of ``simulate``.  A
 setting on n qubits is a word over ``AXES = ('x', 'y', 'z')``; tables index
 settings in base 3 with that digit order, qubit 0 most significant.
 
@@ -58,7 +58,6 @@ __all__ = [
     "AXES",
     "PAULI_VECTORS",
     "MubFamily",
-    "pauli_operator_stack",
     "mub_family",
     "near_isotropy_defect",
 ]
@@ -66,17 +65,6 @@ __all__ = [
 # column u = 2*axis + o is the eigenvector |o, s> of sigma_s, s = AXES[axis]
 PAULI_VECTORS = np.concatenate([_EIG[axis] for axis in AXES], axis=1)
 PAULI_VECTORS.setflags(write=False)
-
-
-def pauli_operator_stack() -> np.ndarray:
-    """Stack of the six operators 3|o,s><o,s| - 1, indexed by u = 2*axis + o.
-
-    These are the single-qubit tensor factors of the Pauli least-squares
-    estimators; the same index layout is used by the joint-probability and
-    estimator-assembly kernels.
-    """
-    v = PAULI_VECTORS
-    return 3.0 * np.einsum("ru,cu->urc", v, v.conj()) - np.eye(2)
 
 
 EXACT_TOL = 1e-12     # max entry error of an exact identity (roots, orthonormality, closure)

@@ -201,39 +201,41 @@ _SWEEPS = {"sample_size_sweep": (("n_shots_list", "n_shots", None),),
            "rank_sweep": (("ranks", "rank", None),),
            "dimension_sweep": (("k_list", "k", lambda k: 10 * 9**k),
                                ("d_list", "d", lambda d: 100 * d**2))}
-# the channel keys each kind takes besides ``kind``
-_CHANNEL_KEYS = {"identity": (), "qft": (), "random_unitary": (),
-                 "noisy_qft": ("measure_prob",), "mixed_unitary": ("base", "rank")}
+# config channel kind -> (ChannelSpec kind, the unitary it names, the keys it
+# takes besides ``kind`` with their defaults); mixed_unitary's ``base`` key
+# names its unitary
+_CHANNEL_KINDS = {
+    "identity": ("identity", None, {}),
+    "qft": ("unitary", "qft", {}),
+    "random_unitary": ("unitary", "random", {}),
+    "noisy_qft": ("noisy_qft", None, {"measure_prob": 0.25}),
+    "mixed_unitary": ("mixed_unitary", None, {"base": "identity", "rank": 1}),
+}
+# unitary name -> its dim x dim matrix; a Haar unitary is drawn from the seed
+_UNITARIES = {"identity": lambda dim, seed: np.eye(dim),
+              "qft": lambda dim, seed: qft_unitary(dim),
+              "random": haar_unitary}
 
 
 def _build_channel(channel: dict, dim: int, seed: int) -> ChannelSpec:
-    """ChannelSpec of a channel mapping at one dimension; the values go to
-    ChannelSpec as given.  A mixed_unitary base is identity, qft or random."""
+    """ChannelSpec of a channel mapping at one dimension through
+    ``_CHANNEL_KINDS``; the values go to ChannelSpec as given."""
     kind = channel.get("kind", "identity")
-    if not isinstance(kind, str) or kind not in _CHANNEL_KEYS:
+    if not isinstance(kind, str) or kind not in _CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}")
-    for key in channel:
-        if key != "kind" and key not in _CHANNEL_KEYS[kind]:
+    spec_kind, unitary, keys = _CHANNEL_KINDS[kind]
+    given = {key: value for key, value in channel.items() if key != "kind"}
+    for key in given:
+        if key not in keys:
             raise ValueError(f"channel kind {kind!r} takes no key {key!r}")
-    if kind == "identity":
-        return ChannelSpec("identity", dim)
-    if kind == "qft":
-        return ChannelSpec("unitary", dim, unitary=qft_unitary(dim))
-    if kind == "random_unitary":
-        return ChannelSpec("unitary", dim, unitary=haar_unitary(dim, seed))
-    if kind == "noisy_qft":
-        return ChannelSpec("noisy_qft", dim,
-                           measure_prob=channel.get("measure_prob", 0.25))
-    base = channel.get("base", "identity")
-    if base == "identity":
-        w = np.eye(dim)
-    elif base == "qft":
-        w = qft_unitary(dim)
-    elif base == "random":
-        w = haar_unitary(dim, seed)
-    else:
-        raise ValueError(f"unknown mixed_unitary base {base!r}")
-    return ChannelSpec("mixed_unitary", dim, unitary=w, rank=channel.get("rank", 1))
+    fields = {**keys, **given}
+    if "base" in fields:
+        unitary = fields.pop("base")
+        if not isinstance(unitary, str) or unitary not in _UNITARIES:
+            raise ValueError(f"unknown mixed_unitary base {unitary!r}")
+    if unitary is not None:
+        fields["unitary"] = _UNITARIES[unitary](dim, seed)
+    return ChannelSpec(spec_kind, dim, **fields)
 
 
 def _sweep_points(cfg: ExperimentConfig) -> tuple:

@@ -29,6 +29,12 @@ Sampling is reproducible: a table is drawn from one Philox stream keyed by
 setting (fixed, or one multinomial draw over uniform settings), then each
 setting's counts as one multinomial draw over its row of the Born table.
 
+Each scenario's measurement operators E_cell are stated here alone, run both
+ways: ``_born`` and its adjoint f -> sum_cell f_cell E_cell (``_pauli_fold``
+over ``_BORN_OPS`` or its conj()^T, ``_mub_outcome_adjoint``,
+``_mub_direct_adjoint``).  ``estimators`` adds the affine corrections that
+make these the LS estimates, per qubit for Pauli (``_LS_OPS``).
+
 Memory: the Pauli tables have 3^2k 2^2k cells (13.4 MB of float64 at k=4,
 483 MB at k=5).  The Born map writes real parts straight into the table,
 block by block (``_pauli_fold``), and ``sample`` draws the counts in
@@ -37,16 +43,15 @@ buffer, so a Pauli ``sample`` peaks at about 1.25 tables.  The blocked and
 in-place steps do the arithmetic and draws of the whole-array forms, so the
 tables are bitwise equal to theirs.
 
-The MUB kernels take one basis at a time.  The scenario-3 Born table is
-filled, and its LS sum taken, with one D x D product per basis B_a of C^D
-(D = d^2), each basis built from the family's phase tables when it is
-needed, so their transients are a few D x D blocks (about 3.5 MB at d = 16)
-where the whole (D+1) x D x D stack would be 270 MB.  Scenario 4 works on
-d(d+1) x d^2 arrays (about 17 MB at d = 32), and its Born kernel and LS
-estimator share one: the rows conj(v_i) v_a of ``_mub_rows``.  These kernels
-sum in another order than a single ``einsum`` over the stack would, so their
-tables agree with it to rounding (about 1e-15 of the table's maximum), not
-bitwise.
+The MUB kernels take one basis at a time.  The scenario-3 Born table and
+its adjoint take one D x D product per basis B_a of C^D (D = d^2), each
+basis built from the family's phase tables when it is needed, so their
+transients are a few D x D blocks (about 3.5 MB at d = 16) where the whole
+(D+1) x D x D stack would be 270 MB.  Both scenario-4 directions are
+products with the d(d+1) x d^2 rows conj(v_i) v_a of ``_mub_rows`` (about
+17 MB at d = 32).  These kernels sum in another order than a single
+``einsum`` over the stack would, so their tables agree with it to rounding
+(about 1e-15 of the table's maximum), not bitwise.
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ __all__ = [
     "SamplingPlan",
     "FrequencyTable",
     "setting_count",
-    "pauli_joint_probabilities",
     "probability_array",
     "exact_table",
     "sample",
@@ -106,19 +110,26 @@ class FrequencyTable:
     """Frequencies of one scenario at system dimension d: the multinomial
     counts of each setting divided by nu (``sample``), exact Born
     probabilities (``exact_table``) or lab data.  Construction takes
-    ``values`` as a float array (a float64 array as is) and checks its layout."""
+    ``values`` as a float array (a float64 array as is), refusing complex
+    values, and checks its layout and that every value is finite."""
 
     scenario: int
     dim: int                 # system dimension d
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if np.iscomplexobj(self.values):
+            raise ValueError(f"values must be real, got {np.asarray(self.values).dtype}")
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
         _check_int("dim", self.dim, low=2)
         shape = _table_shape(self.scenario, self.dim)
-        if np.shape(self.values) != shape:
+        if values.shape != shape:
             raise ValueError(f"scenario {self.scenario} at d = {self.dim} needs a "
-                             f"{shape} table, got {np.shape(self.values)}")
+                             f"{shape} table, got {values.shape}")
+        lo, hi = values.min(), values.max()  # nan propagates; no table-sized mask
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"values must be finite, got min {lo} and max {hi}")
 
     @property
     def k(self) -> int:
@@ -148,8 +159,9 @@ def _pauli_fold(x: np.ndarray, ops: np.ndarray, out=None) -> np.ndarray:
     """out[b] = sum_a x[a] prod_i ops[a_i, a'_i, b_i, b'_i] over n qubits, x
     indexed [a_0..a_{n-1}, a'_0..a'_{n-1}] and out likewise: one ``tensordot``
     per qubit from qubit 0, O(n 6^n).  The Born map grows 4 cells per qubit
-    to 6 (``_BORN_OPS``) and writes the real part into ``out``; the Pauli LS
-    estimate shrinks 6 to 4 (3|o,s><o,s| - 1) and returns the complex sum.
+    to 6 (``_BORN_OPS``) and writes the real part into ``out``; the adjoint
+    and the Pauli LS estimate shrink 6 to 4 (conj(``_BORN_OPS``)^T and
+    ``_LS_OPS``) and return the complex sum.
 
     Chunking: the side with 6^n cells is visited in 6 x 6 blocks over two
     qubits.  Growing folds qubit 0 on all of x, then in each of its 6 blocks
@@ -197,17 +209,12 @@ def _pauli_fold(x: np.ndarray, ops: np.ndarray, out=None) -> np.ndarray:
     return visit(x.transpose(pairs), 0, None).transpose(np.argsort(pairs))
 
 
-# ops[r, c, s, o] = conj(v_r) v_c over the six Pauli eigenvectors v = |o, s>
+# ops[r, c, s, o] = conj(v_r) v_c over the six Pauli eigenvectors v = |o, s>,
+# and the LS factors 3|o,s><o,s| - 1 = 3 conj(ops)^T - 1 of its adjoint
 _BORN_OPS = np.einsum("ru,cu->rcu", PAULI_VECTORS.conj(), PAULI_VECTORS).reshape(2, 2, 3, 2)
+_LS_OPS = 3 * _BORN_OPS.conj().transpose(2, 3, 0, 1) - np.eye(2)
 _BORN_OPS.setflags(write=False)
-
-
-def pauli_joint_probabilities(phi: np.ndarray, n: int) -> np.ndarray:
-    """Tr(Phi P^s_o) for every setting s in {x,y,z}^n and outcome o in {0,1}^n,
-    as a (3^n, 2^n) array: ``_pauli_fold`` in its growing direction."""
-    out = np.empty((3,) * n + (2,) * n)
-    _pauli_fold(np.reshape(phi, (2,) * (2 * n)), _BORN_OPS, out)
-    return out.reshape(3**n, 2**n)
+_LS_OPS.setflags(write=False)
 
 
 def _pauli_view(values: np.ndarray, scenario: int, k: int) -> np.ndarray:
@@ -223,11 +230,9 @@ def _pauli_view(values: np.ndarray, scenario: int, k: int) -> np.ndarray:
 
 
 def _mub_outcome_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
-    """Scenario-3 distribution over the d^2(d^2+1) MUB outcomes, basis-major.
-
-    Row a of the table is Re <v|phi|v> for the vectors v of basis a, read as
-    the row-wise dot of conj(B_a) phi with B_a: one D x D product per basis.
-    """
+    """Scenario-3 distribution over the d^2(d^2+1) MUB outcomes, basis-major:
+    row a is Re <v|phi|v> over the vectors v of basis a, the row-wise dot of
+    conj(B_a) phi with B_a, one D x D product per basis."""
     fam = mub_family(d * d)
     p = np.empty((fam.dim + 1, fam.dim))
     for a in range(fam.dim + 1):
@@ -237,24 +242,42 @@ def _mub_outcome_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
     return p.reshape(-1)
 
 
+def _mub_outcome_adjoint(f: np.ndarray, d: int) -> np.ndarray:
+    """sum_v f_v |v><v|, d^2+1 times the adjoint of the above: per basis,
+    (B_a^T * f_a) @ conj(B_a)."""
+    fam = mub_family(d * d)
+    mat = np.zeros((fam.dim, fam.dim), dtype=complex)
+    for a, row in enumerate(f.reshape(fam.dim + 1, fam.dim)):
+        basis = fam.basis(a)
+        mat += (basis.T * row) @ basis.conj()
+    return mat
+
+
 def _mub_rows(d: int) -> np.ndarray:
     """R[v, (i, a)] = conj(v_i) v_a over the vectors v of the MUB family of
-    C^d, basis-major; the scenario-4 Born kernel and LS estimator share it."""
+    C^d, basis-major; both scenario-4 kernels are products with it."""
     vecs = mub_family(d).vectors()
     return (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(len(vecs), d * d)
 
 
 def _mub_direct_probabilities(phi: np.ndarray, d: int) -> np.ndarray:
-    """Scenario-4 distributions p[input k, outcome l].
-
-    The amplitude <v_l, v_k| phi |v_l, v_k> is entry (k, l) of R Phi^T R^T,
-    with R = ``_mub_rows(d)`` and Phi[(i, a), (j, b)] = phi[(i, j), (a, b)]:
-    two BLAS products, the input (ancilla) side first.
-    """
+    """Scenario-4 distributions p[input k, outcome l]: the amplitude
+    <v_l, v_k| phi |v_l, v_k> is entry (k, l) of R Phi^T R^T, with
+    R = ``_mub_rows(d)`` and Phi[(i, a), (j, b)] = phi[(i, j), (a, b)]: two
+    BLAS products, the input (ancilla) side first."""
     rows = _mub_rows(d)
     phi_t = np.asarray(phi).reshape((d,) * 4).transpose(1, 3, 0, 2).reshape(d * d, -1)
     amp = (rows @ phi_t) @ rows.T
     return amp.real * d / (d + 1)
+
+
+def _mub_direct_adjoint(g: np.ndarray, d: int) -> np.ndarray:
+    """sum g[k, l] P_l (x) P_k, P_v = |v><v|, (d+1)/d times the adjoint of
+    the above: P^T (g^T P) for P = conj(``_mub_rows``), whose row v is P_v
+    flattened, realigned from (s, s', a, a') to (s, a, s', a')."""
+    projs = _mub_rows(d).conj()
+    mat = (projs.T @ (g.T @ projs)).reshape((d,) * 4)
+    return mat.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def _clamp_rows(p: np.ndarray, d: int) -> np.ndarray:
@@ -283,11 +306,10 @@ def _born(phi: np.ndarray, scenario: int, d: int) -> np.ndarray:
     if scenario == 4:
         return _mub_direct_probabilities(phi, d)
     k = qubit_count(d)
-    if scenario == 1:
-        return pauli_joint_probabilities(phi, 2 * k)
     table = np.empty(shape)
-    _pauli_fold(np.reshape(phi, (2,) * (4 * k)), _BORN_OPS, _pauli_view(table, 2, k))
-    table *= d
+    _pauli_fold(np.reshape(phi, (2,) * (4 * k)), _BORN_OPS, _pauli_view(table, scenario, k))
+    if scenario == 2:
+        table *= d
     return table
 
 

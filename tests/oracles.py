@@ -47,7 +47,7 @@ import numpy as np
 
 from proctomo.channels import DensityMatrix, _hermitize, partial_trace, system_dim
 from proctomo import simulate
-from proctomo.designs import AXES, PAULI_VECTORS, mub_family, pauli_operator_stack
+from proctomo.designs import AXES, PAULI_VECTORS, mub_family
 from proctomo.simulate import FrequencyTable, _stream, setting_count
 
 
@@ -130,7 +130,8 @@ def pauli_joint_probabilities(phi, n):
 
 def pauli_assemble(freqs, n):
     """sum_{s,o} f[s,o] (x)_i (3 |o_i,s_i><o_i,s_i| - 1), on the whole tensor."""
-    ops = pauli_operator_stack()
+    v = PAULI_VECTORS
+    ops = 3.0 * np.einsum("ru,cu->urc", v, v.conj()) - np.eye(2)
     t = np.asarray(freqs, dtype=complex).reshape((3,) * n + (2,) * n)
     perm = [ax for i in range(n) for ax in (i, n + i)]
     t = t.transpose(perm).reshape((6,) * n)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from proctomo.channels import ChannelSpec, KrausSet, choi_from_kraus, make_channel
+from proctomo.channels import (ChannelSpec, KrausSet, choi_from_kraus, make_channel,
+                               qubit_count)
 from proctomo.designs import mub_family
-from proctomo.estimators import ls_estimate, pauli_assemble
-from proctomo.simulate import (FrequencyTable, SamplingPlan, _born, _table_shape,
-                               exact_table, sample, setting_count)
+from proctomo.estimators import ls_estimate
+from proctomo.simulate import (_BORN_OPS, _LS_OPS, FrequencyTable, SamplingPlan, _born,
+                               _mub_direct_adjoint, _mub_outcome_adjoint, _pauli_fold,
+                               _pauli_view, _table_shape, exact_table, sample,
+                               setting_count)
 
 import oracles
 from oracles import all_settings, pauli_projector
@@ -66,7 +69,7 @@ class TestScenario1:
 
     def test_assemble_against_projector_loop(self, rng):
         freqs = rng.random((9, 4))
-        fast = pauli_assemble(freqs, 2)
+        fast = _pauli_fold(freqs.reshape(3, 3, 2, 2), _LS_OPS).reshape(4, 4)
         slow = np.zeros((4, 4), dtype=complex)
         for s_idx, setting in enumerate(all_settings(2)):
             for o_idx, bits in enumerate(itertools.product((0, 1), repeat=2)):
@@ -207,6 +210,36 @@ class TestLeastSquares:
             assert abs(np.sum(residual * born_y)) <= bound
 
 
+def _adjoint(f, scenario, d):
+    """A*(f), the adjoint of ``_born``: the kernels of ``simulate`` times the
+    scale ``_born`` puts on the forward direction; the Pauli A* folds
+    conj(``_BORN_OPS``)^T."""
+    if scenario == 3:
+        return _mub_outcome_adjoint(f, d) / (d * d + 1)
+    if scenario == 4:
+        return _mub_direct_adjoint(f, d) * d / (d + 1)
+    ops = _BORN_OPS.conj().transpose(2, 3, 0, 1)
+    mat = _pauli_fold(_pauli_view(f, scenario, qubit_count(d)), ops).reshape(d * d, d * d)
+    return mat * (d if scenario == 2 else 1)
+
+
+class TestAdjoint:
+    """Each scenario's Born map and the adjoint the estimator is built on
+    state one set of operators: <Born(X), f> = Re Tr(X A*(f)) for a random
+    Hermitian X and a random real table f.  A transpose or a dropped ``conj``
+    on either side moves it by 0.1% or more, far above the 1e-13 bound."""
+
+    @pytest.mark.parametrize("scenario,d", [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2),
+                                            (3, 4), (4, 2), (4, 3), (4, 4), (4, 5)])
+    def test_born_adjoint_identity(self, scenario, d, rng):
+        for _ in range(3):
+            x = random_hermitian(d * d, rng)
+            f = rng.random(_table_shape(scenario, d))
+            born = np.sum(_born(x, scenario, d) * f)
+            adjoint = np.trace(x @ _adjoint(f, scenario, d)).real
+            assert abs(born - adjoint) <= 1e-13 * abs(born)
+
+
 class TestStatisticalUnbiasedness:
     def test_mean_over_seeds_matches_truth(self):
         truth = choi_from_kraus(make_channel(
@@ -233,7 +266,8 @@ class TestChunkedAssembly:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_assemble_bitwise(self, n, rng):
         freqs = rng.random((3**n, 2**n))
-        assert np.array_equal(pauli_assemble(freqs, n),
+        fold = _pauli_fold(freqs.reshape((3,) * n + (2,) * n), _LS_OPS)
+        assert np.array_equal(fold.reshape(2**n, 2**n),
                               oracles.pauli_assemble(freqs, n))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -95,3 +95,19 @@ def test_no_unused_imports():
                + sorted((_ROOT / "scripts").glob("*.py"))
                + sorted((_ROOT / "tests").glob("*.py")))
     assert [u for path in sources for u in _unused_imports(path)] == []
+
+
+def test_estimators_import_nothing_from_designs():
+    """``simulate`` is the one module that states the measurement operators;
+    the estimators read them there, so they import no name from ``designs``
+    (nor the module itself), anywhere in the file."""
+    tree = ast.parse(Path(proctomo.__file__).with_name("estimators.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            found += [f"{node.module or ''}.{a.name}" for a in node.names
+                      if module == "designs" or a.name == "designs"]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[-1] == "designs"]
+    assert found == []

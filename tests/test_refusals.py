@@ -46,6 +46,16 @@ ROWS = [
      "dim", 6, NotImplementedError, "MUB family for dimension 36 not implemented"),
     ("FrequencyTable-s4", lambda v: _table(scenario=4, dim=v, values=np.zeros((42, 42))),
      "dim", 6, NotImplementedError, "MUB family for dimension 6 not implemented"),
+    # a table is real and finite, refused by name before any estimator runs
+    ("FrequencyTable", lambda v: _table(values=v), "values", np.full((9, 4), 0.25 + 0j),
+     ValueError, "values must be real, got complex128"),
+    ("FrequencyTable", lambda v: _table(values=v), "values", [[0.25 + 0j] * 4] * 9,
+     ValueError, "values must be real, got complex128"),
+    ("FrequencyTable", lambda v: _table(values=v), "values", np.full((9, 4), np.nan),
+     ValueError, "values must be finite, got min nan and max nan"),
+    ("FrequencyTable", lambda v: _table(values=v), "values",
+     np.where(np.eye(9, 4) > 0, np.inf, 0.25), ValueError,
+     "values must be finite, got min 0.25 and max inf"),
     ("ChannelSpec", lambda v: ChannelSpec(v, 2), "kind", "bogus", ValueError,
      "unknown channel kind 'bogus'"),
     ("ChannelSpec-unitary", lambda v: ChannelSpec("unitary", 2, unitary=v), "unitary",

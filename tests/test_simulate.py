@@ -10,9 +10,9 @@ from proctomo.channels import (PSD_TOL, ChannelSpec, ChoiMatrix, DensityMatrix,
                                KrausSet, choi_from_kraus, make_channel)
 from proctomo.designs import mub_family
 from proctomo.projections import proj_tp_linear
-from proctomo.simulate import (FrequencyTable, SamplingPlan, exact_table,
-                               pauli_joint_probabilities,
-                               probability_array, sample, setting_count)
+from proctomo.simulate import (_BORN_OPS, FrequencyTable, SamplingPlan, _born,
+                               _pauli_fold, exact_table, probability_array, sample,
+                               setting_count)
 
 import oracles
 from oracles import (all_settings, apply_kraus, born_probabilities,
@@ -51,7 +51,7 @@ class TestBornProbabilities:
     def test_joint_kernel_against_projector_loop(self, rng):
         kraus = random_kraus_ops(4, 2, rng)
         choi = choi_from_kraus(KrausSet(tuple(kraus)))
-        fast = pauli_joint_probabilities(choi.matrix, 4)
+        fast = _born(choi.matrix, 1, 4)
         for s_idx, setting in enumerate(all_settings(4)):
             if s_idx % 17:  # spot-check a deterministic subset
                 continue
@@ -268,7 +268,9 @@ class TestChunkedPauliKernels:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_joint_kernel_bitwise(self, n, rng):
         phi = random_density(2**n, rng)
-        assert np.array_equal(pauli_joint_probabilities(phi, n),
+        joint = _pauli_fold(phi.reshape((2,) * (2 * n)), _BORN_OPS,
+                            np.empty((3,) * n + (2,) * n))
+        assert np.array_equal(joint.reshape(3**n, 2**n),
                               oracles.pauli_joint_probabilities(phi, n))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
