@@ -24,7 +24,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .channels import _check_int, _check_real, _check_scenario
+from .channels import (SPECTRUM_PSD_TOL, SPECTRUM_TRACE_TOL, _check_choice, _check_int,
+                       _check_real)
 
 _K_MAX = 64  # largest qubit count k the evaluators accept
 
@@ -43,10 +44,8 @@ __all__ = [
 
 def g_factor(scenario: int, k: float) -> float:
     """Measurement-scenario factor entering every concentration exponent."""
-    _check_scenario(scenario)
-    _check_real("k", k)
-    if not 1 <= k <= _K_MAX:
-        raise ValueError(f"k must be >= 1 and <= {_K_MAX}, got {k!r}")
+    _check_int("scenario", scenario, 1, 4)
+    _check_real("k", k, 1, _K_MAX)
     if scenario in (1, 2):
         return 3.0 ** (-2 * k)
     return (0.5 if scenario == 3 else 0.25) * 2.0 ** (-2 * k)
@@ -76,10 +75,8 @@ class ErrorBudget:
     def __post_init__(self):
         _check_int("n_shots", self.n_shots, low=0)
         _check_int("rank", self.rank, low=1)
-        for name in ("eta", "epsilon"):
-            _check_real(name, getattr(self, name))
-        if not 0 < self.eta < 1:
-            raise ValueError("eta must lie in (0, 1)")
+        _check_real("eta", self.eta, 0, 1, strict=True)
+        _check_real("epsilon", self.epsilon)
         g_factor(self.scenario, self.k)  # refuses a bad scenario or k
 
     @property
@@ -102,16 +99,14 @@ def pls_failure_prob(budget: ErrorBudget, norm: Literal["frobenius", "trace"]) -
     trace:     Pr[||est - Phi||_1 >= eps] <= 2^2k exp(-(3 N eps^2/32) g/(8r^2))
     """
     eps = budget.epsilon
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_real("epsilon", eps, 0, 1, strict=True)
+    _check_choice("norm", norm, ("frobenius", "trace"))
     d2 = 2.0 ** (2 * budget.k)
     n, r, g = budget.n_shots, budget.rank, budget.g
     if norm == "frobenius":
         expo = (3 * n * eps**2 / 8) * g / (8 * r)
-    elif norm == "trace":
-        expo = (3 * n * eps**2 / 32) * g / (8 * r**2)
     else:
-        raise ValueError(f"unknown norm {norm!r}")
+        expo = (3 * n * eps**2 / 32) * g / (8 * r**2)
     return _capped(d2 * math.exp(-expo))
 
 
@@ -126,16 +121,14 @@ def ls_failure_prob(budget: ErrorBudget, norm: Literal["operator", "frobenius"])
     the projected estimator.
     """
     eps = budget.epsilon
-    if not 0 <= eps <= 1:
-        raise ValueError("tau resp. delta must lie in [0, 1]")
+    _check_real("epsilon", eps, 0, 1)
+    _check_choice("norm", norm, ("operator", "frobenius"))
     d2 = 2.0 ** (2 * budget.k)
     n, g = budget.n_shots, budget.g
     if norm == "operator":
         expo = (3 * n * eps**2 / 8) * g
-    elif norm == "frobenius":
-        expo = (3 * n * eps**2 / 8) * g / d2
     else:
-        raise ValueError(f"unknown norm {norm!r}")
+        expo = (3 * n * eps**2 / 8) * g / d2
     return _capped(d2 * math.exp(-expo))
 
 
@@ -143,8 +136,7 @@ def sample_complexity(budget: ErrorBudget) -> int:
     """Shots needed for Pr[||est - Phi||_2 >= eps] <= eta:
     N >= (32 r / g) (8 / (3 eps^2)) ln(2^2k / eta)."""
     eps, eta = budget.epsilon, budget.eta
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_real("epsilon", eps, 0, 1, strict=True)
     d2 = 2.0 ** (2 * budget.k)
     n = (32 * budget.rank / budget.g) * (8 / (3 * eps**2)) * math.log(d2 / eta)
     return math.ceil(n)
@@ -183,12 +175,12 @@ def confidence_region(spectrum: Sequence[float], budget: ErrorBudget) -> Confide
 
     with t = sqrt(8 ln(2^2k/eta) / (3 N g)); the minimum over r is returned
     (all ranks hold simultaneously with probability 1 - eta)."""
-    if budget.n_shots == 0:
-        raise ValueError("confidence_region needs n_shots > 0")
+    _check_int("n_shots", budget.n_shots, low=1)
     spec = np.sort(np.asarray(spectrum, dtype=float))[::-1]
     if spec.size == 0:
         raise ValueError("empty spectrum")
-    if not np.isfinite(spec).all() or spec[-1] < -1e-9 or abs(spec.sum() - 1.0) > 1e-6:
+    if (not np.isfinite(spec).all() or spec[-1] < -SPECTRUM_PSD_TOL
+            or abs(spec.sum() - 1.0) > SPECTRUM_TRACE_TOL):
         raise ValueError("spectrum must come from a finite trace-one PSD matrix")
     spec = np.clip(spec, 0.0, None)
     t = math.sqrt(8 * math.log(2.0 ** (2 * budget.k) / budget.eta)
@@ -217,8 +209,7 @@ def direct_projection_bound(budget: ErrorBudget) -> tuple[float, int]:
     The two-step bound is the stricter one iff r < d^2/32, so for one- and
     two-qubit channels this direct bound is the tighter of the pair."""
     eps, eta = budget.epsilon, budget.eta
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_real("epsilon", eps, 0, 1, strict=True)
     d2 = 2.0 ** (2 * budget.k)
     f = budget.f
     prob = _capped(d2 * math.exp(-(3 * budget.n_shots * eps / 8) * f))

@@ -20,10 +20,16 @@ Each physical-set rule is one function here (``system_dim``, ``qubit_count``,
 refuse a nan or inf entry first) with its tolerance named in the table below:
 validated states use the strict tolerances, raw least-squares estimates the
 looser ``RAW_*`` pair.
+
+Each scalar input rule of the package is one checker here, with one message
+form: ``_check_int`` and ``_check_real`` ("{name} must be an integer >= 1, got
+0", "... a finite number in (0, 1), got nan"), and ``_check_choice``
+("unknown {name} 'x'; choose from a, b").
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -39,6 +45,8 @@ RAW_HERMITICITY_TOL = 1e-10  # max ||A - A^dag||_inf of a raw estimate or a proj
                              # (proj_cp, proj_cp1_thresholded, project_to_cptp)
 RAW_TRACE_TOL = 1e-8         # max |Tr A - 1| of a raw estimate or first-stage input
 RANK_CUT = 1e-9              # eigenvalues above this count towards the numerical rank
+SPECTRUM_PSD_TOL = 1e-9      # least entry of a confidence_region spectrum is >= -this
+SPECTRUM_TRACE_TOL = 1e-6    # max |sum - 1| of a confidence_region spectrum
 
 __all__ = [
     "DensityMatrix",
@@ -85,26 +93,36 @@ def _check_trace_one(a: np.ndarray, tol: float = TRACE_TOL) -> None:
         raise ValueError(f"trace must be 1, got {tr!r} (tolerance {tol:.1e})")
 
 
-def _check_int(name: str, value, kind: Optional[str] = None, low: Optional[int] = None):
-    """Refuse anything but a plain int (so bool too), and values below low."""
-    if type(value) is not int or (low is not None and value < low):
-        kind = kind or ("an integer" if low is None else f"an integer >= {low}")
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+def _check_range(name: str, value, what: str, typed: bool, low, high, strict: bool):
+    """Refuse value unless typed and in [low, high], or in (low, high) if
+    strict; a bound left at None is not checked."""
+    below = operator.lt if strict else operator.le
+    if not (typed and (low is None or below(low, value))
+            and (high is None or below(value, high))):
+        if high is not None:
+            what += f" in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}"
+        elif low is not None:
+            what += f" {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def _check_real(name: str, value):
+def _check_int(name: str, value, low: Optional[int] = None, high: Optional[int] = None):
+    """Refuse anything but a plain int (so bool too) in [low, high]."""
+    _check_range(name, value, "an integer", type(value) is int, low, high, False)
+
+
+def _check_real(name: str, value, low=None, high=None, strict: bool = False):
     """Refuse anything but an int or finite float (so bool, numeric strings,
-    nan and inf too)."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    nan and inf too) in [low, high], or in (low, high) if strict."""
+    typed = (isinstance(value, float) and bool(np.isfinite(value))
+             or isinstance(value, int) and not isinstance(value, bool))
+    _check_range(name, value, "a finite number", typed, low, high, strict)
 
 
-def _check_scenario(value):
-    """Refuse anything but the plain ints 1..4 (so bool and float too)."""
-    if type(value) is not int or not 1 <= value <= 4:
-        raise ValueError(f"scenario must be 1..4, got {value!r}")
+def _check_choice(name: str, value, choices):
+    """Refuse anything but a str among choices (so a list or array too)."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(choices)}")
 
 
 def system_dim(n: int) -> int:
@@ -208,10 +226,12 @@ class ChannelSpec:
         orthogonal unitaries W S_i with S_i Hilbert-Schmidt-orthogonal
         unitary strings, W = ``unitary`` or the identity
 
-    Construction refuses any other kind, any of ``unitary``, ``measure_prob``
-    and ``rank`` given to a kind that does not read it, by name, and a
-    ``unitary`` that is not a dim x dim unitary to ``KRAUS_TP_TOL``.  A field
-    left at None is not given; one the kind reads is then set to its default.
+    Construction refuses any other kind; any of ``unitary``, ``measure_prob``
+    and ``rank`` given to a kind that does not read it, by name, before its
+    value is checked; a ``measure_prob`` outside [0, 1], a ``rank`` outside
+    [1, dim^2] and a ``unitary`` that is not a dim x dim unitary to
+    ``KRAUS_TP_TOL``.  A field left at None is not given; one the kind reads
+    is then set to its default.
     """
 
     kind: Literal["identity", "unitary", "noisy_qft", "mixed_unitary"]
@@ -221,13 +241,8 @@ class ChannelSpec:
     rank: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _SPEC_FIELDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+        _check_choice("kind", self.kind, _SPEC_FIELDS)
         _check_int("dim", self.dim, low=2)
-        if self.rank is not None:
-            _check_int("rank", self.rank)
-        if self.measure_prob is not None:
-            _check_real("measure_prob", self.measure_prob)
         reads = _SPEC_FIELDS[self.kind]
         for name in ("unitary", "measure_prob", "rank"):
             if getattr(self, name) is None:
@@ -235,11 +250,10 @@ class ChannelSpec:
             elif name not in reads:
                 raise ValueError(f"kind {self.kind!r} takes no {name}")
         if self.kind == "noisy_qft":
-            if not (0.0 <= self.measure_prob <= 1.0):
-                raise ValueError("measure_prob must lie in [0, 1]")
+            _check_real("measure_prob", self.measure_prob, 0, 1)
             qubit_count(self.dim)
-        if self.kind == "mixed_unitary" and not (1 <= self.rank <= self.dim**2):
-            raise ValueError(f"rank must lie in [1, d^2], got {self.rank}")
+        if self.kind == "mixed_unitary":
+            _check_int("rank", self.rank, 1, self.dim**2)
         if self.kind == "unitary" and self.unitary is None:
             raise ValueError("kind 'unitary' requires a unitary matrix")
         if self.unitary is None:

@@ -38,13 +38,13 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import (ChannelSpec, ChoiMatrix, _check_int, _check_scenario,
+from .channels import (ChannelSpec, ChoiMatrix, _check_choice, _check_int,
                        choi_from_kraus, distance, fidelity, haar_unitary, kraus_factor,
                        kraus_rank, make_channel, numerical_rank, qft_unitary)
 from .estimators import ls_estimate
@@ -95,9 +95,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.format_version != 1 or type(self.format_version) is not int:
             raise ValueError(f"unsupported format_version {self.format_version!r}")
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        _check_scenario(self.scenario)
+        _check_choice("experiment", self.experiment, EXPERIMENTS)
+        _check_int("scenario", self.scenario, 1, 4)
         for name in ("channel", "projection"):
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} must be a mapping, got {getattr(self, name)!r}")
@@ -125,7 +124,7 @@ class ExperimentConfig:
             if getattr(self, name, None) is not None:
                 raise ValueError(f"{self.experiment} does not read {name}; remove it")
         _check_int("repetitions", self.repetitions, low=1)
-        _check_int("seed", self.seed, "a nonnegative integer", low=0)
+        _check_int("seed", self.seed, low=0)
         _check_int("threads", self.threads, low=1)
         if not isinstance(self.out_dir, (str, type(None))):
             raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
@@ -135,19 +134,19 @@ class ExperimentConfig:
             raise ValueError(f"k = {self.k} and d = {self.d} disagree: d must be 2**k")
         if self.k_list is not None and self.d_list is not None:
             raise ValueError("set k_list or d_list, not both")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        _check_choice("method", self.method, METHODS)
         if self.methods is not None and not self.methods:
             raise ValueError("methods is empty; omit it to run every method")
-        for m in self.methods or ():
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
+        for i, m in enumerate(self.methods or ()):
+            _check_choice(f"methods[{i}]", m, METHODS)
         if self.methods and len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods lists a method twice: {self.methods!r}")
         # algo_comparison runs each of ``methods`` once, on one estimate
         for name, default in (("repetitions", 1), ("method", "HIPswitch")):
             if self.experiment == "algo_comparison" and getattr(self, name) != default:
                 raise ValueError(f"algo_comparison does not read {name}; remove it")
+        _check_keys("projection", self.projection,
+                    [f.name for f in fields(ProjectionConfig)])
         self.projection_config()  # reject bad projection settings up front
         object.__setattr__(self, "points", _sweep_points(self))
 
@@ -185,7 +184,15 @@ def load_config(path) -> ExperimentConfig:
         data = yaml.safe_load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a mapping")
+    _check_keys("config file", data, [f.name for f in fields(ExperimentConfig)])
     return ExperimentConfig(**data)
+
+
+def _check_keys(record: str, mapping: dict, keys) -> None:
+    """Refuse a key of a config mapping that its record does not take."""
+    for key in mapping:
+        if key not in keys:
+            raise ValueError(f"{record} takes no key {key!r}")
 
 
 class SweepPoint(NamedTuple):
@@ -221,21 +228,17 @@ def _build_channel(channel: dict, dim: int, seed: int) -> ChannelSpec:
     """ChannelSpec of a channel mapping at one dimension through
     ``_CHANNEL_KINDS``; the values go to ChannelSpec as given."""
     kind = channel.get("kind", "identity")
-    if not isinstance(kind, str) or kind not in _CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}")
+    _check_choice("channel kind", kind, _CHANNEL_KINDS)
     spec_kind, unitary, keys = _CHANNEL_KINDS[kind]
     given = {key: value for key, value in channel.items() if key != "kind"}
-    for key in given:
-        if key not in keys:
-            raise ValueError(f"channel kind {kind!r} takes no key {key!r}")
-    fields = {**keys, **given}
-    if "base" in fields:
-        unitary = fields.pop("base")
-        if not isinstance(unitary, str) or unitary not in _UNITARIES:
-            raise ValueError(f"unknown mixed_unitary base {unitary!r}")
+    _check_keys(f"channel kind {kind!r}", given, keys)
+    spec_fields = {**keys, **given}
+    if "base" in spec_fields:
+        unitary = spec_fields.pop("base")
+        _check_choice("mixed_unitary base", unitary, _UNITARIES)
     if unitary is not None:
-        fields["unitary"] = _UNITARIES[unitary](dim, seed)
-    return ChannelSpec(spec_kind, dim, **fields)
+        spec_fields["unitary"] = _UNITARIES[unitary](dim, seed)
+    return ChannelSpec(spec_kind, dim, **spec_fields)
 
 
 def _sweep_points(cfg: ExperimentConfig) -> tuple:

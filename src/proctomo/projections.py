@@ -38,8 +38,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, TP_TOL, ChoiMatrix,
-                       _check_hermitian, _check_int, _check_real, _check_trace_one,
-                       _hermitize, partial_trace, system_dim, tp_deviation)
+                       _check_choice, _check_hermitian, _check_int, _check_real,
+                       _check_trace_one, _hermitize, partial_trace, system_dim,
+                       tp_deviation)
 
 logger = logging.getLogger(__name__)
 
@@ -82,11 +83,8 @@ class ProjectionConfig:
     max_outer_iterations: int = 2000
 
     def __post_init__(self):
-        _check_real("epsilon", self.epsilon)
-        _check_int("max_outer_iterations", self.max_outer_iterations)
-        for name in ("epsilon", "max_outer_iterations"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _check_real("epsilon", self.epsilon, low=0, strict=True)
+        _check_int("max_outer_iterations", self.max_outer_iterations, low=1)
 
 
 @dataclass
@@ -206,9 +204,7 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
     """
     _check_hermitian(x, RAW_HERMITICITY_TOL)
     if tau is not None:
-        _check_real("threshold", tau)
-        if tau < 0:
-            raise ValueError(f"threshold must be finite and nonnegative, got {tau!r}")
+        _check_real("threshold", tau, low=0)
     _check_trace_one(x, RAW_TRACE_TOL)
     lam, v = eigh_iterate(x)
     if tau is None:
@@ -368,8 +364,7 @@ def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
     phi0 = np.asarray(phi0, dtype=complex)
     _check_hermitian(phi0, RAW_HERMITICITY_TOL)
     cfg = cfg or ProjectionConfig()
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    _check_choice("method", method, METHODS)
     if iterate_hook is not None and method in ("Dykstra", "dual"):
         raise ValueError(f"iterate_hook needs an AP/HIP method, not {method}")
     report = ProjectionReport()

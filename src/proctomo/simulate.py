@@ -63,7 +63,7 @@ from typing import Literal
 
 import numpy as np
 
-from .channels import PSD_TOL, ChoiMatrix, _check_int, _check_scenario, qubit_count
+from .channels import PSD_TOL, ChoiMatrix, _check_choice, _check_int, qubit_count
 from .designs import PAULI_VECTORS, mub_family
 
 logger = logging.getLogger(__name__)
@@ -89,13 +89,10 @@ class SamplingPlan:
     seed: int
 
     def __post_init__(self):
-        if self.scheme not in ("fixed", "random"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        _check_choice("scheme", self.scheme, ("fixed", "random"))
         # plain ints: numpy would truncate a float or bool, or fail untyped
-        _check_int("n_shots", self.n_shots)
-        if self.n_shots < 1:
-            raise ValueError(f"n_shots must be positive, got {self.n_shots}")
-        _check_int("seed", self.seed, "a nonnegative integer", low=0)
+        _check_int("n_shots", self.n_shots, low=1)
+        _check_int("seed", self.seed, low=0)
 
     def shots_per_setting(self, n_settings: int) -> float:
         """nu = n_shots / n_settings; the fixed scheme needs it whole."""
@@ -141,7 +138,7 @@ def _table_shape(scenario: int, d: int) -> tuple:
     """The table layout of a scenario at system dimension d (module docstring);
     the table, ``setting_count`` and ``_born`` check the scenario here, and
     d: 2^k for 1-2, a (cached) MUB family of C^(d^2) or C^d for 3-4."""
-    _check_scenario(scenario)
+    _check_int("scenario", scenario, 1, 4)
     if scenario in (1, 2):
         k = qubit_count(d)
         return (9**k, 4**k) if scenario == 1 else (3**k, 3**k, 2**k, 2**k)

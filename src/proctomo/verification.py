@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .bounds import ErrorBudget, confidence_region, pls_failure_prob
-from .channels import (ChannelSpec, choi_from_kraus, distance, haar_unitary,
-                       kraus_rank, make_channel, qft_unitary)
+from .channels import (ChannelSpec, _check_choice, choi_from_kraus, distance,
+                       haar_unitary, kraus_rank, make_channel, qft_unitary)
 from .designs import mub_family, near_isotropy_defect
 from .estimators import ls_estimate
 from .harness import ExperimentConfig, run
@@ -455,8 +455,7 @@ SUITES = {**{name: [name] for name in CHECKS}, "all": list(CHECKS)}
 
 
 def run_suite(suite: str) -> list[CheckResult]:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    _check_choice("suite", suite, SUITES)
     results = []
     for name in SUITES[suite]:
         start = time.perf_counter()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from proctomo.bounds import (_K_MAX, ErrorBudget, confidence_region,
                              direct_projection_bound, f_factor, g_factor,
                              ls_failure_prob, pls_failure_prob, sample_complexity)
+
+from test_refusals import INT, REAL, refusal
 
 
 class TestFactors:
@@ -174,24 +177,13 @@ class TestConfidenceRegion:
 
 
 class TestBudgetInputs:
-    @pytest.mark.parametrize("field,value,match", [
-        ("scenario", True, "scenario must be 1..4"),
-        ("scenario", 5, "scenario must be 1..4"),
-        ("n_shots", True, "n_shots must be an integer"),
-        ("n_shots", 100.0, "n_shots must be an integer"),
-        ("n_shots", -1, "n_shots must be an integer >= 0"),
-        ("rank", 2.5, "rank must be an integer"),
-        ("rank", False, "rank must be an integer"),
-        ("rank", 0, "rank must be an integer >= 1"),
-        ("k", math.nan, "k must be finite"),
-        ("k", "2", "k must be a number"),
-        ("eta", math.nan, "eta must be finite"),
-        ("eta", True, "eta must be a number"),
-        ("epsilon", math.inf, "epsilon must be finite"),
-        ("epsilon", "0.1", "epsilon must be a number"),
+    @pytest.mark.parametrize("field,value", [
+        pytest.param("scenario", True, id="scenario-True-scenario must be 1..4"),
+        pytest.param("scenario", 5, id="scenario-5-scenario must be 1..4"),
     ])
-    def test_bad_input_refused_by_name(self, field, value, match):
-        with pytest.raises(ValueError, match=match):
+    def test_bad_input_refused_by_name(self, field, value):
+        message = refusal(field, INT, (1, 4), value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ErrorBudget(**{"scenario": 1, "k": 1, "n_shots": 100, field: value})
 
     def test_fractional_k_and_large_counts_accepted(self):
@@ -246,7 +238,7 @@ class TestQubitCountDomain:
 
     @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
     def test_one_step_above_refused_by_name(self, scenario):
-        message = f"k must be >= 1 and <= {_K_MAX}, got {_K_MAX + 1}"
+        message = re.escape(refusal("k", REAL, (1, _K_MAX), _K_MAX + 1))
         with pytest.raises(ValueError, match=message):
             g_factor(scenario, _K_MAX + 1)
         with pytest.raises(ValueError, match=message):

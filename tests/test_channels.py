@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from proctomo.estimators import LsEstimate
 
 from oracles import apply_kraus, apply_via_choi, maximally_entangled_state, tr_ancilla
 from conftest import random_density, random_hermitian, random_kraus_ops, random_unitary
+from test_refusals import INT, REAL, refusal
 
 
 class TestMaximallyEntangled:
@@ -182,17 +185,19 @@ class TestMakeChannel:
         with pytest.raises(ValueError):
             ChannelSpec("mixed_unitary", 2, rank=5)
 
-    @pytest.mark.parametrize("kwargs,match", [
-        ({"rank": True}, "rank must be an integer, got True"),
-        ({"rank": 1.5}, "rank must be an integer, got 1.5"),
-        ({"dim": 2.0}, r"dim must be an integer >= 2, got 2\.0"),
-        ({"dim": 1}, "dim must be an integer >= 2, got 1"),
-        ({"measure_prob": "0.3"}, "measure_prob must be a number"),
-        ({"measure_prob": [0.25]}, "measure_prob must be a number"),
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"rank": True}, refusal("rank", INT, (1, 4), True)),
+        ({"rank": 1.5}, refusal("rank", INT, (1, 4), 1.5)),
+        ({"dim": 2.0}, refusal("dim", INT, (2, None), 2.0)),
+        ({"dim": 1}, refusal("dim", INT, (2, None), 1)),
+        ({"kind": "noisy_qft", "measure_prob": "0.3"},
+         refusal("measure_prob", REAL, (0, 1), "0.3")),
+        ({"kind": "noisy_qft", "measure_prob": [0.25]},
+         refusal("measure_prob", REAL, (0, 1), [0.25])),
     ])
-    def test_spec_refuses_bad_values_by_name(self, kwargs, match):
+    def test_spec_refuses_bad_values_by_name(self, kwargs, message):
         kwargs = {"kind": "mixed_unitary", "dim": 2, **kwargs}
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=re.escape(message)):
             ChannelSpec(**kwargs)
 
     def test_missing_fields_read_as_their_defaults(self):

@@ -111,3 +111,35 @@ def test_estimators_import_nothing_from_designs():
         elif isinstance(node, ast.Import):
             found += [a.name for a in node.names if a.name.split(".")[-1] == "designs"]
     assert found == []
+
+
+_RANGE_WORDS = ("must lie in", "must be positive", "nonnegative", "must be >=")
+
+
+def _message_text(node) -> str:
+    """The literal text of a raise's message, a placeholder for each field."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_message_text(v) if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    return ""
+
+
+def test_scalar_rules_live_in_channels():
+    """A range or choice refusal outside ``channels`` goes through
+    ``_check_int``, ``_check_real`` or ``_check_choice``: no other ``raise``
+    in the package states an unknown choice or a range in its own words."""
+    pkg = Path(proctomo.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "channels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                continue
+            text = _message_text(node.exc.args[0])
+            if text.startswith("unknown ") or any(w in text for w in _RANGE_WORDS):
+                found.append(f"{path.name}:{node.lineno}: {text}")
+    assert found == []

@@ -123,16 +123,16 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides,match", [
         ({"scheme": "foo"}, "unknown scheme"),
-        ({"n_shots": -5}, "n_shots must be positive"),
+        ({"n_shots": -5}, "n_shots must be an integer >= 1, got -5"),
         ({"channel": {"kind": "nope"}}, "unknown channel kind"),
         ({"experiment": "rank_sweep", "ranks": [1, 2], "n_shots": None},
          "rank_sweep needs n_shots"),
         ({"experiment": "sample_size_sweep", "n_shots_list": [900, -5], "n_shots": None},
-         "n_shots must be positive"),
+         "n_shots must be an integer >= 1, got -5"),
         ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "n_shots": 0},
-         "n_shots must be positive"),
+         "n_shots must be an integer >= 1, got 0"),
         ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "n_shots": -5},
-         "n_shots must be positive"),
+         "n_shots must be an integer >= 1, got -5"),
         ({"channel": "qft"}, "channel must be a mapping"),
         ({"experiment": "algo_comparison", "methods": []}, "methods is empty"),
         ({"experiment": "algo_comparison", "methods": ["AP", "AP"]},
@@ -140,8 +140,8 @@ class TestConfig:
         ({"d": 4}, "k = 1 and d = 4 disagree"),
         ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "d_list": [2, 4]},
          "set k_list or d_list, not both"),
-        ({"seed": -1}, "seed must be a nonnegative integer"),
-        ({"seed": 1.5}, "seed must be a nonnegative integer"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
         ({"repetitions": 1.5}, "repetitions must be an integer"),
         ({"n_shots": 900.5}, "n_shots must be an integer"),
         ({"n_shots": True}, "n_shots must be an integer"),
@@ -164,7 +164,7 @@ class TestConfig:
         ({"channel": {"kind": "mixed_unitary", "base": "qft", "rank": True}},
          "rank must be an integer"),
         ({"channel": {"kind": "noisy_qft", "measure_prob": "0.3"}},
-         "measure_prob must be a number"),
+         r"measure_prob must be a finite number in \[0, 1\], got '0.3'"),
         ({"experiment": "rank_sweep", "ranks": [1, 2], "channel": {"kind": "qft"}},
          "rank_sweep needs channel kind mixed_unitary"),
         ({"experiment": "rank_sweep", "ranks": [1, 2],
@@ -176,7 +176,7 @@ class TestConfig:
         ({"k": None, "scenario": 4, "d": 1}, "d must be an integer >= 2"),
         ({"scheme": "fixed", "n_shots": 100},
          "fixed scheme needs n_shots divisible by 9 settings"),
-        ({"scenario": True}, "scenario must be 1..4"),
+        ({"scenario": True}, r"scenario must be an integer in \[1, 4\], got True"),
         ({"format_version": True}, "unsupported format_version"),
         ({"projection": [1]}, "projection must be a mapping"),
         ({"experiment": "sample_size_sweep", "n_shots_list": 900},
@@ -253,19 +253,19 @@ class TestConfig:
         assert a.config_hash() != _mini_config(seed=12).config_hash()
 
     @pytest.mark.parametrize("projection,error,match", [
-        ({"epsilonn": 1e-6}, TypeError, "epsilonn"),
-        ({"ap_steps": 6}, TypeError, "ap_steps"),
-        ({"epsilon": 0.0}, ValueError, "epsilon must be positive"),
-        ({"epsilon": -1.0}, ValueError, "epsilon must be positive"),
+        ({"epsilonn": 1e-6}, ValueError, "projection takes no key 'epsilonn'"),
+        ({"ap_steps": 6}, ValueError, "projection takes no key 'ap_steps'"),
+        ({"epsilon": 0.0}, ValueError, "epsilon must be a finite number > 0"),
+        ({"epsilon": -1.0}, ValueError, "epsilon must be a finite number > 0"),
         ({"max_outer_iterations": 2.5}, ValueError,
          "max_outer_iterations must be an integer"),
         ({"max_outer_iterations": True}, ValueError,
          "max_outer_iterations must be an integer"),
-        ({"epsilon": "1e-7"}, ValueError, "epsilon must be a number"),
-        ({"epsilon": True}, ValueError, "epsilon must be a number"),
-        ({"epsilon": float("nan")}, ValueError, "epsilon must be finite"),
-        ({"epsilon": float("inf")}, ValueError, "epsilon must be finite"),
-        ({"epsilon": float("-inf")}, ValueError, "epsilon must be finite"),
+        ({"epsilon": "1e-7"}, ValueError, "epsilon must be a finite number > 0"),
+        ({"epsilon": True}, ValueError, "epsilon must be a finite number > 0"),
+        ({"epsilon": float("nan")}, ValueError, "epsilon must be a finite number > 0"),
+        ({"epsilon": float("inf")}, ValueError, "epsilon must be a finite number > 0"),
+        ({"epsilon": float("-inf")}, ValueError, "epsilon must be a finite number > 0"),
     ])
     def test_bad_projection_rejected_at_construction(self, projection, error, match):
         with pytest.raises(error, match=match):
@@ -286,7 +286,7 @@ class TestConfig:
                 channel: {kind: identity}
                 n_shots: 900
             """) + line + "\n")
-            with pytest.raises(TypeError, match=knob):
+            with pytest.raises(ValueError, match=f"takes no key '{knob}'"):
                 load_config(cfg_path)
         with pytest.raises(TypeError, match="direct"):
             _mini_config(direct=True)
@@ -627,7 +627,7 @@ class TestCli:
         out_dir = tmp_path / "never"
         assert cli.main(["run", str(cfg_path), "--out-dir", str(out_dir),
                          "--epsilon", "-1"]) == 1
-        assert "epsilon must be positive" in capsys.readouterr().err
+        assert "epsilon must be a finite number > 0" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_negative_seed_fails_before_output(self, tmp_path, capsys):
@@ -635,7 +635,7 @@ class TestCli:
         out_dir = tmp_path / "never"
         assert cli.main(["run", str(cfg_path), "--out-dir", str(out_dir),
                          "--seed", "-1"]) == 1
-        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_config_errors(self, tmp_path, capsys):

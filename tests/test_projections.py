@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,6 +30,7 @@ import oracles
 from oracles import maximally_entangled_state
 from conftest import (random_density, random_hermitian, random_unitary,
                       transient_peak)
+from test_refusals import REAL, refusal
 
 
 def _random_tp(n, rng):
@@ -193,14 +195,10 @@ class TestProjCp1Thresholded:
         with pytest.raises(ValueError):
             proj_cp1_thresholded(np.eye(3, dtype=complex) / 3, -0.1)
 
-    @pytest.mark.parametrize("tau,message", [
-        pytest.param(-1.0, "threshold must be finite and nonnegative, got -1.0", id="-1.0"),
-        pytest.param(math.nan, "threshold must be finite, got nan", id="nan"),
-        pytest.param(math.inf, "threshold must be finite, got inf", id="inf"),
-        pytest.param(True, "threshold must be a number, got True", id="True"),
-    ])
-    def test_rejects_bad_threshold_by_name(self, tau, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf, True])
+    def test_rejects_bad_threshold_by_name(self, tau):
+        message = refusal("threshold", REAL, (0, None), tau)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             proj_cp1_thresholded(np.eye(4, dtype=complex) / 4, tau)
 
     def test_rejects_non_finite_input(self):

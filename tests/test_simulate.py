@@ -19,6 +19,7 @@ from oracles import (all_settings, apply_kraus, born_probabilities,
                      maximally_entangled_state, pauli_projector, setting_index)
 from conftest import (pauli_channels, pauli_plans, random_density,
                       random_kraus_ops, transient_peak)
+from test_refusals import INT, refusal
 
 
 @pytest.fixture(scope="module")
@@ -164,19 +165,21 @@ class TestSampling:
         with pytest.raises(ValueError, match="divisible by 9 settings"):
             SamplingPlan("fixed", 100, seed=0).shots_per_setting(9)
 
-    @pytest.mark.parametrize("scheme,n_shots,seed,match", [
-        ("random", 1000.5, 1, "n_shots must be an integer, got 1000.5"),
-        ("random", True, 1, "n_shots must be an integer, got True"),
-        ("fixed", 900.0, 1, "n_shots must be an integer, got 900.0"),
-        ("random", "900", 1, "n_shots must be an integer, got '900'"),
-        ("random", 0, 1, "n_shots must be positive, got 0"),
-        ("random", 1000, 1.7, "seed must be a nonnegative integer, got 1.7"),
-        ("random", 1000, True, "seed must be a nonnegative integer, got True"),
-        ("random", 1000, -1, "seed must be a nonnegative integer, got -1"),
+    @pytest.mark.parametrize("scheme,n_shots,seed,name", [
+        ("random", 1000.5, 1, "n_shots"),
+        ("random", True, 1, "n_shots"),
+        ("fixed", 900.0, 1, "n_shots"),
+        ("random", "900", 1, "n_shots"),
+        ("random", 0, 1, "n_shots"),
+        ("random", 1000, 1.7, "seed"),
+        ("random", 1000, True, "seed"),
+        ("random", 1000, -1, "seed"),
     ])
     def test_plan_refuses_what_it_would_truncate_or_alias(self, scheme, n_shots,
-                                                          seed, match):
-        with pytest.raises(ValueError, match=match):
+                                                          seed, name):
+        low, value = (1, n_shots) if name == "n_shots" else (0, seed)
+        message = refusal(name, INT, (low, None), value)
+        with pytest.raises(ValueError, match=re.escape(message)):
             SamplingPlan(scheme, n_shots, seed)
 
     def test_wide_seeds_keep_their_bits(self, noisy2):
@@ -250,7 +253,8 @@ class TestTableLayout:
 
     @pytest.mark.parametrize("scenario", [0, 5])
     def test_unknown_scenario_refused(self, scenario):
-        with pytest.raises(ValueError, match=f"scenario must be 1..4, got {scenario}"):
+        message = re.escape(refusal("scenario", INT, (1, 4), scenario))
+        with pytest.raises(ValueError, match=message):
             FrequencyTable(scenario=scenario, dim=2, values=np.zeros(20))
 
 
