@@ -112,10 +112,10 @@ def _check_int(name: str, value, low: Optional[int] = None, high: Optional[int] 
 
 
 def _check_real(name: str, value, low=None, high=None, strict: bool = False):
-    """Refuse anything but an int or finite float (so bool, numeric strings,
-    nan and inf too) in [low, high], or in (low, high) if strict."""
+    """Refuse anything but an int, numpy's too, or a finite float (so bools,
+    numeric strings, nan and inf too) in [low, high], or (low, high) if strict."""
     typed = (isinstance(value, float) and bool(np.isfinite(value))
-             or isinstance(value, int) and not isinstance(value, bool))
+             or isinstance(value, (int, np.integer)) and not isinstance(value, bool))
     _check_range(name, value, "a finite number", typed, low, high, strict)
 
 
@@ -160,7 +160,7 @@ class DensityMatrix:
             raise ValueError("matrix must be square")
         _check_hermitian(m)
         _check_trace_one(m)
-        lam_min = np.linalg.eigvalsh(_hermitize(m)).min()
+        lam_min = np.linalg.eigvalsh(m).min()
         if lam_min < -PSD_TOL:
             raise ValueError(f"negative eigenvalue {lam_min:.3e}")
 

@@ -107,7 +107,7 @@ class ExperimentConfig:
         for name in ("n_shots_list", "ranks", "k_list", "d_list", "methods"):
             if not isinstance(getattr(self, name), (list, tuple, type(None))):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
-        for name, low in (("n_shots_list", None), ("ranks", None), ("k_list", 1),
+        for name, low in (("n_shots_list", 1), ("ranks", 1), ("k_list", 1),
                           ("d_list", 2)):
             for i, value in enumerate(getattr(self, name) or ()):
                 _check_int(f"{name}[{i}]", value, low=low)
@@ -257,7 +257,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple:
             raise ValueError("rank_sweep needs channel kind mixed_unitary and no rank")
         channel = {**channel, "kind": "mixed_unitary"}
     points = []
-    for value in getattr(cfg, name) if name else (None,):
+    for i, value in enumerate(getattr(cfg, name) if name else (None,)):
         pt = {"k": cfg.k, "d": cfg.d, "n_shots": cfg.n_shots, "channel": channel}
         if auto_shots:  # the swept dimension replaces k and d
             pt.update(k=None, d=None)
@@ -270,6 +270,8 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple:
         if pt["d"] is None and pt["k"] is None:
             raise ValueError("config must set k or d")
         dim = pt["d"] if pt["d"] is not None else 2 ** pt["k"]
+        if key == "rank":  # its type and lower bound were checked with the config
+            _check_int(f"{name}[{i}]", value, 1, dim * dim)
         # setting_count refuses a Pauli dimension that is not 2^k and a
         # MUB dimension with no family
         plan = SamplingPlan(cfg.scheme, pt["n_shots"], cfg.seed)

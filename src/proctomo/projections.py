@@ -23,9 +23,10 @@ The alternating methods only yield plane iterates; one driver stops them at
 -epsilon or at the cap, and every method ends in one depolarizing mixing step
 that cancels the residual negative eigenvalue and keeps the partial trace.
 
-Eigendecomposition dominates the run time; the iterates are decomposed by
-``eigh_iterate``; tau, the first-stage spectrum and the final lambda_min are
-read off decompositions a stage already made and passed on.
+Eigendecomposition dominates the run time.  The iterates are Hermitian by
+construction and go to ``numpy.linalg.eigh`` with no Hermitian copy; tau, the
+first-stage spectrum, each HIP half-space and the final lambda_min are read
+off decompositions a stage already made and passed on.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "ProjectionConfig",
     "ProjectionReport",
     "HalfSpace",
-    "eigh_iterate",
     "proj_tp",
     "proj_tp_linear",
     "proj_cp",
@@ -132,11 +132,6 @@ class HalfSpace:
         object.__setattr__(self, "tr_normal", partial_trace(self.normal))
 
 
-def eigh_iterate(x: np.ndarray):
-    """Eigendecomposition of a (numerically) Hermitian iterate."""
-    return np.linalg.eigh(_hermitize(x))
-
-
 def _plus_eye_kron(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """x + 1 (x) c as a new array, added through a reshape view of x."""
     d = c.shape[0]
@@ -161,12 +156,13 @@ def proj_tp_linear(x: np.ndarray) -> np.ndarray:
 def proj_cp(x: np.ndarray) -> np.ndarray:
     """Frobenius projection onto the PSD cone (clip negative eigenvalues)."""
     _check_hermitian(x, RAW_HERMITICITY_TOL)
-    lam, v = eigh_iterate(x)
-    return _psd_from_eigh(lam, v)
+    return _psd_from_eigh(*np.linalg.eigh(x))
 
 
 def _psd_from_eigh(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (v * np.clip(lam, 0.0, None)) @ v.conj().T
+    """V+ Lambda+ V+^dag, from the columns of the positive eigenvalues only."""
+    k0 = int(np.searchsorted(lam, 0.0, side="right"))
+    return (v[:, k0:] * lam[k0:]) @ v[:, k0:].conj().T
 
 
 def _waterfill(values: np.ndarray) -> np.ndarray:
@@ -206,7 +202,7 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
     if tau is not None:
         _check_real("threshold", tau, low=0)
     _check_trace_one(x, RAW_TRACE_TOL)
-    lam, v = eigh_iterate(x)
+    lam, v = np.linalg.eigh(x)
     if tau is None:
         tau = max(0.0, -float(lam[0]))
     mu = np.where(lam > tau, lam + tau, 0.0)
@@ -236,14 +232,17 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
 # --------------------------------------------------------------------------
 
 
-def _make_halfspace(phi: np.ndarray, phi_cp: np.ndarray) -> Optional[HalfSpace]:
-    """Half-space containing the PSD cone, orthogonal at phi_cp to phi_cp - phi."""
-    diff = phi_cp - phi
-    nrm = np.linalg.norm(diff, "fro")
+def _make_halfspace(phi: np.ndarray, lam: np.ndarray, v: np.ndarray) -> Optional[HalfSpace]:
+    """Half-space containing the PSD cone, orthogonal at phi_cp = proj_cp(phi)
+    to phi_cp - phi = -V- Lambda- V-^dag, read off phi's decomposition: the
+    normal is built from the negative columns alone, so it is Hermitian, and
+    |phi_cp - phi| = |Lambda-| and <normal, phi_cp> = <normal, phi> + |Lambda-|."""
+    k0 = int(np.searchsorted(lam, 0.0))
+    nrm = float(np.linalg.norm(lam[:k0]))
     if nrm < 1e-14:
         return None
-    normal = diff / nrm
-    return HalfSpace(normal=normal, offset=float(np.vdot(normal, phi_cp).real))
+    normal = (v[:, :k0] * (-lam[:k0] / nrm)) @ v[:, :k0].conj().T
+    return HalfSpace(normal=normal, offset=float(np.vdot(normal, phi).real) + nrm)
 
 
 def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -389,7 +388,7 @@ def _run_iterates(phi0: np.ndarray, method: str, cfg: ProjectionConfig,
     steps with the iterate of largest lambda_min.
     """
     if tp_deviation(phi0) <= TP_TOL:
-        lam0 = float(np.linalg.eigvalsh(_hermitize(phi0)).min())
+        lam0 = float(np.linalg.eigvalsh(phi0).min())
         if lam0 >= -cfg.epsilon:
             report.trace.append((lam0, "start", 0))
             return phi0, lam0, True
@@ -415,13 +414,12 @@ def _hip_family(phi0: np.ndarray, method: str, report: ProjectionReport):
     mode = "AP" if method in ("AP", "HIPswitch") else "HIP"
     steps_in_mode = 0
     while True:
-        lam, v = eigh_iterate(phi)
+        lam, v = np.linalg.eigh(phi)
         yield float(lam[0]), phi, mode
         report.iterations += 1
         report.proj_cp_calls += 1
-        phi_cp = _psd_from_eigh(lam, v)
         if mode == "AP":
-            phi = proj_tp(phi_cp)
+            phi = proj_tp(_psd_from_eigh(lam, v))
             steps_in_mode += 1
             if method == "HIPswitch" and steps_in_mode >= AP_STEPS:
                 mode, steps_in_mode = "HIP", 0
@@ -429,10 +427,9 @@ def _hip_family(phi0: np.ndarray, method: str, report: ProjectionReport):
         else:
             if method == "oneHIP":
                 w_active = []
-            w = _make_halfspace(phi, phi_cp)
+            w = _make_halfspace(phi, lam, v)
             if w is not None:
-                w_active = [w] + w_active
-                w_active = w_active[:MAX_HALFSPACES]
+                w_active = ([w] + w_active)[:MAX_HALFSPACES]
             w_active, phi = hip_inner(w_active, phi)
             steps_in_mode += 1
             if method == "HIPswitch" and steps_in_mode >= HIP_STEPS:
@@ -447,13 +444,12 @@ def _dykstra(phi0: np.ndarray, report: ProjectionReport):
     x = phi0
     corr = np.zeros_like(phi0)
     while True:
-        lam, v = eigh_iterate(x + corr)
-        y = _psd_from_eigh(lam, v)
+        y = _psd_from_eigh(*np.linalg.eigh(x + corr))
         report.proj_cp_calls += 1
         report.iterations += 1
         corr = x + corr - y
         x = proj_tp(y)
-        yield float(np.linalg.eigvalsh(_hermitize(x)).min()), x, "Dykstra"
+        yield float(np.linalg.eigvalsh(x).min()), x, "Dykstra"
 
 
 def _dual_project(phi0: np.ndarray, report: ProjectionReport):
@@ -475,11 +471,12 @@ def _dual_project(phi0: np.ndarray, report: ProjectionReport):
                             axes=([0, 2], [0, 2]))
 
     def state(y):
-        lam, q = eigh_iterate(_plus_eye_kron(phi0, y))
+        lam, q = np.linalg.eigh(_plus_eye_kron(phi0, y))
         report.proj_cp_calls += 1
         lp = np.clip(lam, 0.0, None)
+        # an exactly Hermitian gradient keeps y and each CG step Hermitian
         return (lam, q, 0.5 * lp @ lp - np.trace(y).real / d,
-                tr_s(q * lp, q) - np.eye(d) / d)
+                _hermitize(tr_s(q * lp, q)) - np.eye(d) / d)
 
     y = np.zeros((d, d), dtype=complex)
     lam, q, val, grad = state(y)
@@ -524,6 +521,6 @@ def _dual_project(phi0: np.ndarray, report: ProjectionReport):
     report.dual_grad_norm = float(gnorm)
 
     phi_tp = proj_tp(_psd_from_eigh(lam, q))
-    lam_min = float(np.linalg.eigvalsh(_hermitize(phi_tp)).min())
+    lam_min = float(np.linalg.eigvalsh(phi_tp).min())
     report.trace.append((lam_min, "dual", report.proj_cp_calls))
     return phi_tp, lam_min, report.dual_grad_norm <= DUAL_GRAD_TOL

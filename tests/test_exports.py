@@ -143,3 +143,16 @@ def test_scalar_rules_live_in_channels():
             if text.startswith("unknown ") or any(w in text for w in _RANGE_WORDS):
                 found.append(f"{path.name}:{node.lineno}: {text}")
     assert found == []
+
+
+def test_no_hermitian_copy_before_a_decomposition():
+    """The iterates of ``projections`` are Hermitian by construction, so no
+    ``eigh`` or ``eigvalsh`` call there takes a ``_hermitize(...)`` copy."""
+    path = Path(proctomo.__file__).with_name("projections.py")
+    found = [f"projections.py:{node.lineno}: {ast.unparse(node)}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("eigh", "eigvalsh")
+             and any(isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                     and arg.func.id == "_hermitize" for arg in node.args)]
+    assert found == []

@@ -128,7 +128,7 @@ class TestConfig:
         ({"experiment": "rank_sweep", "ranks": [1, 2], "n_shots": None},
          "rank_sweep needs n_shots"),
         ({"experiment": "sample_size_sweep", "n_shots_list": [900, -5], "n_shots": None},
-         "n_shots must be an integer >= 1, got -5"),
+         r"n_shots_list\[1\] must be an integer >= 1, got -5"),
         ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "n_shots": 0},
          "n_shots must be an integer >= 1, got 0"),
         ({"experiment": "dimension_sweep", "k": None, "k_list": [1, 2], "n_shots": -5},

@@ -56,9 +56,9 @@ def bad_values(kind, domain, typed=False):
     if kind == INT:
         wrong, past = [1.5, True, "2"], lambda bound, way: bound + way
     elif strict and strict[0]:
-        wrong, past = [True, "2", math.nan, math.inf], lambda bound, way: bound
+        wrong, past = [True, np.True_, "2", math.nan, math.inf], lambda bound, way: bound
     else:
-        wrong = [True, "2", math.nan, math.inf]
+        wrong = [True, np.True_, "2", math.nan, math.inf]
         past = lambda bound, way: math.nextafter(bound, way * math.inf)  # noqa: E731
     outside = [past(b, way) for b, way in ((low, -1), (high, 1)) if b is not None]
     return ([] if typed else wrong) + outside
@@ -184,10 +184,10 @@ KINDS = [
     ("ExperimentConfig", lambda v: _config(threads=v), "threads", INT, (1, None), ()),
     ("ExperimentConfig", lambda v: _config(experiment="sample_size_sweep", n_shots=None,
                                            n_shots_list=[900, v]),
-     "n_shots_list[1]", INT, (None, None), ()),
+     "n_shots_list[1]", INT, (1, None), (-5,)),
     ("ExperimentConfig", lambda v: _config(experiment="rank_sweep", ranks=[v],
                                            channel={"kind": "mixed_unitary"}),
-     "ranks[0]", INT, (None, None), ()),
+     "ranks[0]", INT, (1, None), ()),
     ("ExperimentConfig", lambda v: _config(experiment="dimension_sweep", k=None,
                                            k_list=[v]),
      "k_list[0]", INT, (1, None), ()),
@@ -272,6 +272,10 @@ ROWS = [
      "got shapes (3, 1) and (4, 4)"),
     ("ErrorBudget", lambda v: ErrorBudget(scenario=1, k=1, n_shots=100, delta=v), "delta",
      0.05, TypeError, "unexpected keyword argument 'delta'"),
+    # a rank above d^2 is refused once the sweep point's d is known
+    ("ExperimentConfig", lambda v: _config(experiment="rank_sweep", ranks=[1, v],
+                                           channel={"kind": "mixed_unitary"}),
+     "ranks[1]", 17, ValueError, "ranks[1] must be an integer in [1, 4], got 17"),
     # a config record takes its own keys only, in a file as in ``projection``
     ("load_config", _load_config, "key", "repetitons", ValueError,
      "config file takes no key 'repetitons'"),
@@ -325,6 +329,11 @@ def test_one_scenario_rule(name, value, monkeypatch):
     message = refusal("scenario", INT, (1, 4), value)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SCENARIO_CALLS[name](value)
+
+
+def test_numpy_integer_is_a_number():
+    """A real parameter takes numpy's integers as it takes its floats."""
+    assert g_factor(1, np.int64(2)) == g_factor(1, np.float64(2.0)) == pytest.approx(1 / 81)
 
 
 def _hermitian_trace_one(rng):
