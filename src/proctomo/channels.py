@@ -17,7 +17,8 @@ W^dag W gives ``kraus_rank``.  ``distance`` returns all three error norms.
 
 Each physical-set rule is one function here (``system_dim``, ``qubit_count``,
 ``tp_deviation``, ``_check_hermitian``, ``_check_trace_one``; the last two
-refuse a nan or inf entry first) with its tolerance named in the table below:
+refuse a nan or inf entry first, and ``_check_hermitian`` anything but a
+square 2-D array before that) with its tolerance named in the table below:
 validated states use the strict tolerances, raw least-squares estimates the
 looser ``RAW_*`` pair.
 
@@ -74,12 +75,14 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _check_finite(a: np.ndarray) -> None:
+def _check_finite(a: np.ndarray, name: str = "matrix") -> None:
     if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
+        raise ValueError(f"{name} has non-finite entries")
 
 
 def _check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
     _check_finite(a)
     dev = np.abs(a - a.conj().T).max()
     if dev > tol:
@@ -156,8 +159,6 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
         _check_hermitian(m)
         _check_trace_one(m)
         lam_min = np.linalg.eigvalsh(m).min()

@@ -26,7 +26,8 @@ that cancels the residual negative eigenvalue and keeps the partial trace.
 Eigendecomposition dominates the run time.  The iterates are Hermitian by
 construction and go to ``numpy.linalg.eigh`` with no Hermitian copy; tau, the
 first-stage spectrum, each HIP half-space and the final lambda_min are read
-off decompositions a stage already made and passed on.
+off decompositions a stage already made and passed on.  A HIP half-space
+supports the PSD cone, a cone, so it is a cut {X : <N, X> >= 0} through 0.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import (RAW_HERMITICITY_TOL, RAW_TRACE_TOL, TP_TOL, ChoiMatrix,
-                       _check_choice, _check_hermitian, _check_int, _check_real,
-                       _check_trace_one, _hermitize, partial_trace, system_dim,
-                       tp_deviation)
+                       _check_choice, _check_finite, _check_hermitian, _check_int,
+                       _check_real, _check_trace_one, _hermitize, partial_trace,
+                       system_dim, tp_deviation)
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +54,6 @@ __all__ = [
     "ProjectionReport",
     "HalfSpace",
     "proj_tp",
-    "proj_tp_linear",
     "proj_cp",
     "proj_cp1_thresholded",
     "hip_inner",
@@ -76,7 +76,10 @@ class ProjectionConfig:
     """Stopping rule of the iterative projection methods.
 
     ``dual`` ignores both fields: it stops once its gradient norm is at most
-    ``DUAL_GRAD_TOL``, or after ``DUAL_MAX_ITER`` Newton steps.
+    ``DUAL_GRAD_TOL``, or after ``DUAL_MAX_ITER`` Newton steps.  An epsilon
+    below the eigensolver's rounding of lambda_min may never be met: the run
+    goes to the cap and reports ``converged=False`` (epsilon = 1e-17 caps AP
+    and oneHIP at k = 3).
     """
 
     epsilon: float = 1e-7            # stop once lambda_min >= -epsilon
@@ -114,20 +117,21 @@ class ProjectionReport:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """Supporting half-space {X : <normal, X> >= offset} of the PSD cone.
+    """Supporting half-space {X : <normal, X> >= 0} of the PSD cone: the
+    cone's supporting hyperplanes all pass through the origin.
 
     ``tr_normal`` is the d x d partial trace Tr_s(normal); with it the Gram
-    system of the hyperplane projection needs no projected copy of the
-    normal (see ``hip_inner``).
+    system of the hyperplane projection and the step's partial trace need
+    no projected copy of the normal (see ``hip_inner``).  A non-finite or
+    non-unit normal is refused.
     """
 
     normal: np.ndarray
-    offset: float
     tr_normal: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        nrm = np.linalg.norm(self.normal, "fro")
-        if abs(nrm - 1.0) > 1e-12:
+        _check_finite(self.normal, "half-space normal")
+        if abs(np.linalg.norm(self.normal, "fro") - 1.0) > 1e-12:
             raise ValueError("half-space normal must have unit Frobenius norm")
         object.__setattr__(self, "tr_normal", partial_trace(self.normal))
 
@@ -145,12 +149,6 @@ def proj_tp(x: np.ndarray) -> np.ndarray:
     """Frobenius projection onto {X : Tr_s(X) = 1/d}."""
     d = system_dim(x.shape[0])
     return _plus_eye_kron(x, (np.eye(d) / d - partial_trace(x)) / d)
-
-
-def proj_tp_linear(x: np.ndarray) -> np.ndarray:
-    """Linear part of proj_tp: projection onto {X : Tr_s(X) = 0}."""
-    d = system_dim(x.shape[0])
-    return _plus_eye_kron(x, -partial_trace(x) / d)
 
 
 def proj_cp(x: np.ndarray) -> np.ndarray:
@@ -232,17 +230,17 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
 # --------------------------------------------------------------------------
 
 
-def _make_halfspace(phi: np.ndarray, lam: np.ndarray, v: np.ndarray) -> Optional[HalfSpace]:
-    """Half-space containing the PSD cone, orthogonal at phi_cp = proj_cp(phi)
-    to phi_cp - phi = -V- Lambda- V-^dag, read off phi's decomposition: the
-    normal is built from the negative columns alone, so it is Hermitian, and
-    |phi_cp - phi| = |Lambda-| and <normal, phi_cp> = <normal, phi> + |Lambda-|."""
+def _make_halfspace(lam: np.ndarray, v: np.ndarray) -> HalfSpace:
+    """The cut {X : <N, X> >= 0} through the origin that supports the PSD
+    cone at phi_cp = proj_cp(phi), read off phi's decomposition (lam, v);
+    the driver steps only from lambda_min < -epsilon < 0, so lam has a
+    negative eigenvalue.  N = -V- Lambda- V-^dag / |Lambda-|
+    is the unit direction of phi_cp - phi, built from the negative columns
+    alone, so it is Hermitian; it lives on phi's negative eigenspace and
+    phi_cp on the rest, so <N, phi_cp> = 0 and <N, phi> = -|Lambda-|."""
     k0 = int(np.searchsorted(lam, 0.0))
     nrm = float(np.linalg.norm(lam[:k0]))
-    if nrm < 1e-14:
-        return None
-    normal = (v[:, :k0] * (-lam[:k0] / nrm)) @ v[:, :k0].conj().T
-    return HalfSpace(normal=normal, offset=float(np.vdot(normal, phi).real) + nrm)
+    return HalfSpace(normal=(v[:, :k0] * (-lam[:k0] / nrm)) @ v[:, :k0].conj().T)
 
 
 def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,16 +252,17 @@ def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _tp_inner(a: HalfSpace, b: HalfSpace, d: int) -> float:
-    """<P a, P b> of two normals, P = ``proj_tp_linear``: P is self-adjoint
-    and idempotent, and P x = x - 1 (x) Tr_s(x) / d, so this is
-    <a, b> - <Tr_s a, Tr_s b> / d."""
+    """<P a, P b> of two normals, P x = x - 1 (x) Tr_s(x) / d the projection
+    onto the partial-trace plane's directions {X : Tr_s(X) = 0}: P is
+    self-adjoint and idempotent, so this is <a, b> - <Tr_s a, Tr_s b> / d."""
     return (np.vdot(a.normal, b.normal).real
             - np.vdot(a.tr_normal, b.tr_normal).real / d)
 
 
 def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
-    """Greedy selection of half-spaces whose joint hyperplane projection is
-    also the half-space projection, then the projection itself.
+    """Greedy selection of half-spaces {X : <N, X> >= 0} whose joint
+    hyperplane projection is also the half-space projection, then the
+    projection itself.
 
     Candidates are scanned in recency order; one is kept when the Gram system
     of the tentative set has all coefficients nonnegative (the KKT condition
@@ -272,10 +271,10 @@ def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
     partial-trace plane, read as <P a, P b> = <a, b> - <Tr_s a, Tr_s b> / d,
     so no projected normal is stored.  Its lower Cholesky factor L grows by
     one row per candidate; a candidate whose pivot is at most
-    ``HIP_PIVOT_CUT`` depends on the accepted normals and is skipped.
-    Returns the accepted list and the projection of phi onto the intersection
-    of the partial-trace plane with those half-spaces,
-    phi + P(sum_i c_i normal_i).
+    ``HIP_PIVOT_CUT`` depends on the accepted normals and is skipped; the
+    right-hand side is -<N, phi>.  Returns the accepted list and the
+    projection of phi onto the plane cut by those half-spaces,
+    phi + P(sum_i c_i N_i), whose partial trace is sum_i c_i ``tr_normal``_i.
 
     The accepted set hinges on signs near -``HIP_COEFF_CUT``, so both solves
     round exactly as LAPACK's triangular solves (the tests' reference).  L^-1
@@ -302,16 +301,18 @@ def hip_inner(halfspaces: Sequence[HalfSpace], phi: np.ndarray):
         trial_low[:m, :m] = low
         trial_low[m, :m] = y
         trial_low[m, m] = math.sqrt(pivot)
-        rhs = cand.offset - np.vdot(cand.normal, phi).real
+        rhs = -np.vdot(cand.normal, phi).real
         trial_z = np.append(z, (rhs - y @ z) / trial_low[m, m])
         c = np.linalg.solve(trial_low.T, trial_z)
         if np.all(c >= -HIP_COEFF_CUT):
             accepted.append(cand)
             low, z, coeffs = trial_low, trial_z, c
     step = np.zeros_like(phi)
+    tr_step = np.zeros((d, d), dtype=complex)
     for c, h in zip(coeffs, accepted):
         step += c * h.normal
-    return accepted, phi + proj_tp_linear(step)
+        tr_step += c * h.tr_normal
+    return accepted, phi + _plus_eye_kron(step, -tr_step / d)
 
 
 # --------------------------------------------------------------------------
@@ -425,12 +426,8 @@ def _hip_family(phi0: np.ndarray, method: str, report: ProjectionReport):
                 mode, steps_in_mode = "HIP", 0
                 w_active = []
         else:
-            if method == "oneHIP":
-                w_active = []
-            w = _make_halfspace(phi, lam, v)
-            if w is not None:
-                w_active = ([w] + w_active)[:MAX_HALFSPACES]
-            w_active, phi = hip_inner(w_active, phi)
+            kept = [] if method == "oneHIP" else w_active[:MAX_HALFSPACES - 1]
+            w_active, phi = hip_inner([_make_halfspace(lam, v)] + kept, phi)
             steps_in_mode += 1
             if method == "HIPswitch" and steps_in_mode >= HIP_STEPS:
                 mode, steps_in_mode = "AP", 0

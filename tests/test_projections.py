@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
@@ -23,8 +23,7 @@ from proctomo.projections import (DUAL_GRAD_TOL, MAX_HALFSPACES, HalfSpace,
                                   ProjectionConfig, _forward_solve,
                                   _make_halfspace, _waterfill,
                                   depolarizing_finalize, hip_inner, proj_cp,
-                                  proj_cp1_thresholded, proj_tp, proj_tp_linear,
-                                  project_to_cptp)
+                                  proj_cp1_thresholded, proj_tp, project_to_cptp)
 from proctomo.simulate import SamplingPlan, sample
 
 import oracles
@@ -72,15 +71,10 @@ class TestProjTp:
                + np.linalg.norm(x - px, "fro") ** 2)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    def test_linear_part_annihilates_partial_trace(self, rng):
-        x = random_hermitian(9, rng)
-        assert np.abs(partial_trace(proj_tp_linear(x))).max() < 1e-12
-
     @pytest.mark.parametrize("d", range(2, 17))
     def test_matches_kron_form_bitwise(self, d, rng):
         for x in (random_hermitian(d * d, rng), random_hermitian(d * d, rng).real.T):
             assert np.array_equal(proj_tp(x), oracles.proj_tp(x))
-            assert np.array_equal(proj_tp_linear(x), oracles.proj_tp_linear(x))
 
 
 class TestProjCp:
@@ -281,7 +275,9 @@ def _hip_inner_oracle(halfspaces, phi):
     dense projections in ``TestHipInner``).  The solves are scipy's
     ``solve_triangular``.  Bitwise equality with ``hip_inner``'s numpy
     solves rests on numpy and scipy bundling OpenBLAS builds that share the
-    ``ddot`` and ``trsm`` kernels.
+    ``ddot`` and ``trsm`` kernels.  Each half-space is a cut through the
+    origin, so the right-hand side is -<N, phi>; the step's partial trace is
+    sum_i c_i Tr_s(N_i), from this oracle's own ``partial_trace`` calls.
     """
     d = round(phi.shape[0] ** 0.5)
     traces = {id(h): partial_trace(h.normal) for h in halfspaces}
@@ -295,7 +291,7 @@ def _hip_inner_oracle(halfspaces, phi):
     for cand in halfspaces:
         trial = accepted + [cand]
         gram = np.array([[inner(a, b) for b in trial] for a in trial])
-        rhs = np.array([h.offset - np.vdot(h.normal, phi).real for h in trial])
+        rhs = np.array([-np.vdot(h.normal, phi).real for h in trial])
         c, kept = _solve_gram_oracle(gram, rhs)
         if len(trial) - 1 not in kept:
             continue
@@ -303,45 +299,54 @@ def _hip_inner_oracle(halfspaces, phi):
             accepted = [trial[i] for i in kept]
             coeffs = c[kept]
     step = np.zeros_like(phi)
+    tr_step = np.zeros((d, d), dtype=complex)
     for c, h in zip(coeffs, accepted):
         step += c * h.normal
-    return accepted, phi + oracles.proj_tp_linear(step)
+        tr_step += c * traces[id(h)]
+    return accepted, phi + (step - np.kron(np.eye(d), tr_step) / d)
 
 
 def _unit(a):
     return a / np.linalg.norm(a, "fro")
 
 
-def _halfspace_window(n, kinds, rng):
-    """A plane iterate and one half-space per entry of ``kinds``.
+def _cut(a, phi, value):
+    """HalfSpace {X : <N, X> >= 0}, N = a + s 1 normalized, s chosen so that
+    <N, phi> = value / |a + s 1|: value's sign, its size up to that norm.  A
+    plane point has trace one and P 1 = 0, so s moves the cut to that value
+    without turning its in-plane part P a."""
+    return HalfSpace(normal=_unit(a + (value - np.vdot(a, phi).real) * np.eye(len(a))))
 
+
+def _halfspace_window(n, kinds, rng):
+    """A plane iterate and one cut through the origin per entry of ``kinds``.
+
+    Each kind is set by the sign and size of <N, phi> (see ``_cut``).
     'violated' and 'satisfied' draw a fresh random normal cutting off resp.
     keeping phi, 'touching' one whose boundary passes within 1e-13 of phi
-    (coefficients in the -1e-12 tolerance band).  'duplicate', 'parallel'
-    and 'near' reuse an earlier normal exactly, negated, or perturbed by a
-    relative 1e-9..1e-2, with a fresh offset; 'weak' is the nearly parallel,
-    barely violated partner that forces a negative joint coefficient.
+    (coefficients in the -1e-12 tolerance band).  'duplicate' and
+    'parallel' reuse an earlier normal exactly or negated; 'near' perturbs
+    one by a relative 1e-9..1e-2 and moves it to a fresh value; 'weak' is
+    the nearly parallel, barely violated partner that forces a negative
+    joint coefficient.
     """
     phi = _random_tp(n, rng)
-    normals = []
     out = []
     for kind in kinds:
-        if not normals or kind in ("violated", "satisfied", "touching"):
-            a = _unit(random_hermitian(n, rng))
-        elif kind == "duplicate":
-            a = normals[rng.integers(len(normals))]
-        elif kind == "parallel":
-            a = -normals[rng.integers(len(normals))]
+        if out and kind in ("duplicate", "parallel"):
+            sign = 1 if kind == "duplicate" else -1
+            out.append(HalfSpace(normal=sign * out[rng.integers(len(out))].normal))
+            continue
+        if not out or kind in ("violated", "satisfied", "touching"):
+            a = random_hermitian(n, rng)
         else:  # near, weak
             scale = 10.0 ** rng.uniform(-9, -2) if kind == "near" else 0.05
-            base = normals[rng.integers(len(normals))]
-            a = _unit(base + scale * random_hermitian(n, rng))
-        value = float(np.vdot(a, phi).real)
-        gap = {"satisfied": -rng.uniform(0.01, 1.0),
-               "touching": -rng.uniform(0.0, 1e-13),
-               "weak": rng.uniform(0.0, 0.05)}.get(kind, rng.uniform(0.0, 1.0))
-        normals.append(a)
-        out.append(HalfSpace(normal=a, offset=value + gap))
+            base = out[rng.integers(len(out))].normal
+            a = base + scale * random_hermitian(n, rng)
+        value = {"satisfied": rng.uniform(0.01, 1.0),
+                 "touching": rng.uniform(0.0, 1e-13),
+                 "weak": -rng.uniform(0.0, 0.05)}.get(kind, -rng.uniform(0.0, 1.0))
+        out.append(_cut(a, phi, value))
     return phi, out
 
 
@@ -393,10 +398,8 @@ class TestHipInner:
 
     def test_duplicate_normal_is_skipped(self, rng):
         phi = _random_tp(4, rng)
-        a = _unit(random_hermitian(4, rng))
-        value = float(np.vdot(a, phi).real)
-        w1 = HalfSpace(normal=a, offset=value + 0.5)
-        w2 = HalfSpace(normal=a.copy(), offset=value + 0.7)
+        w1 = _cut(random_hermitian(4, rng), phi, -0.5)
+        w2 = HalfSpace(normal=w1.normal.copy())
         active, new = hip_inner([w1, w2], phi)
         assert active == [w1]
         assert np.array_equal(new, _hip_inner_oracle([w1, w2], phi)[1])
@@ -409,10 +412,10 @@ class TestHipInner:
         phi = proj_tp(proj_cp1_thresholded(est.matrix)[0])
         window = []
         for _ in range(40):
-            w = _make_halfspace(phi, *np.linalg.eigh(phi))
-            if w is None:
+            lam, v = np.linalg.eigh(phi)
+            if lam[0] >= 0:
                 break
-            window = [w] + window[:29]
+            window = [_make_halfspace(lam, v)] + window[:29]
             want_active, want = _hip_inner_oracle(window, phi)
             window, phi = hip_inner(window, phi)
             assert len(window) == len(want_active)
@@ -421,25 +424,19 @@ class TestHipInner:
 
     def test_single_violated_halfspace(self, rng):
         phi = _random_tp(4, rng)
-        a = random_hermitian(4, rng)
-        a /= np.linalg.norm(a, "fro")
-        w = HalfSpace(normal=a, offset=float(np.vdot(a, phi).real) + 0.5)
+        w = _cut(random_hermitian(4, rng), phi, -0.5)
+        assert np.vdot(w.normal, phi).real < 0
         active, new = hip_inner([w], phi)
         assert len(active) == 1
         # equals the single-hyperplane projection within the plane
-        ta = proj_tp_linear(w.normal)
-        expected = phi + (w.offset - np.vdot(a, phi).real) / np.vdot(ta, ta).real * ta
+        ta = oracles.proj_tp_linear(w.normal)
+        expected = phi - np.vdot(w.normal, phi).real / np.vdot(ta, ta).real * ta
         assert_allclose(new, expected, atol=1e-10)
-        assert np.vdot(a, new).real == pytest.approx(w.offset, abs=1e-9)
+        assert np.vdot(w.normal, new).real == pytest.approx(0.0, abs=1e-9)
 
     def test_satisfied_halfspaces_ignored(self, rng):
         phi = _random_tp(4, rng)
-        halfspaces = []
-        for _ in range(3):
-            a = random_hermitian(4, rng)
-            a /= np.linalg.norm(a, "fro")
-            halfspaces.append(HalfSpace(normal=a,
-                                        offset=float(np.vdot(a, phi).real) - 1.0))
+        halfspaces = [_cut(random_hermitian(4, rng), phi, 1.0) for _ in range(3)]
         active, new = hip_inner(halfspaces, phi)
         assert active == []
         assert_allclose(new, phi, atol=0)
@@ -447,39 +444,58 @@ class TestHipInner:
     def test_negative_coefficient_excluded(self, rng):
         phi = _random_tp(4, rng)
         a1 = random_hermitian(4, rng)
-        a1 /= np.linalg.norm(a1, "fro")
-        # nearly parallel second normal with a much weaker offset: joint
-        # hyperplane projection would pull it negative
-        a2 = a1 + 0.05 * random_hermitian(4, rng)
-        a2 /= np.linalg.norm(a2, "fro")
-        w1 = HalfSpace(normal=a1, offset=float(np.vdot(a1, phi).real) + 1.0)
-        w2 = HalfSpace(normal=a2, offset=float(np.vdot(a2, phi).real) + 0.05)
-        gram = np.array([[np.vdot(proj_tp_linear(w.normal), proj_tp_linear(v.normal)).real
-                          for v in (w1, w2)] for w in (w1, w2)])
-        rhs = np.array([1.0, 0.05])
+        # nearly parallel second cut, violated far less: joint hyperplane
+        # projection would pull it negative
+        w1 = _cut(a1, phi, -1.0)
+        w2 = _cut(a1 + 0.05 * random_hermitian(4, rng), phi, -0.05)
+        proj = [oracles.proj_tp_linear(w.normal) for w in (w1, w2)]
+        gram = np.array([[np.vdot(a, b).real for b in proj] for a in proj])
+        rhs = np.array([-np.vdot(w.normal, phi).real for w in (w1, w2)])
         coeffs = np.linalg.solve(gram, rhs)
         assert coeffs.min() < 0, "construction should force a negative coefficient"
         active, new = hip_inner([w1, w2], phi)
         assert len(active) == 1
         for w in (w1, w2):
-            assert np.vdot(w.normal, new).real >= w.offset - 1e-9
+            assert np.vdot(w.normal, new).real >= -1e-9
         assert np.abs(partial_trace(new - phi)).max() < 1e-12
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_gram_identity_matches_dense_projection(self, n, rng):
-        # <P a, P b> = <a, b> - <Tr_s a, Tr_s b> / d, P = proj_tp_linear
+        # <P a, P b> = <a, b> - <Tr_s a, Tr_s b> / d, P the linear part of proj_tp
         d = round(n**0.5)
+        p_lin = oracles.proj_tp_linear
         for _ in range(5):
-            a, b = (HalfSpace(normal=_unit(random_hermitian(n, rng)), offset=0.0)
-                    for _ in range(2))
+            a, b = (HalfSpace(normal=_unit(random_hermitian(n, rng))) for _ in range(2))
             for x, y in ((a, b), (a, a), (b, a)):
-                dense = np.vdot(proj_tp_linear(x.normal), proj_tp_linear(y.normal)).real
+                dense = np.vdot(p_lin(x.normal), p_lin(y.normal)).real
                 assert abs(projections._tp_inner(x, y, d) - dense) <= 1e-14
             assert np.array_equal(a.tr_normal, partial_trace(a.normal))
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([4, 16]),
+           depth=st.floats(0.0, 14.0))
+    @settings(max_examples=200, deadline=None)
+    def test_halfspace_is_a_cut_through_the_origin(self, seed, n, depth):
+        # phi's least eigenvalue is -10^-depth; <N, phi_cp> is 0 and <N, phi>
+        # is -|Lambda-| up to rounding, at most 1.4e-16 and 4.0e-16 of |phi|
+        # over 10,000 such draws; N is PSD, so no PSD point is cut off
+        rng = np.random.default_rng(seed)
+        phi = random_hermitian(n, rng)
+        phi -= (np.linalg.eigvalsh(phi)[0] + 10.0 ** -depth) * np.eye(n)
+        lam, v = np.linalg.eigh(phi)
+        assume(lam[0] < 0)
+        normal = _make_halfspace(lam, v).normal
+        scale = np.linalg.norm(phi, "fro")
+        assert abs(np.vdot(normal, proj_cp(phi))) <= 1e-15 * scale
+        assert abs(np.vdot(normal, phi).real + np.linalg.norm(lam[lam < 0])) <= 1e-14 * scale
+        for _ in range(5):
+            assert np.vdot(normal, random_density(n, rng)).real >= 0
+
     def test_normal_must_be_unit(self, rng):
-        with pytest.raises(ValueError):
-            HalfSpace(normal=2 * np.eye(4, dtype=complex), offset=0.0)
+        # nan fails every comparison, so a nan normal is refused as non-finite
+        for normal, message in ((2 * np.eye(4, dtype=complex), "unit Frobenius norm"),
+                                (np.full((4, 4), np.nan), "non-finite")):
+            with pytest.raises(ValueError, match=message):
+                HalfSpace(normal=normal)
 
 
 ALTERNATING = ["AP", "Dykstra", "oneHIP", "pureHIP", "HIPswitch"]
@@ -713,7 +729,7 @@ class TestDepolarizingFinalize:
         bump = np.zeros((16, 16), dtype=complex)
         bump[0, 0] = 1.0
         bump[1, 1] = -1.0
-        direction = proj_tp_linear(bump)  # diagonal, keeps Tr_s fixed
+        direction = oracles.proj_tp_linear(bump)  # diagonal, keeps Tr_s fixed
         lam_dir = np.linalg.eigvalsh(direction).min()
         scale = (1 / 16 + 1e-7) / (-lam_dir)
         phi = np.eye(16) / 16 + scale * direction
@@ -731,7 +747,7 @@ class TestDepolarizingFinalize:
         bump = np.zeros((4, 4), dtype=complex)
         bump[0, 0] = 1.0
         bump[1, 1] = -1.0
-        direction = proj_tp_linear(bump)
+        direction = oracles.proj_tp_linear(bump)
         scale = (0.25 + 0.2) / (-np.linalg.eigvalsh(direction).min())
         phi = np.eye(4) / 4 + scale * direction
         lam_min = np.linalg.eigvalsh(phi).min()
@@ -860,6 +876,22 @@ def test_iterates_are_hermitian_by_construction(method, monkeypatch):
     for point, rep in ((1, 2), (3, 1)):
         project_to_cptp(_scaling_instance(point, rep), method, cfg)
     assert max(worst) <= 1e-14
+
+
+@pytest.mark.parametrize("method", ["oneHIP", "pureHIP"])
+@pytest.mark.parametrize("d", [4, 8])
+def test_tiny_epsilon_converges(method, d):
+    """At epsilon = 1e-15 every HIP step still builds its half-space: a norm
+    floor of 1e-14 on the normal left oneHIP (d = 4, 8) and pureHIP (d = 8)
+    with no half-space at lambda_min near -1e-14, never moving, until the
+    2,000-iteration cap.  Measured: 42, 16, 265 and 54 decompositions."""
+    truth = choi_from_kraus(make_channel(ChannelSpec("noisy_qft", d, measure_prob=0.25)))
+    est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**5, seed=1)))
+    cfg = ProjectionConfig(epsilon=1e-15)
+    _, report = project_to_cptp(proj_cp1_thresholded(est.matrix)[0], method, cfg)
+    assert report.converged
+    assert report.final_lambda_min >= -1e-15
+    assert report.iterations <= 500
 
 
 def test_hipswitch_peak_memory_k4():

@@ -35,8 +35,8 @@ from proctomo.channels import (RAW_HERMITICITY_TOL, ChannelSpec, ChoiMatrix, Kra
 from proctomo.designs import mub_family
 from proctomo.estimators import ls_estimate
 from proctomo.harness import EXPERIMENTS, ExperimentConfig, load_config
-from proctomo.projections import (METHODS, ProjectionConfig, proj_cp1_thresholded,
-                                  project_to_cptp)
+from proctomo.projections import (METHODS, ProjectionConfig, proj_cp,
+                                  proj_cp1_thresholded, project_to_cptp)
 from proctomo.simulate import (FrequencyTable, SamplingPlan, exact_table,
                                probability_array, sample, setting_count)
 from proctomo.verification import SUITES, run_suite
@@ -264,6 +264,14 @@ ROWS = [
      _NOT_HERMITIAN),
     ("project_to_cptp", project_to_cptp, "phi0", _OFF_HERMITIAN, ValueError,
      _NOT_HERMITIAN),
+    # a matrix input is square and 2-D, by one rule, before any arithmetic
+    ("proj_cp", proj_cp, "x", np.eye(4, 2), ValueError, "matrix must be square"),
+    ("proj_cp1_thresholded", proj_cp1_thresholded, "x", np.eye(4, 2), ValueError,
+     "matrix must be square"),
+    ("proj_cp1_thresholded", proj_cp1_thresholded, "x", np.ones((2, 2, 2)) / 4,
+     ValueError, "matrix must be square"),
+    ("project_to_cptp", project_to_cptp, "phi0", np.eye(4, 2), ValueError,
+     "matrix must be square"),
     ("KrausSet", lambda v: KrausSet((v,)), "operators", np.full((2, 2), np.nan),
      ValueError, "matrix has non-finite entries"),
     ("ls_estimate", ls_estimate, "table", None, TypeError,

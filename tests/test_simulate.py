@@ -9,7 +9,6 @@ from proctomo import simulate
 from proctomo.channels import (PSD_TOL, ChannelSpec, ChoiMatrix, DensityMatrix,
                                KrausSet, choi_from_kraus, make_channel)
 from proctomo.designs import mub_family
-from proctomo.projections import proj_tp_linear
 from proctomo.simulate import (_BORN_OPS, FrequencyTable, SamplingPlan, _born,
                                _pauli_fold, exact_table, probability_array, sample,
                                setting_count)
@@ -111,7 +110,7 @@ def _barely_negative_choi(d, seed):
     phi = choi_from_kraus(make_channel(ChannelSpec("identity", d))).matrix
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2)
-    h = proj_tp_linear(0.5 * (g + g.conj().T))
+    h = oracles.proj_tp_linear(0.5 * (g + g.conj().T))
     lam, vecs = np.linalg.eigh(phi)
     kernel = vecs[:, lam < 0.5]
     mu = np.linalg.eigvalsh(kernel.conj().T @ h @ kernel).min()
