@@ -16,9 +16,10 @@ with Choi matrix W W^dag, whose r x r W^dag b W gives ``fidelity`` and whose
 W^dag W gives ``kraus_rank``.  ``distance`` returns all three error norms.
 
 Each physical-set rule is one function here (``system_dim``, ``qubit_count``,
-``tp_deviation``, ``_check_hermitian``, ``_check_trace_one``; the last two
-refuse a nan or inf entry first, and ``_check_hermitian`` anything but a
-square 2-D array before that) with its tolerance named in the table below:
+``tp_deviation``, ``_check_square``, ``_check_hermitian``,
+``_check_trace_one``; the last two refuse a nan or inf entry first, and
+``_check_hermitian`` and ``partial_trace`` anything but a square 2-D array
+before that) with its tolerance named in the table below:
 validated states use the strict tolerances, raw least-squares estimates the
 looser ``RAW_*`` pair.
 
@@ -80,9 +81,13 @@ def _check_finite(a: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
-def _check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+def _check_square(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+
+
+def _check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    _check_square(a)
     _check_finite(a)
     dev = np.abs(a - a.conj().T).max()
     if dev > tol:
@@ -294,10 +299,8 @@ def partial_trace(mat: np.ndarray) -> np.ndarray:
     """Tr_s: the partial trace of a matrix on C^d (x) C^d over its first
     (system) factor, d inferred; a d x d matrix on the ancilla."""
     mat = np.asarray(mat)
-    n = mat.shape[0]
-    if mat.ndim != 2 or mat.shape[1] != n:
-        raise ValueError("partial_trace expects a square matrix")
-    d = system_dim(n)
+    _check_square(mat)
+    d = system_dim(mat.shape[0])
     return np.einsum("iaib->ab", mat.reshape(d, d, d, d))
 
 

@@ -152,7 +152,9 @@ def proj_tp(x: np.ndarray) -> np.ndarray:
 
 
 def proj_cp(x: np.ndarray) -> np.ndarray:
-    """Frobenius projection onto the PSD cone (clip negative eigenvalues)."""
+    """Frobenius projection onto the PSD cone (clip negative eigenvalues);
+    takes x as ``np.asarray(x, dtype=complex)`` reads it."""
+    x = np.asarray(x, dtype=complex)
     _check_hermitian(x, RAW_HERMITICITY_TOL)
     return _psd_from_eigh(*np.linalg.eigh(x))
 
@@ -193,9 +195,11 @@ def proj_cp1_thresholded(x: np.ndarray, tau: Optional[float] = None):
 
     Returns (matrix, spectrum): the spectrum is the corrected eigenvalues in
     descending order, which is the spectrum of the returned matrix.  Like
-    ``proj_cp``, it refuses x farther than ``RAW_HERMITICITY_TOL`` from
-    Hermitian, and any tau that is not a finite nonnegative number.
+    ``proj_cp``, it takes x as ``np.asarray(x, dtype=complex)`` reads it,
+    refuses x farther than ``RAW_HERMITICITY_TOL`` from Hermitian, and any
+    tau that is not a finite nonnegative number.
     """
+    x = np.asarray(x, dtype=complex)
     _check_hermitian(x, RAW_HERMITICITY_TOL)
     if tau is not None:
         _check_real("threshold", tau, low=0)
@@ -358,8 +362,9 @@ def project_to_cptp(phi0: np.ndarray, method: str = "HIPswitch",
     AP/HIP family (each one is a projection onto a convex superset of the
     physical set, so distances to physical points are nonincreasing along
     the hooked sequence); Dykstra's iterates are not, and dual has none, so
-    a hook with either raises ``ValueError``.  Like ``proj_cp``, it refuses
-    phi0 farther than ``RAW_HERMITICITY_TOL`` from Hermitian.
+    a hook with either raises ``ValueError``.  Like ``proj_cp``, it takes
+    phi0 as ``np.asarray`` reads it and refuses phi0 farther than
+    ``RAW_HERMITICITY_TOL`` from Hermitian.
     """
     phi0 = np.asarray(phi0, dtype=complex)
     _check_hermitian(phi0, RAW_HERMITICITY_TOL)

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proctomo
 from proctomo.channels import ChannelSpec, choi_from_kraus, make_channel
-from proctomo.simulate import SamplingPlan, setting_count
+from proctomo.estimators import ls_estimate
+from proctomo.projections import proj_cp1_thresholded
+from proctomo.simulate import SamplingPlan, sample, setting_count
 
 
 @pytest.fixture
@@ -36,6 +43,22 @@ def random_unitary(d, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def noisy_qft(d):
+    """Choi matrix of the QFT on C^d followed, with probability 1/4, by a z
+    measurement of the first qubit: the suite's default truth."""
+    return choi_from_kraus(make_channel(ChannelSpec("noisy_qft", d, measure_prob=0.25)))
+
+
+def raw_estimate(d, n_shots, seed):
+    """The LS estimate of ``noisy_qft(d)`` from a scenario-1 random-scheme table."""
+    return ls_estimate(sample(noisy_qft(d), 1, SamplingPlan("random", n_shots, seed))).matrix
+
+
+def cp1_iterate(d, n_shots, seed):
+    """The first-stage output for ``raw_estimate(d, n_shots, seed)``."""
+    return proj_cp1_thresholded(raw_estimate(d, n_shots, seed))[0]
+
+
 def pauli_channels(k, rng):
     """Choi matrices of a noisy QFT, a random unitary and a mixed unitary."""
     d = 2**k
@@ -59,3 +82,11 @@ def transient_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def run_python(*args, **kwargs):
+    """This interpreter run on args with the package's ``src`` first on
+    PYTHONPATH, its output captured as text."""
+    src = str(Path(proctomo.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, **kwargs)

@@ -32,6 +32,8 @@ class TestPlsFailureProb:
         got = pls_failure_prob(budget, "frobenius")
         assert got == pytest.approx(4 * math.exp(-375 / 64), rel=1e-12)
         assert got == pytest.approx(1.14e-2, rel=0.01)
+        trace = pls_failure_prob(budget, "trace")
+        assert trace == pytest.approx(4 * math.exp(-375 / 256), rel=1e-12)
 
     def test_zero_shots_vacuous(self):
         budget = ErrorBudget(scenario=1, k=1, n_shots=0, epsilon=0.5)
@@ -65,10 +67,12 @@ class TestLsFailureProb:
 
     def test_frobenius_is_rescaled_operator(self):
         delta = 0.3
-        b_frob = ErrorBudget(scenario=2, k=2, n_shots=10**5, epsilon=delta)
-        b_op = ErrorBudget(scenario=2, k=2, n_shots=10**5, epsilon=delta / 4)
-        assert ls_failure_prob(b_frob, "frobenius") == pytest.approx(
-            ls_failure_prob(b_op, "operator"), rel=1e-12)
+        b_frob = ErrorBudget(scenario=2, k=2, n_shots=10**6, epsilon=delta)
+        b_op = ErrorBudget(scenario=2, k=2, n_shots=10**6, epsilon=delta / 4)
+        # at 10^6 shots neither bound is capped at one (16 exp(-26) each)
+        frob = ls_failure_prob(b_frob, "frobenius")
+        assert frob == pytest.approx(ls_failure_prob(b_op, "operator"), rel=1e-12)
+        assert frob < 1e-9
 
     def test_monotone_in_threshold(self):
         lo = ls_failure_prob(ErrorBudget(scenario=1, k=1, n_shots=10**4,
@@ -151,14 +155,18 @@ class TestConfidenceRegion:
         assert region.frobenius_radius == pytest.approx(min(limits), abs=1e-6)
 
     def test_matches_exhaustive_scan(self):
-        budget = ErrorBudget(scenario=3, k=1, n_shots=10**6, eta=0.05)
-        spectrum = [0.55, 0.35, 0.06, 0.04]
-        region = confidence_region(spectrum, budget)
-        (frob, r, delta), trace = _scan_oracle(spectrum, budget)
-        assert region.frobenius_radius == pytest.approx(frob, rel=1e-12)
-        assert region.trace_radius == pytest.approx(trace, rel=1e-12)
-        assert region.chosen_r == r
-        assert region.chosen_delta == pytest.approx(delta, rel=1e-12)
+        # the second case picks r = 1, where the renormalization shift (0.2)
+        # exceeds the first dropped eigenvalue (0.1)
+        for spectrum, budget in (
+                ([0.55, 0.35, 0.06, 0.04], ErrorBudget(scenario=3, k=1, n_shots=10**6)),
+                ([0.8, 0.1, 0.1, 0.0], ErrorBudget(scenario=1, k=1, n_shots=1000))):
+            region = confidence_region(spectrum, budget)
+            (frob, r, delta), trace = _scan_oracle(spectrum, budget)
+            assert region.frobenius_radius == pytest.approx(frob, rel=1e-12)
+            assert region.trace_radius == pytest.approx(trace, rel=1e-12)
+            assert region.chosen_r == r
+            assert region.chosen_delta == pytest.approx(delta, rel=1e-12)
+        assert (r, delta) == (1, pytest.approx(0.2))
 
     def test_rejects_empty_spectrum(self):
         with pytest.raises(ValueError):
@@ -174,6 +182,15 @@ class TestConfidenceRegion:
     def test_rejects_non_finite_spectrum(self, spectrum):
         with pytest.raises(ValueError, match="finite trace-one PSD"):
             confidence_region(spectrum, ErrorBudget(scenario=1, k=1, n_shots=100))
+
+    def test_spectrum_tolerances(self):
+        # twice the PSD (1e-9) and trace (1e-6) tolerances are refused, half taken
+        budget = ErrorBudget(scenario=1, k=1, n_shots=100)
+        for spectrum in ([1.0 + 2e-9, -2e-9], [1.0 + 2e-6, 0.0]):
+            with pytest.raises(ValueError, match="finite trace-one PSD"):
+                confidence_region(spectrum, budget)
+        for spectrum in ([1.0 + 5e-10, -5e-10], [1.0 + 5e-7, 0.0]):
+            confidence_region(spectrum, budget)
 
 
 class TestBudgetInputs:

@@ -267,7 +267,7 @@ def test_kraus_factor_gives_choi_and_rank():
 
 
 # --------------------------------------------------------------------------
-# One case per rule of the physical set, just outside and just inside its
+# One case per rule of the physical set, at twice and at half its
 # tolerance.  Each perturbation of the d = 2 Choi matrix 1/4 breaks one rule
 # and keeps the others well inside theirs.
 # --------------------------------------------------------------------------
@@ -299,9 +299,9 @@ def _tp_shift(x):
 class TestPhysicalRules:
     @pytest.mark.parametrize("cls", [DensityMatrix, ChoiMatrix])
     @pytest.mark.parametrize("make,outside,inside,match", [
-        pytest.param(_off_diagonal, 1e-11, 5e-13, "not Hermitian", id="hermiticity"),
-        pytest.param(_trace_shift, 1e-11, 5e-13, "trace must be 1", id="trace"),
-        pytest.param(_negative_eigenvalue, 1e-9, 5e-11, "negative eigenvalue", id="psd"),
+        pytest.param(_off_diagonal, 2e-12, 5e-13, "not Hermitian", id="hermiticity"),
+        pytest.param(_trace_shift, 2e-12, 5e-13, "trace must be 1", id="trace"),
+        pytest.param(_negative_eigenvalue, 2e-10, 5e-11, "negative eigenvalue", id="psd"),
     ])
     def test_state_rule(self, cls, make, outside, inside, match):
         with pytest.raises(ValueError, match=match):
@@ -336,13 +336,13 @@ class TestPhysicalRules:
 
     def test_trace_preserving(self):
         with pytest.raises(ValueError, match="Tr_s"):
-            ChoiMatrix(_tp_shift(1e-8))
+            ChoiMatrix(_tp_shift(2e-9))
         ChoiMatrix(_tp_shift(5e-10))
         DensityMatrix(_tp_shift(1e-8))  # a state need not be a channel
 
     @pytest.mark.parametrize("make,outside,inside,match", [
-        (_off_diagonal, 1e-9, 5e-11, "not Hermitian"),
-        (_trace_shift, 1e-7, 5e-9, "trace must be 1"),
+        (_off_diagonal, 2e-10, 5e-11, "not Hermitian"),
+        (_trace_shift, 2e-8, 5e-9, "trace must be 1"),
     ], ids=["hermiticity", "trace"])
     def test_raw_estimate_rule(self, make, outside, inside, match):
         def estimate(m):

@@ -2,8 +2,6 @@ import copy
 import csv
 import importlib.util
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import textwrap
@@ -21,7 +19,7 @@ from proctomo.channels import ChannelSpec, choi_from_kraus, kraus_factor, make_c
 from proctomo.harness import (ERROR_COLUMNS, TRACE_COLUMNS, ExperimentConfig,
                               OUT_DIR_ENV, load_config, run)
 
-from conftest import transient_peak
+from conftest import run_python, transient_peak
 
 
 def _mini_config(**overrides) -> ExperimentConfig:
@@ -236,10 +234,7 @@ class TestConfig:
 
     def test_import_leaves_out_yaml(self):
         code = "import sys, proctomo; print('yaml' in sys.modules)"
-        src = str(Path(harness.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
+        out = run_python("-c", code, check=True)
         assert out.stdout.strip() == "False"
 
     def test_pauli_scenario_rejects_odd_dimension(self):
@@ -274,22 +269,6 @@ class TestConfig:
     def test_zero_threads_rejected_at_construction(self):
         with pytest.raises(ValueError, match="threads"):
             _mini_config(threads=0)
-
-    def test_removed_projection_knob_rejected_on_load(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"
-        for knob, line in (("hip_steps", "projection: {epsilon: 1.0e-7, hip_steps: 30}"),
-                           ("direct", "direct: true")):
-            cfg_path.write_text(textwrap.dedent("""\
-                experiment: single_run
-                scenario: 1
-                k: 1
-                channel: {kind: identity}
-                n_shots: 900
-            """) + line + "\n")
-            with pytest.raises(ValueError, match=f"takes no key '{knob}'"):
-                load_config(cfg_path)
-        with pytest.raises(TypeError, match="direct"):
-            _mini_config(direct=True)
 
 
 class TestRun:
@@ -665,10 +644,8 @@ class TestCli:
         for root in ("old", "new"):
             out_dir = tmp_path / root / "cfg"
             assert cli.main(["run", str(cfg_path), "--out-dir", str(out_dir)]) == 0
-        script = Path(__file__).parent.parent / "scripts" / "compare_outputs.py"
-        compare = lambda: subprocess.run(
-            [sys.executable, str(script), str(tmp_path / "old"), str(tmp_path / "new")],
-            capture_output=True, text=True)
+        compare = lambda: run_python(
+            SCRIPTS / "compare_outputs.py", tmp_path / "old", tmp_path / "new")
         same = compare()
         assert same.returncode == 0, same.stdout + same.stderr
         errors = tmp_path / "new" / "cfg" / "errors.csv"
@@ -740,13 +717,9 @@ class TestCli:
 
 
 def test_run_all_rejects_unknown_stem(tmp_path):
-    script = Path(__file__).parent.parent / "scripts" / "run_all.py"
-    src = str(Path(harness.__file__).resolve().parents[1])
     out_root = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--out-root", str(out_root),
-         "--only", "dimension_sweep_mub", "typo_name"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    proc = run_python(SCRIPTS / "run_all.py", "--out-root", out_root,
+                      "--only", "dimension_sweep_mub", "typo_name")
     assert proc.returncode == 1
     assert "typo_name" in proc.stderr
     assert not out_root.exists()
@@ -764,19 +737,28 @@ def test_run_all_loads_every_config_before_running(tmp_path):
     """)
     (scripts / "a_good.yaml").write_text(good + "channel: {kind: qft}\n")
     (scripts / "b_bad.yaml").write_text(good + "channel: {kind: qft, measure_prob: 0.3}\n")
-    src = str(Path(harness.__file__).resolve().parents[1])
     out_root = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, str(scripts / "run_all.py"), "--out-root", str(out_root)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    proc = run_python(scripts / "run_all.py", "--out-root", out_root)
     assert proc.returncode == 1
     assert "b_bad.yaml" in proc.stderr and "measure_prob" in proc.stderr
     assert not out_root.exists()
 
 
+def test_mutation_census_smoke(tmp_path):
+    """One cheap mutant through ``scripts/mutants.py``; the census itself
+    runs outside the suite."""
+    out = tmp_path / "census.json"
+    proc = run_python(SCRIPTS / "mutants.py", "--only", "bounds-capped", "--out", out,
+                      timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    census = json.loads(out.read_text())
+    assert (census["mutants"], census["caught"], census["unresolved"]) == (1, 1, [])
+    assert census["records"][0]["first_failure"] == (
+        "tests/test_bounds.py::TestPlsFailureProb::test_zero_shots_vacuous")
+
+
 def test_envelope_point_smoke():
-    path = Path(__file__).parent.parent / "scripts" / "envelope.py"
-    spec = importlib.util.spec_from_file_location("envelope", path)
+    spec = importlib.util.spec_from_file_location("envelope", SCRIPTS / "envelope.py")
     envelope = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(envelope)
     point = dict(envelope.POINTS[1], d=2)

@@ -1,11 +1,7 @@
 import logging
 import math
-import os
 import re
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +11,6 @@ from scipy.linalg import solve_triangular
 
 from proctomo.channels import (ChannelSpec, ChoiMatrix, choi_from_kraus,
                                haar_unitary, make_channel, partial_trace)
-import proctomo
 from proctomo import projections
 from proctomo.estimators import ls_estimate
 from proctomo.harness import ExperimentConfig, _rep_seed
@@ -28,8 +23,8 @@ from proctomo.simulate import SamplingPlan, sample
 
 import oracles
 from oracles import maximally_entangled_state
-from conftest import (random_density, random_hermitian, random_unitary,
-                      transient_peak)
+from conftest import (cp1_iterate, noisy_qft, random_density, random_hermitian,
+                      random_unitary, raw_estimate, run_python, transient_peak)
 from test_refusals import REAL, refusal
 
 
@@ -133,6 +128,10 @@ class TestProjCp1Thresholded:
         x = np.diag([-0.5, 0.3, 1.2]).astype(complex)
         out, _ = proj_cp1_thresholded(x, 0.5)
         assert_allclose(out, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
+        # tau = 0.2 raises (0.3, 0.6) to a mass of 1.3, water filled at 0.15
+        x = np.diag([-0.05, 0.15, 0.3, 0.6]).astype(complex)
+        out, _ = proj_cp1_thresholded(x, 0.2)
+        assert_allclose(out, np.diag([0.0, 0.0, 0.35, 0.65]), atol=1e-12)
 
     def test_density_matrix_fixed_at_zero_threshold(self, rng):
         rho = random_density(4, rng)
@@ -145,13 +144,11 @@ class TestProjCp1Thresholded:
         assert_allclose(np.diag(out).real, [0.0, 0.0, 0.15, 0.85], atol=1e-12)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_default_threshold_bookkeeping(self, rng):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=1)))
-        lam = np.linalg.eigvalsh(est.matrix)
+    def test_default_threshold_bookkeeping(self):
+        est = raw_estimate(4, 10**4, seed=1)
+        lam = np.linalg.eigvalsh(est)
         tau = -lam.min()
-        out, _ = proj_cp1_thresholded(est.matrix, tau)
+        out, _ = proj_cp1_thresholded(est, tau)
         mu = np.linalg.eigvalsh(out)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
         assert mu.min() > -1e-12
@@ -209,9 +206,7 @@ class TestCp1Threshold:
 
     @pytest.fixture(scope="class")
     def estimate(self):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
-        return ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=1)))
+        return raw_estimate(4, 10**4, seed=1)
 
     def test_zero_for_a_density_matrix(self, rng):
         rho = random_density(4, rng)
@@ -220,15 +215,15 @@ class TestCp1Threshold:
         assert np.array_equal(out, ref) and np.array_equal(spectrum, ref_spectrum)
 
     def test_flipped_least_eigenvalue_of_an_estimate(self, estimate):
-        lam_min = np.linalg.eigh(0.5 * (estimate.matrix + estimate.matrix.conj().T))[0][0]
+        lam_min = np.linalg.eigh(0.5 * (estimate + estimate.conj().T))[0][0]
         assert lam_min < 0
-        out, spectrum = proj_cp1_thresholded(estimate.matrix)
-        ref, ref_spectrum = proj_cp1_thresholded(estimate.matrix, max(0.0, -lam_min))
+        out, spectrum = proj_cp1_thresholded(estimate)
+        ref, ref_spectrum = proj_cp1_thresholded(estimate, max(0.0, -lam_min))
         assert np.array_equal(out, ref) and np.array_equal(spectrum, ref_spectrum)
 
     def test_spectrum_is_that_of_the_output(self, estimate, rng):
         # an estimate, a state, then water filling and refilling at default tau
-        for x in (estimate.matrix, random_density(4, rng),
+        for x in (estimate, random_density(4, rng),
                   np.diag([-0.1, 0.3, 0.35, 0.45]).astype(complex),
                   np.diag([-0.3, 0.3, 0.3, 0.3, 0.4]).astype(complex)):
             out, spectrum = proj_cp1_thresholded(x)
@@ -323,8 +318,8 @@ def _halfspace_window(n, kinds, rng):
 
     Each kind is set by the sign and size of <N, phi> (see ``_cut``).
     'violated' and 'satisfied' draw a fresh random normal cutting off resp.
-    keeping phi, 'touching' one whose boundary passes within 1e-13 of phi
-    (coefficients in the -1e-12 tolerance band).  'duplicate' and
+    keeping phi, 'touching' one whose boundary passes 1e-14..1e-9 from phi
+    (coefficients on both sides of the -1e-12 tolerance band).  'duplicate' and
     'parallel' reuse an earlier normal exactly or negated; 'near' perturbs
     one by a relative 1e-9..1e-2 and moves it to a fresh value; 'weak' is
     the nearly parallel, barely violated partner that forces a negative
@@ -344,7 +339,7 @@ def _halfspace_window(n, kinds, rng):
             base = out[rng.integers(len(out))].normal
             a = base + scale * random_hermitian(n, rng)
         value = {"satisfied": rng.uniform(0.01, 1.0),
-                 "touching": rng.uniform(0.0, 1e-13),
+                 "touching": 10.0 ** rng.uniform(-14, -9),
                  "weak": -rng.uniform(0.0, 0.05)}.get(kind, -rng.uniform(0.0, 1.0))
         out.append(_cut(a, phi, value))
     return phi, out
@@ -406,10 +401,7 @@ class TestHipInner:
 
     def test_oracle_agrees_on_halfspaces_from_a_projection_run(self, rng):
         # the windows HIPswitch actually builds: PSD-cone cuts at k=2
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=3)))
-        phi = proj_tp(proj_cp1_thresholded(est.matrix)[0])
+        phi = proj_tp(cp1_iterate(4, 10**4, seed=3))
         window = []
         for _ in range(40):
             lam, v = np.linalg.eigh(phi)
@@ -512,20 +504,14 @@ class TestProjectToCptp:
 
     @pytest.mark.parametrize("method", ["AP", "Dykstra", "oneHIP", "pureHIP",
                                         "HIPswitch", "dual"])
-    def test_output_is_physical(self, method, rng):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 2000, seed=4)))
-        cp1, _ = proj_cp1_thresholded(est.matrix)
-        choi, report = project_to_cptp(cp1, method)
+    def test_output_is_physical(self, method):
+        choi, report = project_to_cptp(cp1_iterate(2, 2000, seed=4), method)
         ChoiMatrix(choi.matrix)  # validates PSD / trace / partial trace
         assert report.final_lambda_min >= -ProjectionConfig().epsilon
 
-    def test_iterate_distances_monotone(self, rng):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=2)))
-        cp1 = proj_cp1_thresholded(est.matrix)[0]
+    def test_iterate_distances_monotone(self):
+        truth = noisy_qft(4)
+        cp1 = cp1_iterate(4, 10**4, seed=2)
         dists = []
         project_to_cptp(cp1, "HIPswitch", ProjectionConfig(),
                         iterate_hook=lambda p: dists.append(
@@ -533,11 +519,8 @@ class TestProjectToCptp:
         seq = [np.linalg.norm(cp1 - truth.matrix, "fro")] + dists
         assert all(b <= a + 1e-10 for a, b in zip(seq, seq[1:]))
 
-    def test_dual_is_exact_projection(self, rng):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 3000, seed=6)))
-        phi0 = proj_cp1_thresholded(est.matrix)[0]
+    def test_dual_is_exact_projection(self):
+        phi0 = cp1_iterate(2, 3000, seed=6)
         choi, report = project_to_cptp(phi0, "dual")
         assert report.dual_grad_norm <= DUAL_GRAD_TOL
         base = np.linalg.norm(choi.matrix - phi0, "fro")
@@ -545,35 +528,13 @@ class TestProjectToCptp:
             y = _random_cptp(2, np.random.default_rng(seed))
             assert base <= np.linalg.norm(y - phi0, "fro") + 1e-6
 
-    def test_dykstra_matches_dual(self, rng):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 3000, seed=9)))
-        phi0 = proj_cp1_thresholded(est.matrix)[0]
-        tight = ProjectionConfig(epsilon=1e-11, max_outer_iterations=100000)
-        dyk, _ = project_to_cptp(phi0, "Dykstra", tight)
-        dua, _ = project_to_cptp(phi0, "dual", tight)
-        assert np.linalg.norm(dyk.matrix - dua.matrix, "fro") < 1e-6
-
-    def test_nonconverged_flag(self, rng):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=3)))
-        cp1 = proj_cp1_thresholded(est.matrix)[0]
-        short = ProjectionConfig(max_outer_iterations=2)
-        _, report = project_to_cptp(cp1, "AP", short)
-        assert not report.converged
-
     @pytest.mark.parametrize("method", ALTERNATING)
     def test_nonconverged_exit(self, method, caplog):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=3)))
-        cp1 = proj_cp1_thresholded(est.matrix)[0]
+        cp1 = cp1_iterate(4, 10**4, seed=3)
         short = ProjectionConfig(max_outer_iterations=2)
         with caplog.at_level(logging.WARNING, logger="proctomo.projections"):
             _, report = project_to_cptp(cp1, method, short)
-        assert not report.converged
+        assert not report.converged and report.iterations == 2
         assert report.final_lambda_min == max(row[0] for row in report.trace)
         warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert len(warnings) == 1
@@ -581,10 +542,7 @@ class TestProjectToCptp:
 
     @pytest.mark.parametrize("method", ALTERNATING)
     def test_converged_exit_bookkeeping(self, method):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 4, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**4, seed=2)))
-        cp1 = proj_cp1_thresholded(est.matrix)[0]
+        cp1 = cp1_iterate(4, 10**4, seed=2)
         hooked = []
         hook = hooked.append if method != "Dykstra" else None
         _, report = project_to_cptp(cp1, method, iterate_hook=hook)
@@ -610,6 +568,13 @@ class TestProjectToCptp:
         with pytest.raises(ValueError):
             project_to_cptp(np.eye(4) / 4, "simplex")
 
+    def test_nested_list_input_is_the_array_input(self, rng):
+        """The three stage calls read a nested list as ``np.asarray`` does."""
+        x = random_density(4, rng)
+        for call in (proj_cp, lambda m: proj_cp1_thresholded(m)[0],
+                     lambda m: project_to_cptp(m)[0].matrix):
+            assert np.array_equal(call(x.tolist()), call(x))
+
 
 def _dual_input(kind, n, seed):
     """Hermitian trace-one matrix on C^n (n = 4 or 16) of the given kind."""
@@ -628,10 +593,7 @@ def _dual_input(kind, n, seed):
         return h + (1.0 - np.trace(h).real) / n * np.eye(n)
     if kind == "physical":
         return _random_cptp(d, rng)
-    truth = choi_from_kraus(make_channel(
-        ChannelSpec("noisy_qft", d, measure_prob=0.25)))
-    plan = SamplingPlan("random", int(rng.integers(50, 1000)), seed=seed)
-    return ls_estimate(sample(truth, 1, plan)).matrix  # raw low-N LS
+    return raw_estimate(d, int(rng.integers(50, 1000)), seed)  # raw low-N LS
 
 
 DUAL_KINDS = ["rank-1", "two-level", "far", "physical", "raw-ls"]
@@ -677,14 +639,29 @@ class TestDualNewton:
         assert len(inputs) == report.proj_cp_calls
         assert not any(np.array_equal(a, b) for a, b in zip(inputs, inputs[1:]))
 
-    def test_import_leaves_out_scipy_optimize(self):
-        code = ("import sys, proctomo; print(sorted(m for m in sys.modules if "
-                "m.startswith(('scipy.optimize', 'scipy.sparse'))))")
-        src = str(Path(proctomo.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "[]"
+    def test_newton_work_pinned(self, monkeypatch):
+        """The dual's work, pinned: its Newton steps and decompositions on two
+        rank-1 inputs, where no line search backtracks; and CG's Jacobian
+        products per Newton step on a k = 2 CP1 iterate, where each state
+        makes one decomposition and one partial trace (``np.tensordot``)
+        and each product one partial trace.  A dual objective with Tr(y)/d^2
+        adds a line-search trial on the first input; a gradient tolerance of
+        1e-7 stops the second a step early; a CG regularizer of
+        min(1e-1, |grad|) adds a product at the fourth step."""
+        for seed in (0, 4):
+            _, report = project_to_cptp(_dual_input("rank-1", 4, seed), "dual")
+            assert (report.iterations, report.proj_cp_calls) == (5, 6)
+        cp1 = cp1_iterate(4, 10**4, seed=1)
+        events = []
+        for owner, name, mark in ((np.linalg, "eigh", "|"), (np, "tensordot", "p")):
+            def spy(*args, _mark=mark, _original=getattr(owner, name), **kwargs):
+                events.append(_mark)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        _, report = project_to_cptp(cp1, "dual")
+        assert report.iterations == 6
+        products = [len(run) - 1 for run in "".join(events).split("|")[1:]]
+        assert products == [2, 2, 3, 3, 5, 8, 0]
 
     def test_run_path_loads_no_scipy(self, tmp_path):
         code = textwrap.dedent(f"""
@@ -710,11 +687,18 @@ class TestDualNewton:
             assert calls, "HIPswitch never reached hip_inner"
             print(sorted(m for m in sys.modules if m.startswith("scipy")))
         """)
-        src = str(Path(proctomo.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
+        out = run_python("-c", code, check=True)
         assert out.stdout.strip() == "[]"
+
+
+def _tp_with_lambda_min(n, lam):
+    """1/n plus a step along the trace-free, Tr_s-free projection of
+    |0><0| - |1><1|, scaled to least eigenvalue lam."""
+    bump = np.zeros((n, n), dtype=complex)
+    bump[0, 0] = 1.0
+    bump[1, 1] = -1.0
+    direction = oracles.proj_tp_linear(bump)  # diagonal, keeps Tr_s fixed
+    return np.eye(n) / n + (1 / n - lam) / (-np.linalg.eigvalsh(direction).min()) * direction
 
 
 class TestDepolarizingFinalize:
@@ -723,16 +707,12 @@ class TestDepolarizingFinalize:
         out, p = depolarizing_finalize(phi, np.linalg.eigvalsh(phi).min())
         assert p == 0.0
         assert_allclose(out.matrix, phi, atol=1e-14)
+        # negativity down to -1e-14 is the eigensolver's rounding: no mixing
+        assert depolarizing_finalize(phi, -5e-15)[1] == 0.0
 
     def test_mixing_weight_formula(self):
         # TP matrix (d = 4, so the Choi acts on 16 dims) with lambda_min -1e-7
-        bump = np.zeros((16, 16), dtype=complex)
-        bump[0, 0] = 1.0
-        bump[1, 1] = -1.0
-        direction = oracles.proj_tp_linear(bump)  # diagonal, keeps Tr_s fixed
-        lam_dir = np.linalg.eigvalsh(direction).min()
-        scale = (1 / 16 + 1e-7) / (-lam_dir)
-        phi = np.eye(16) / 16 + scale * direction
+        phi = _tp_with_lambda_min(16, -1e-7)
         lam_min = np.linalg.eigvalsh(phi).min()
         assert lam_min == pytest.approx(-1e-7, rel=1e-9)
         out, p = depolarizing_finalize(phi, lam_min)
@@ -744,12 +724,7 @@ class TestDepolarizingFinalize:
 
     def test_refuses_far_from_cone(self):
         # TP matrix with lambda_min = -0.2, well past the refusal threshold
-        bump = np.zeros((4, 4), dtype=complex)
-        bump[0, 0] = 1.0
-        bump[1, 1] = -1.0
-        direction = oracles.proj_tp_linear(bump)
-        scale = (0.25 + 0.2) / (-np.linalg.eigvalsh(direction).min())
-        phi = np.eye(4) / 4 + scale * direction
+        phi = _tp_with_lambda_min(4, -0.2)
         lam_min = np.linalg.eigvalsh(phi).min()
         assert lam_min == pytest.approx(-0.2, rel=1e-9)
         with pytest.raises(ValueError, match="not converged"):
@@ -782,11 +757,8 @@ class TestPipeline:
                 choi, _ = project_to_cptp(proj_cp1_thresholded(est.matrix)[0])
                 assert np.abs(choi.matrix - truth.matrix).max() < 1e-9, (kind, seed)
 
-    def test_direct_variant(self, rng):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
-        est = ls_estimate(sample(truth, 1, SamplingPlan("random", 2000, seed=12)))
-        choi, _ = project_to_cptp(est.matrix, "Dykstra")
+    def test_direct_variant(self):
+        choi, _ = project_to_cptp(raw_estimate(2, 2000, seed=12), "Dykstra")
         ChoiMatrix(choi.matrix)
 
 
@@ -798,9 +770,7 @@ class TestCountBudget:
 
     @pytest.fixture(scope="class")
     def estimate(self):
-        truth = choi_from_kraus(make_channel(
-            ChannelSpec("noisy_qft", 8, measure_prob=0.25)))
-        return ls_estimate(sample(truth, 1, SamplingPlan("random", 10**5, seed=1)))
+        return raw_estimate(8, 10**5, seed=1)
 
     @pytest.fixture
     def linalg_calls(self, monkeypatch):
@@ -821,7 +791,7 @@ class TestCountBudget:
             return inner(window, phi)
 
         monkeypatch.setattr(projections, "hip_inner", spy)
-        cp1, _ = proj_cp1_thresholded(estimate.matrix)
+        cp1, _ = proj_cp1_thresholded(estimate)
         _, report = project_to_cptp(cp1, "HIPswitch")
         assert report.converged
         assert report.proj_cp_calls == 33
@@ -830,7 +800,7 @@ class TestCountBudget:
         assert linalg_calls == {"eigh": 35, "eigvalsh": 1}
 
     def test_dual(self, estimate, linalg_calls):
-        cp1, _ = proj_cp1_thresholded(estimate.matrix)
+        cp1, _ = proj_cp1_thresholded(estimate)
         _, report = project_to_cptp(cp1, "dual")
         assert report.converged
         assert report.proj_cp_calls == 7
@@ -885,10 +855,8 @@ def test_tiny_epsilon_converges(method, d):
     floor of 1e-14 on the normal left oneHIP (d = 4, 8) and pureHIP (d = 8)
     with no half-space at lambda_min near -1e-14, never moving, until the
     2,000-iteration cap.  Measured: 42, 16, 265 and 54 decompositions."""
-    truth = choi_from_kraus(make_channel(ChannelSpec("noisy_qft", d, measure_prob=0.25)))
-    est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**5, seed=1)))
     cfg = ProjectionConfig(epsilon=1e-15)
-    _, report = project_to_cptp(proj_cp1_thresholded(est.matrix)[0], method, cfg)
+    _, report = project_to_cptp(cp1_iterate(d, 10**5, seed=1), method, cfg)
     assert report.converged
     assert report.final_lambda_min >= -1e-15
     assert report.iterations <= 500
@@ -897,10 +865,7 @@ def test_tiny_epsilon_converges(method, d):
 def test_hipswitch_peak_memory_k4():
     # each half-space holds one 256 x 256 normal and its 16 x 16 Tr_s; the
     # run's transients, measured at 11.2 such matrices, are pinned here
-    truth = choi_from_kraus(make_channel(
-        ChannelSpec("noisy_qft", 16, measure_prob=0.25)))
-    est = ls_estimate(sample(truth, 1, SamplingPlan("random", 10**6, seed=3)))
-    phi = proj_cp1_thresholded(est.matrix)[0]
+    phi = cp1_iterate(16, 10**6, seed=3)
     (_, report), peak = transient_peak(project_to_cptp, phi, "HIPswitch")
     assert report.converged
     assert peak <= 13.9 * phi.nbytes

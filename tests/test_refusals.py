@@ -12,8 +12,10 @@ fields a kind does not read, record keys), one fragment each, and
 takes a scenario.  Cross-field rules (k and d disagree, a fixed scheme's
 divisibility, a field an experiment does not read) and spectrum and
 MUB-table properties stay in their modules' tests, as do the
-single-parameter asserts there that a ``KINDS`` row repeats, kept so that
-their test ids stay stable.
+single-parameter asserts there that a ``KINDS`` row repeats: a test leaves
+the suite only on the evidence of the mutation census
+(``scripts/mutants.py``), that every mutant it catches another test
+catches too.
 """
 
 import math
@@ -31,7 +33,7 @@ from proctomo.bounds import (_K_MAX, ErrorBudget, confidence_region,
                              direct_projection_bound, f_factor, g_factor, ls_failure_prob,
                              pls_failure_prob, sample_complexity)
 from proctomo.channels import (RAW_HERMITICITY_TOL, ChannelSpec, ChoiMatrix, KrausSet,
-                               fidelity)
+                               fidelity, partial_trace, tp_deviation)
 from proctomo.designs import mub_family
 from proctomo.estimators import ls_estimate
 from proctomo.harness import EXPERIMENTS, ExperimentConfig, load_config
@@ -272,6 +274,9 @@ ROWS = [
      ValueError, "matrix must be square"),
     ("project_to_cptp", project_to_cptp, "phi0", np.eye(4, 2), ValueError,
      "matrix must be square"),
+    ("partial_trace", partial_trace, "mat", np.eye(4, 2), ValueError,
+     "matrix must be square"),
+    ("tp_deviation", tp_deviation, "m", np.eye(4, 2), ValueError, "matrix must be square"),
     ("KrausSet", lambda v: KrausSet((v,)), "operators", np.full((2, 2), np.nan),
      ValueError, "matrix has non-finite entries"),
     ("ls_estimate", ls_estimate, "table", None, TypeError,

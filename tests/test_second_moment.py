@@ -24,14 +24,11 @@ from proctomo.estimators import ls_estimate
 from proctomo.simulate import SamplingPlan, probability_array, sample, setting_count
 
 import oracles
+from conftest import noisy_qft
 
 Z_BOUND = 4.0
 # d -> (repetitions, shots); the shot counts divide every scenario's settings
 CASES = {2: (2000, 900), 4: (500, 3240)}
-
-
-def _truth(d):
-    return choi_from_kraus(make_channel(ChannelSpec("noisy_qft", d, measure_prob=0.25)))
 
 
 @pytest.mark.parametrize("scenario,d", [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2),
@@ -46,7 +43,7 @@ def test_cell_operators_reproduce_truth(scenario, d):
 @pytest.mark.parametrize("d", [2, 4])
 def test_random_scheme_matches_scalar_forms(d):
     # scenario 1: (25^k - |Phi|^2) / N; scenario 3: ((D+1)^2 - |Phi|^2 - D - 2) / N
-    truth = _truth(d)
+    truth = noisy_qft(d)
     n_shots = CASES[d][1]
     plan = SamplingPlan("random", n_shots, seed=0)
     norm2 = np.linalg.norm(truth.matrix) ** 2
@@ -61,7 +58,7 @@ def test_random_scheme_matches_scalar_forms(d):
 @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [2, 4])
 def test_mean_squared_error_matches_closed_form(d, scenario, scheme):
-    truth = _truth(d)
+    truth = noisy_qft(d)
     reps, n_shots = CASES[d]
     expected = oracles.ls_second_moment(truth, scenario, SamplingPlan(scheme, n_shots, 0))
     errs = np.empty(reps)

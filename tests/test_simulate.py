@@ -16,7 +16,7 @@ from proctomo.simulate import (_BORN_OPS, FrequencyTable, SamplingPlan, _born,
 import oracles
 from oracles import (all_settings, apply_kraus, born_probabilities,
                      maximally_entangled_state, pauli_projector, setting_index)
-from conftest import (pauli_channels, pauli_plans, random_density,
+from conftest import (noisy_qft, pauli_channels, pauli_plans, random_density,
                       random_kraus_ops, transient_peak)
 from test_refusals import INT, refusal
 
@@ -28,7 +28,7 @@ def omega2():
 
 @pytest.fixture(scope="module")
 def noisy2():
-    return choi_from_kraus(make_channel(ChannelSpec("noisy_qft", 2, measure_prob=0.25)))
+    return noisy_qft(2)
 
 
 class TestBornProbabilities:
